@@ -244,7 +244,7 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
     omega_g, _, _ = dtp_euler(lam_g, lamdot_g, base, config)     # (ne, 2q, 3)
     samples = np.moveaxis(omega_g, -1, 0)                        # (3, ne, 2q)
     omega_nodes = l2_project_time(mesh, samples,
-                                  pinned={0: omega0_stage})
+                                  pinned=([0], omega0_stage[:, None]))
     n_keep = mesh.ne - config.N_c
     return StageResult(t_nodes=mesh.nodes[:n_keep + 1],
                        omega_nodes=omega_nodes[:, :n_keep + 1],

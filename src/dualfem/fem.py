@@ -2,7 +2,8 @@
 
 Bilinear quadrilateral / linear interval shape functions, 2-point Gauss
 quadrature, element-to-global assembly of block systems, symmetric
-Dirichlet elimination, and a checked direct linear solve.
+Dirichlet elimination, and a checked direct linear solve that can reuse a
+factorization across right-hand sides.
 
 Global degrees of freedom are blocked by field: dof = field * n_nodes + node.
 Local element dofs follow the same ordering, dof = field * 4 + local_node
@@ -11,11 +12,11 @@ Local element dofs follow the same ordering, dof = field * 4 + local_node
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
 from .mesh import SpaceTimeMesh
@@ -274,16 +275,31 @@ def apply_dirichlet(system: BlockLinearSystem):
     return A_red.tocsr(), b_red, free, recover
 
 
-def solve_linear(A, b, rtol: float = 1e-8) -> np.ndarray:
-    """Direct sparse solve with a relative residual check."""
+def factor(A):
+    """Sparse LU factorization of a square matrix, reusable by :func:`solve_linear`."""
+    try:
+        return splu(sp.csc_matrix(A))
+    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"singular matrix: {exc}") from exc
+
+
+def solve_linear(A, b, rtol: float = 1e-8, lu=None) -> np.ndarray:
+    """Direct solve of A x = b with a relative residual check.
+
+    ``lu`` is a factorization of A (anything with ``solve(b)``, such as the
+    result of :func:`factor`); A is factored here when it is not given.  The
+    residual is always measured against A itself, so a factorization of a
+    different matrix is caught.
+    """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise InvalidArgumentError(f"shape mismatch: A {A.shape}, b {b.shape}")
     if A.shape[0] == 0:
         return np.zeros(0)
-    A = sp.csc_matrix(A)
+    if lu is None:
+        lu = factor(A)
     with np.errstate(all="ignore"):
-        x = spsolve(A, b)
+        x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SolverError("singular matrix: direct factorization produced non-finite values")
     resid = np.linalg.norm(A @ x - b)
@@ -294,10 +310,29 @@ def solve_linear(A, b, rtol: float = 1e-8) -> np.ndarray:
     return x
 
 
+class FactoredSystem:
+    """A block system with its constraints eliminated and its matrix factored once.
+
+    :meth:`solve` then takes any full-length right-hand side; the matrix and
+    the prescribed values are those of the system given here.
+    """
+
+    def __init__(self, system: BlockLinearSystem, rtol: float = 1e-8):
+        # eliminating with a zero load leaves -A[free, c] @ values, the lift
+        # that every right-hand side shares
+        self.matrix, self._lift, self._free, self._recover = apply_dirichlet(
+            replace(system, rhs=np.zeros(system.n_dofs)))
+        self._lu = factor(self.matrix) if self.matrix.shape[0] else None
+        self.rtol = rtol
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        b_red = np.asarray(rhs, dtype=float)[self._free] + self._lift
+        return self._recover(solve_linear(self.matrix, b_red, self.rtol, self._lu))
+
+
 def solve_system(system: BlockLinearSystem, rtol: float = 1e-8) -> np.ndarray:
     """Constrain, solve, and recover the full dof vector."""
-    A_red, b_red, _, recover = apply_dirichlet(system)
-    return recover(solve_linear(A_red, b_red, rtol=rtol))
+    return FactoredSystem(system, rtol).solve(system.rhs)
 
 
 def q_dual_heat(F: np.ndarray, k: float):

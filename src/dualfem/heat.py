@@ -160,13 +160,13 @@ def project_theta(problem: HeatProblem, dual: HeatDualSolution) -> np.ndarray:
     """
     mesh = dual.mesh
     theta_q, _ = dtp_heat(dual, problem.k)
-    pinned = {}
     t = mesh.t_coords()
-    for node, tv in zip(mesh.boundary_nodes(LEFT), t):
-        pinned[int(node)] = float(problem.theta_left(tv))
+    nodes, values = [mesh.boundary_nodes(LEFT)], [problem.theta_left(t)]
     if problem.right_mode == DIRICHLET_THETA:
-        for node, tv in zip(mesh.boundary_nodes(RIGHT), t):
-            pinned[int(node)] = float(problem.theta_right(tv))
+        nodes.append(mesh.boundary_nodes(RIGHT))
+        values.append(problem.theta_right(t))
+    values = [np.broadcast_to(np.asarray(v, dtype=float), t.shape) for v in values]
+    pinned = (np.concatenate(nodes), np.concatenate(values))
     return l2_project(mesh, theta_q, pinned)
 
 

@@ -3,14 +3,22 @@
 The mass-matrix right-hand side is integrated with the same 2x2 (or
 2-point) rule that produced the samples; known primal data is pinned at
 nodes and moved to the right-hand side.
+
+On the uniform space-time grid the mass matrix is exactly kron(M_t, M_x),
+the product of the two 1-D (tridiagonal) mass matrices, so on a Cartesian
+free set it is solved by one tridiagonal solve along each axis (Lynch, Rice
+& Thomas, Numer. Math. 6, 1964).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 from .errors import InvalidArgumentError
-from .fem import (assemble_uniform, eval_shapes_quad, gauss_rule, solve_system)
+# solve_system stays importable from here for existing callers
+from .fem import eval_shapes_quad, gauss_rule, solve_linear, solve_system  # noqa: F401
 from .mesh import SpaceTimeMesh, TimeMesh
 
 
@@ -44,19 +52,93 @@ def mass_local_2d(hx: float, ht: float) -> np.ndarray:
 _KRON_PERM = np.array([0, 1, 3, 2])
 
 
-def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned: dict | None = None,
-               ) -> np.ndarray:
+def _mass_bands(ne: int, h: float) -> np.ndarray:
+    """Tridiagonal mass matrix of ne linear elements of length h, stored by
+    diagonals aligned on columns: rows super, main, sub (M[j-1, j], M[j, j],
+    M[j+1, j]), the layout of both ``solve_banded`` and the DIA format."""
+    edge = h * 2.0 / 6.0
+    ab = np.full((3, ne + 1), h * 1.0 / 6.0)
+    ab[1] = 2 * edge
+    ab[1, [0, -1]] = edge
+    ab[0, 0] = ab[2, -1] = 0.0
+    return ab
+
+
+def _restrict(ab: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Bands of M[idx][:, idx] for increasing idx: a coupling survives only
+    between neighbours that stay adjacent."""
+    sub = ab[:, idx]
+    gap = np.diff(idx) != 1
+    sub[0, 1:][gap] = 0.0
+    sub[2, :-1][gap] = 0.0
+    return sub
+
+
+def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v for the bands of M; v has shape (n, k)."""
+    y = ab[1, :, None] * v
+    y[:-1] += ab[0, 1:, None] * v[1:]
+    y[1:] += ab[2, :-1, None] * v[:-1]
+    return y
+
+
+def _band_matrix(ab: np.ndarray) -> sp.dia_matrix:
+    return sp.dia_matrix((ab, [1, 0, -1]), shape=(ab.shape[1], ab.shape[1]))
+
+
+class _KronMassFactor:
+    """Solves kron(M_t, M_x) x = b, given the bands of M_t and M_x, by a
+    tridiagonal solve along each axis."""
+
+    def __init__(self, mt: np.ndarray, mx: np.ndarray):
+        self.mt, self.mx = mt, mx
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        B = b.reshape(self.mt.shape[1], self.mx.shape[1])
+        X = solve_banded((1, 1), self.mt, B, check_finite=False)     # M_t^-1 B
+        X = solve_banded((1, 1), self.mx, X.T, check_finite=False).T  # ... M_x^-1
+        return X.ravel()
+
+
+def _pin_values(pinned, n: int, lead: tuple = ()):
+    """Mask (n,) and nodal values (*lead, n) of a ``(nodes, values)`` pin
+    set; the values broadcast to (*lead, n_pins)."""
+    mask = np.zeros(n, dtype=bool)
+    out = np.zeros(lead + (n,))
+    if pinned is None:
+        return mask, out
+    nodes, values = pinned
+    nodes = np.asarray(nodes, dtype=np.int64)
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
+        raise InvalidArgumentError("pinned node out of range")
+    if np.unique(nodes).size != nodes.size:
+        raise InvalidArgumentError("a node is pinned more than once")
+    mask[nodes] = True
+    out[..., nodes] = np.broadcast_to(np.asarray(values, dtype=float), lead + nodes.shape)
+    return mask, out
+
+
+def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned=None) -> np.ndarray:
     """Project element Gauss-point samples (n_elems, 4) onto nodal values.
 
-    ``pinned`` maps node id -> known value; those values are exact in the
-    output and eliminated from the solve.
+    ``pinned`` is a pair (node ids, values) of known nodal data; those
+    values are exact in the output and eliminated from the solve.  The
+    pinned nodes must fill whole time rows and whole space columns (heat
+    pins the lateral columns, transport the initial row and the inflow
+    column), so that the free nodes form a Cartesian product; any other pin
+    set raises :class:`InvalidArgumentError`.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (mesh.n_elements, 4):
         raise InvalidArgumentError(
             f"samples shape {samples.shape}, expected {(mesh.n_elements, 4)}")
-
-    system = assemble_uniform(mesh, mass_local_2d(mesh.hx, mesh.ht), n_fields=1)
+    shape = (mesh.nt + 1, mesh.nx + 1)
+    mask, out = _pin_values(pinned, mesh.n_nodes)
+    pin_rows = mask.reshape(shape).all(axis=1)
+    pin_cols = mask.reshape(shape).all(axis=0)
+    if not np.array_equal(mask.reshape(shape), pin_rows[:, None] | pin_cols[None, :]):
+        raise InvalidArgumentError(
+            "pinned nodes must fill whole time rows and space columns")
 
     rule = gauss_rule(2)
     coords = mesh.nodes[mesh.elements[0]]
@@ -64,50 +146,51 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned: dict | None = N
     Nq = np.stack([eval_shapes_quad(coords, pt).values for pt in rule.points])  # (4q, 4a)
     # rhs_A = sum_e sum_q w detJ N^A(q) u(q)
     contrib = wdet * samples @ Nq                # (ne, 4a)
-    np.add.at(system.rhs, mesh.elements.ravel(), contrib.ravel())
+    rhs = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                      minlength=mesh.n_nodes).reshape(shape)
 
-    if pinned:
-        for node, val in pinned.items():
-            system.constrain(0, node, val)
-    return solve_system(system)
+    mt, mx = _mass_bands(mesh.nt, mesh.ht), _mass_bands(mesh.nx, mesh.hx)
+    U = out.reshape(shape)                       # a view: solved values land in out
+    if pinned is not None:
+        # kron(M_t, M_x) @ pinned values, as M_t U M_x on the node grid
+        rhs = rhs - _band_matvec(mt, _band_matvec(mx, U.T).T)
+    fr, fc = np.nonzero(~pin_rows)[0], np.nonzero(~pin_cols)[0]
+    mt_f, mx_f = _restrict(mt, fr), _restrict(mx, fc)
+    free = np.ix_(fr, fc)
+    A = sp.kron(_band_matrix(mt_f), _band_matrix(mx_f), format="coo")
+    U[free] = solve_linear(A, rhs[free].ravel(), lu=_KronMassFactor(mt_f, mx_f)
+                           ).reshape(fr.size, fc.size)
+    return out
 
 
-def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned: dict | None = None,
-                    ) -> np.ndarray:
+def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned=None) -> np.ndarray:
     """1-D analogue of :func:`l2_project` for stage time meshes.
 
-    ``samples`` has shape (ne, 2) or (n_comp, ne, 2); projection is applied
-    per component.
+    ``samples`` has shape (ne, 2) or (n_comp, ne, 2); all components are
+    solved together.  ``pinned`` is a pair (node ids, values), the values
+    of shape (n_pins,) or (n_comp, n_pins).
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim == 3:
-        return np.stack([l2_project_time(mesh, s, None if pinned is None
-                                         else {n: v[i] for n, v in pinned.items()})
-                         for i, s in enumerate(samples)])
-    if samples.shape != (mesh.ne, 2):
+    S = samples[None] if samples.ndim == 2 else samples
+    if S.ndim != 3 or S.shape[1:] != (mesh.ne, 2):
         raise InvalidArgumentError(
-            f"samples shape {samples.shape}, expected {(mesh.ne, 2)}")
+            f"samples shape {samples.shape}, expected {(mesh.ne, 2)} "
+            f"with optional leading components")
 
     h = mesh.h
-    m1 = h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     n = mesh.n_nodes
-    M = np.zeros((n, n))
-    rhs = np.zeros(n)
     rule = gauss_rule(1)
     Nq = np.stack([[0.5 * (1 - xi), 0.5 * (1 + xi)] for xi in rule.points])  # (2q, 2a)
-    contrib = 0.5 * h * samples @ Nq
-    for e in range(mesh.ne):
-        M[e:e + 2, e:e + 2] += m1
-        rhs[e:e + 2] += contrib[e]
+    contrib = 0.5 * h * S @ Nq                   # (n_comp, ne, 2a)
+    rhs = np.zeros((S.shape[0], n))
+    rhs[:, :-1] += contrib[..., 0]
+    rhs[:, 1:] += contrib[..., 1]
 
-    pinned = pinned or {}
-    free = np.array([i for i in range(n) if i not in pinned], dtype=int)
-    out = np.empty(n)
-    rhs_free = rhs[free]
-    if pinned:
-        cid = np.array(sorted(pinned), dtype=int)
-        cval = np.array([pinned[i] for i in cid])
-        out[cid] = cval
-        rhs_free = rhs_free - M[np.ix_(free, cid)] @ cval
-    out[free] = np.linalg.solve(M[np.ix_(free, free)], rhs_free)
-    return out
+    ab = _mass_bands(mesh.ne, h)
+    mask, out = _pin_values(pinned, n, (S.shape[0],))
+    if pinned is not None:
+        rhs = rhs - _band_matvec(ab, out.T).T
+    idx = np.nonzero(~mask)[0]
+    out[:, idx] = solve_banded((1, 1), _restrict(ab, idx), rhs[:, idx].T,
+                               check_finite=False).T
+    return out[0] if samples.ndim == 2 else out

@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, SolverError
-from .fem import (BlockLinearSystem, assemble_uniform, boundary_load,
-                  eval_shapes_quad, gauss_rule, solve_system)
+from .fem import (BlockLinearSystem, FactoredSystem, assemble_uniform,
+                  boundary_load, eval_shapes_quad, gauss_rule)
 from .heat import gradient_tables
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
@@ -79,22 +79,34 @@ def transport_local_matrix(mesh: SpaceTimeMesh, c: float) -> np.ndarray:
     return K
 
 
-def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh,
-                       u0=None) -> BlockLinearSystem:
-    """Assemble K lambda = R for one stage.
+def transport_load(problem: TransportProblem, mesh: SpaceTimeMesh,
+                   u0=None) -> np.ndarray:
+    """Right-hand side R of one stage: the inflow and initial boundary loads.
 
     The inflow boundary term carries the wave speed factor so that the
     natural boundary condition enforces u(0, t) = u_left(t); see the notes
     in the package README on this point.
     """
+    u0 = problem.u0 if u0 is None else u0
+    rhs = problem.c * boundary_load(
+        mesh, LEFT, lambda t: np.asarray(problem.u_left(t), dtype=float))
+    rhs += boundary_load(mesh, BOTTOM, u0)
+    return rhs
+
+
+def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh,
+                       u0=None) -> BlockLinearSystem:
+    """Assemble K lambda = R for one stage.
+
+    K and the dual conditions on the top and right edges are the same for
+    every stage on one mesh; only R (:func:`transport_load`) depends on the
+    stage's initial datum.
+    """
     if not np.isclose(mesh.L, problem.L):
         raise InvalidArgumentError(
             f"mesh length {mesh.L} does not match problem length {problem.L}")
-    u0 = problem.u0 if u0 is None else u0
     system = assemble_uniform(mesh, transport_local_matrix(mesh, problem.c), n_fields=1)
-    system.rhs += problem.c * boundary_load(
-        mesh, LEFT, lambda t: np.asarray(problem.u_left(t), dtype=float))
-    system.rhs += boundary_load(mesh, BOTTOM, u0)
+    system.rhs = transport_load(problem, mesh, u0)
 
     t_coords = mesh.t_coords()
     x_coords = mesh.x_coords()
@@ -113,13 +125,15 @@ def dtp_transport(mesh: SpaceTimeMesh, lam: np.ndarray, c: float) -> np.ndarray:
 
 
 def solve_transport_stage(problem: TransportProblem, mesh: SpaceTimeMesh,
-                          initial_u=None, pinned_nodal=None):
+                          initial_u=None, pinned_nodal=None, dual=None):
     """Solve one stage; returns (lambda nodal, projected u nodal grid).
 
     ``initial_u`` overrides the problem's initial datum: either a callable
     of x or the nodal values of the previous stage's retained top row.  The
     callable enters the weak initial term; projection pins ``pinned_nodal``
     at the bottom nodes when given (jump nodes carry the average value).
+    ``dual`` is the stage matrix of ``assemble_transport(problem, mesh)``
+    as a :class:`FactoredSystem`; it is built here when not given.
     """
     if initial_u is None:
         u0_call = problem.u0
@@ -134,16 +148,16 @@ def solve_transport_stage(problem: TransportProblem, mesh: SpaceTimeMesh,
     if pinned_nodal is not None:
         u0_nodal = np.asarray(pinned_nodal, dtype=float)
 
-    system = assemble_transport(problem, mesh, u0=u0_call)
-    lam = solve_system(system)
+    if dual is None:
+        dual = FactoredSystem(assemble_transport(problem, mesh))
+    lam = dual.solve(transport_load(problem, mesh, u0_call))
     u_q = dtp_transport(mesh, lam, problem.c)
 
-    pinned = {}
+    # the inflow column takes the corner node (0, 0)
     t = mesh.t_coords()
-    for node, val in zip(mesh.boundary_nodes(BOTTOM), u0_nodal):
-        pinned[int(node)] = float(val)
-    for node, tv in zip(mesh.boundary_nodes(LEFT), t):
-        pinned[int(node)] = float(problem.u_left(tv))
+    u_left = np.broadcast_to(np.asarray(problem.u_left(t), dtype=float), t.shape)
+    pinned = (np.concatenate([mesh.boundary_nodes(BOTTOM)[1:], mesh.boundary_nodes(LEFT)]),
+              np.concatenate([u0_nodal[1:], u_left]))
     u = l2_project(mesh, u_q, pinned).reshape(mesh.nt + 1, mesh.nx + 1)
     return lam, u
 
@@ -186,6 +200,9 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
         raise InvalidArgumentError("T_keep shorter than one element row")
 
     u_init = initial_nodal_values(problem, mesh.x_coords(), jump_x, jump_avg)
+    # the stage matrix and its dual conditions do not change between stages:
+    # eliminate and factor once, then each stage only builds its load
+    dual = FactoredSystem(assemble_transport(stage_problem, mesh))
 
     rows_t = [np.array([0.0])]
     rows_u = [u_init[None, :nx + 1].copy()]
@@ -197,9 +214,10 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
                 # exact (possibly discontinuous) datum enters the weak term;
                 # projection pins the jump-averaged nodal values
                 lam, u = solve_transport_stage(stage_problem, mesh, initial_u=None,
-                                               pinned_nodal=u_init)
+                                               pinned_nodal=u_init, dual=dual)
             else:
-                lam, u = solve_transport_stage(stage_problem, mesh, initial_u=u_init)
+                lam, u = solve_transport_stage(stage_problem, mesh, initial_u=u_init,
+                                               dual=dual)
         except SolverError as exc:
             raise SolverError(f"stage {s + 1} failed: {exc}") from exc
         lambdas.append(lam)

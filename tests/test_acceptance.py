@@ -167,8 +167,11 @@ def test_criterion_4a_transport_interior_accuracy(transport_run,
     # six-element figure still reads about 5.3%, which is the halo.
     summary, _, extras = transport_run
     fine = transport_interior_error(get_preset("transport-step"), extras["field"])
-    coarse_cfg, (_, _, coarse_extras) = transport_coarse_run
+    coarse_cfg, (coarse_summary, _, coarse_extras) = transport_coarse_run
     coarse = transport_interior_error(coarse_cfg, coarse_extras["field"])
+    # the summary reports the same figure
+    assert summary["max_pct_error_outside_layer"] == fine
+    assert coarse_summary["max_pct_error_outside_layer"] == coarse
     ok = fine <= 1.0 and coarse <= 1.0
     report("criterion 4a (transport interior pct error)", ok,
            f"max pct error outside the 1.5 sqrt(hL) jump band and the 10h "

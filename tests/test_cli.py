@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualfem.cli import (EXIT_BRANCH, EXIT_CONFIG, EXIT_OK, ConfigError,
-                         main, make_initial, run_config)
+                         _write_csv, main, make_initial, run_config)
 from dualfem.presets import PRESETS, get_preset, list_presets
 
 FAST_HEAT = {
@@ -143,3 +143,22 @@ def test_run_config_rejects_unknown_problem(tmp_path):
 def test_summary_config_matches_input(tmp_path):
     summary = run_config(dict(FAST_HEAT), str(tmp_path / "y"))
     assert summary["config"] == FAST_HEAT
+
+
+def test_csv_writer_matches_per_value_format(tmp_path, rng):
+    # the array writer's bytes equal per-value formatting, f"{v:.17g}" for
+    # floats and str(v) for integer columns, across more than one chunk
+    tiny = np.nextafter(0.0, 1.0)
+    special = [(1, 1, 0.1 + 0.2), (1, 2, float("nan")), (2, 1, float("inf")),
+               (2, 2, float("-inf")), (3, 1, -0.0), (3, 2, tiny),
+               (4, 1, 2.2250738585072014e-308 / 3), (4, 2, -1e300), (12, 50, 1e-5)]
+    random = [(int(i), int(j), float(v)) for i, j, v in
+              zip(rng.integers(0, 10_000, 9000), rng.integers(1, 60, 9000),
+                  rng.standard_normal(9000) * 10.0 ** rng.integers(-30, 30, 9000))]
+    rows = special + random
+    path = tmp_path / "new.csv"
+    _write_csv(str(path), ["stage", "iteration", "value"], np.array(rows, dtype=float))
+    expected = "stage,iteration,value\n" + "".join(
+        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
+    assert path.read_bytes() == expected.encode()

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualfem.errors import (AssemblyError, InvalidArgumentError, SolverError)
-from dualfem.fem import (BlockLinearSystem, apply_dirichlet, assemble,
-                         assemble_uniform, boundary_load, element_dofs,
-                         eval_shapes_line, eval_shapes_quad, gauss_rule,
+from dualfem.fem import (BlockLinearSystem, FactoredSystem, apply_dirichlet,
+                         assemble, assemble_uniform, boundary_load,
+                         element_dofs, eval_shapes_line, eval_shapes_quad,
+                         factor, gauss_rule,
                          q_dual_heat, q_dual_wave, shape_gradients_parent,
                          shape_values_quad, solve_linear, solve_system)
 from dualfem.mesh import BOTTOM, LEFT, RIGHT, TOP, build_space_time_mesh
@@ -175,6 +176,38 @@ def test_solve_linear_rejects_singular():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SolverError):
         solve_linear(A, np.array([1.0, 0.0]))
+
+
+def test_factor_of_singular_matrix_is_a_solver_error():
+    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError, match="singular"):
+        factor(A)
+
+
+def test_solve_linear_rejects_factor_of_another_matrix():
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    B = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 4.0]]))
+    b = np.array([3.0, 5.0])
+    assert np.allclose(solve_linear(A, b, 1e-8, factor(A)), [0.8, 1.4], atol=1e-14)
+    with pytest.raises(SolverError, match="residual"):
+        solve_linear(A, b, 1e-8, factor(B))
+
+
+def test_factored_system_solves_any_rhs(rng):
+    A = sp.csr_matrix(np.array([[4.0, -1.0, 0.0, 0.0],
+                                [-1.0, 4.0, -1.0, 0.0],
+                                [0.0, -1.0, 4.0, -1.0],
+                                [0.0, 0.0, -1.0, 4.0]]))
+    system = BlockLinearSystem(n_fields=1, n_nodes=4, matrix=A, rhs=np.zeros(4))
+    system.constrain(0, [0, 3], [0.1 + 0.2, -2.0])
+    factored = FactoredSystem(system)
+    for _ in range(3):
+        rhs = rng.standard_normal(4)
+        system.rhs = rhs
+        u = factored.solve(rhs)
+        assert np.array_equal(u, solve_system(system))
+        assert u[0] == 0.1 + 0.2 and u[3] == -2.0
+        assert np.abs((A @ u)[1:3] - rhs[1:3]).max() < 1e-14
 
 
 def test_solve_system_with_constraints():

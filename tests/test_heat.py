@@ -181,11 +181,8 @@ def test_dtp_of_steady_dual_family_interpolant():
             pts_x[:, q] = shape_values_quad(*pt) @ coords.transpose(1, 0, 2)[..., 0]
         raw_errs.append(np.abs(theta - (3 * pts_x + 1)).max())
         # mirror the recovery policy: lateral boundary columns carry known data
-        pinned = {}
-        for tag in ("left", "right"):
-            for node in m.boundary_nodes(tag):
-                pinned[int(node)] = float(3 * m.nodes[node, 0] + 1)
-        nodal = l2_project(m, theta, pinned=pinned)
+        nodes = np.concatenate([m.boundary_nodes("left"), m.boundary_nodes("right")])
+        nodal = l2_project(m, theta, pinned=(nodes, 3 * m.nodes[nodes, 0] + 1))
         proj_errs.append(np.abs(nodal - (3 * m.nodes[:, 0] + 1)).max())
     raw_orders = [np.log2(raw_errs[i] / raw_errs[i + 1]) for i in range(2)]
     assert min(raw_orders) > 0.9

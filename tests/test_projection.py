@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from dualfem.errors import InvalidArgumentError
+from dualfem.fem import assemble_uniform, eval_shapes_quad, gauss_rule
 from dualfem.mesh import build_space_time_mesh, build_time_mesh
 from dualfem.projection import (l2_project, l2_project_time, mass_local_2d,
                                 quad_points_1d, quad_points_2d)
@@ -54,7 +57,7 @@ def test_identity_on_fe_space(rng):
 def test_constant_samples_with_pins():
     m = build_space_time_mesh(1.0, 1.0, 4, 4)
     samples = np.full((m.n_elements, 4), 7.0)
-    out = l2_project(m, samples, pinned={0: 7.0, 5: 7.0})
+    out = l2_project(m, samples, pinned=(m.boundary_nodes("left"), 7.0))
     assert np.abs(out - 7.0).max() < 1e-12
 
 
@@ -62,8 +65,58 @@ def test_pinned_values_exact():
     m = build_space_time_mesh(1.0, 1.0, 4, 4)
     samples = np.full((m.n_elements, 4), 1.0)
     value = 0.1 + 0.2
-    out = l2_project(m, samples, pinned={3: value})
+    bottom = m.boundary_nodes("bottom")
+    right = m.boundary_nodes("right")[1:]
+    out = l2_project(m, samples, pinned=(np.concatenate([bottom, right]), value))
     assert out[3] == value
+    assert np.all(out[bottom] == value) and np.all(out[right] == value)
+
+
+def reference_projection(mesh, samples, nodes, values):
+    """Assembled 2-D mass matrix, pinned values moved to the right-hand
+    side, and a sparse direct solve on the free nodes."""
+    M = assemble_uniform(mesh, mass_local_2d(mesh.hx, mesh.ht), n_fields=1).matrix.tocsr()
+    rule = gauss_rule(2)
+    coords = mesh.nodes[mesh.elements[0]]
+    Nq = np.stack([eval_shapes_quad(coords, pt).values for pt in rule.points])
+    rhs = np.zeros(mesh.n_nodes)
+    np.add.at(rhs, mesh.elements.ravel(), (0.25 * mesh.hx * mesh.ht * samples @ Nq).ravel())
+    out = np.zeros(mesh.n_nodes)
+    out[nodes] = values
+    free = np.setdiff1d(np.arange(mesh.n_nodes), nodes)
+    b = rhs[free] - M[free][:, nodes] @ out[nodes]
+    out[free] = spsolve(sp.csc_matrix(M[free][:, free]), b)
+    return out
+
+
+@pytest.mark.parametrize("pins", ["none", "heat", "transport"])
+def test_kronecker_solve_matches_assembled_mass_matrix(rng, pins):
+    m = build_space_time_mesh(1.3, 0.6, 7, 4)        # nt != nx, hx != ht
+    samples = rng.standard_normal((m.n_elements, 4))
+    if pins == "none":
+        nodes = np.zeros(0, dtype=int)
+    elif pins == "heat":        # the lateral columns
+        nodes = np.concatenate([m.boundary_nodes("left"), m.boundary_nodes("right")])
+    else:                       # the initial row and the inflow column
+        nodes = np.concatenate([m.boundary_nodes("bottom")[1:], m.boundary_nodes("left")])
+    values = rng.standard_normal(nodes.size)
+    ref = reference_projection(m, samples, nodes, values)
+    out = l2_project(m, samples, None if pins == "none" else (nodes, values))
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(out[nodes], values)
+
+
+def test_partial_pin_sets_rejected():
+    m = build_space_time_mesh(1.0, 1.0, 4, 3)
+    samples = np.ones((m.n_elements, 4))
+    left = m.boundary_nodes("left")
+    for nodes in ([3], left[:-1], np.concatenate([left, [7]])):
+        with pytest.raises(InvalidArgumentError, match="whole time rows"):
+            l2_project(m, samples, pinned=(nodes, 1.0))
+    with pytest.raises(InvalidArgumentError, match="more than once"):
+        l2_project(m, samples, pinned=(np.concatenate([left, [0]]), 1.0))
+    with pytest.raises(InvalidArgumentError, match="out of range"):
+        l2_project(m, samples, pinned=([m.n_nodes], 1.0))
 
 
 def test_smooth_field_second_order():
@@ -124,8 +177,32 @@ def test_time_projection_with_pin_and_components():
     m = build_time_mesh(1.0, 8)
     pts = quad_points_1d(m)
     samples = np.stack([np.sin(pts), np.cos(pts), pts ** 2])
-    pinned = {0: np.array([0.0, 1.0, 0.0])}
+    pinned = ([0], np.array([[0.0], [1.0], [0.0]]))
     out = l2_project_time(m, samples, pinned)
     assert out.shape == (3, 9)
     assert out[0, 0] == 0.0 and out[1, 0] == 1.0 and out[2, 0] == 0.0
     assert np.abs(out[0] - np.sin(m.nodes)).max() < 2e-3
+
+
+def test_time_projection_matches_dense_solve(rng):
+    # the dense element loop the tridiagonal solve replaced, per component
+    m = build_time_mesh(0.7, 9)
+    samples = rng.standard_normal((3, m.ne, 2))
+    pin_values = rng.standard_normal(3)
+    out = l2_project_time(m, samples, pinned=([0], pin_values[:, None]))
+
+    h, n = m.h, m.n_nodes
+    M = np.zeros((n, n))
+    Nq = np.array([[0.5 * (1 + 1 / np.sqrt(3)), 0.5 * (1 - 1 / np.sqrt(3))],
+                   [0.5 * (1 - 1 / np.sqrt(3)), 0.5 * (1 + 1 / np.sqrt(3))]])
+    for e in range(m.ne):
+        M[e:e + 2, e:e + 2] += h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    for i in range(3):
+        rhs = np.zeros(n)
+        for e in range(m.ne):
+            rhs[e:e + 2] += 0.5 * h * samples[i, e] @ Nq
+        ref = np.empty(n)
+        ref[0] = pin_values[i]
+        ref[1:] = np.linalg.solve(M[1:, 1:], rhs[1:] - M[1:, 0] * pin_values[i])
+        assert np.abs(out[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert out[i, 0] == pin_values[i]

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import gauss_legendre_integrate_2d
+from dualfem import fem, transport
 from dualfem.errors import InvalidArgumentError
 from dualfem.heat import gradient_tables
 from dualfem.mesh import BOTTOM, LEFT, RIGHT, TOP, build_space_time_mesh
@@ -260,3 +263,46 @@ def test_track_jump_clamps_at_zero():
     # outside the window the same spike is ignored
     ht3, hb3 = track_jump(field2, lambda tv: 1.5)
     assert ht3[1] == 0.0 and hb3[1] == 0.0
+
+
+@pytest.mark.parametrize("T_total", [0.25, 0.6])
+def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
+    calls = {"factor": 0, "assemble": 0}
+    real_factor, real_assemble = fem.factor, transport.assemble_transport
+
+    def counted_factor(A):
+        calls["factor"] += 1
+        return real_factor(A)
+
+    def counted_assemble(*args, **kwargs):
+        calls["assemble"] += 1
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "factor", counted_factor)
+    monkeypatch.setattr(transport, "assemble_transport", counted_assemble)
+    prob = step_problem(T_total=T_total)
+    plan = StagePlan.cover(T_stage=0.15, T_keep=0.1, T_total=T_total)
+    nx, nt = 40, 6
+    field = run_time_sliced(prob, plan, nx=nx, nt=nt, jump_x=0.2, jump_avg=3.0)
+    assert plan.n_stages in (3, 6)
+    assert calls == {"factor": 1, "assemble": 1}
+    monkeypatch.undo()
+
+    # reference: the same chain with a fresh assembly and factorization in
+    # every stage
+    h = prob.L / nx
+    pad = int(np.ceil(prob.c * plan.T_stage / h - 1e-9)) + 2
+    stage_prob = replace(prob, L=prob.L + pad * h)
+    mesh = build_space_time_mesh(stage_prob.L, plan.T_stage, nx + pad, nt)
+    keep = 4                                  # rows with t <= T_keep
+    u_init = initial_nodal_values(prob, mesh.x_coords(), 0.2, 3.0)
+    rows = [u_init[None, :nx + 1]]
+    for s in range(plan.n_stages):
+        if s == 0:
+            lam, u = solve_transport_stage(stage_prob, mesh, pinned_nodal=u_init)
+        else:
+            lam, u = solve_transport_stage(stage_prob, mesh, initial_u=u_init)
+        assert np.abs(lam - field.lambda_stages[s]).max() <= 1e-10 * np.abs(lam).max()
+        rows.append(u[1:keep + 1, :nx + 1])
+        u_init = u[keep].copy()
+    assert np.abs(np.vstack(rows) - field.u).max() <= 1e-11 * np.abs(field.u).max()
