@@ -14,7 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (InvalidArgumentError, NonconvergenceError, SingularDtPError)
+from scipy import sparse
+from scipy.linalg import solve_banded
+
+from .errors import (DualFemError, InvalidArgumentError, NonconvergenceError,
+                     SingularDtPError, SolverError)
 from .fem import gauss_rule
 from .mesh import TimeMesh, build_time_mesh
 from .projection import l2_project_time
@@ -67,30 +71,33 @@ class StageResult:
     increments: list = field(default_factory=list)
 
 
-def _kmat(lam: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
-    """Batched 3x3 DtP matrices for lambda of shape (..., 3)."""
-    K = np.zeros(lam.shape[:-1] + (3, 3))
-    K[..., 0, 0] = K[..., 1, 1] = K[..., 2, 2] = a
-    K[..., 0, 1] = K[..., 1, 0] = c[2] * lam[..., 2]
-    K[..., 0, 2] = K[..., 2, 0] = c[1] * lam[..., 1]
-    K[..., 1, 2] = K[..., 2, 1] = c[0] * lam[..., 0]
-    return K
+# 2-point Gauss shape tables on the reference element, [q, a]; the rate
+# table is per unit element length and is divided by h
+_N = np.array([[0.5 * (1 - xi), 0.5 * (1 + xi)] for xi in gauss_rule(1).points])
+_NDOT = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+# flat [i, k] positions of the six distinct adjugate entries
+# (d0, d1, d2, K01, K02, K12), and of the component 3 - i - k for i != k
+_SYM = [0, 3, 4, 3, 1, 5, 4, 5, 2]
+_OTHER = [0, 2, 1, 2, 0, 0, 1, 0, 0]
+_OFFDIAG = 1.0 - np.eye(3)
 
 
-def _inv3(K: np.ndarray, a: float) -> np.ndarray:
-    """Explicit adjugate inverse of batched 3x3 matrices with a det guard."""
-    det = np.linalg.det(K)
+def _inv3(lam: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
+    """Closed-form inverse of the batched DtP matrices K(lambda), lam (..., 3).
+
+    K = [[a, p, q], [p, a, r], [q, r, a]] with p = c2 lam2, q = c1 lam1,
+    r = c0 lam0; det K = a^3 + 2pqr - a(p^2 + q^2 + r^2).
+    """
+    x = lam[..., ::-1] * c[::-1]                                # (p, q, r)
+    det = a * (a * a - np.sum(x * x, axis=-1)) + 2 * np.prod(x, axis=-1)
     bad = np.abs(det) < 1e-12 * a ** 3
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise SingularDtPError(
             f"DtP matrix singular at quadrature point {idx}, det={det.flat[idx]:.3e}")
-    adj = np.empty_like(K)
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(K, i, axis=-2), j, axis=-1)
-            adj[..., j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return adj / det[..., None, None]
+    adj = np.concatenate([a * a - x[..., ::-1] ** 2,              # a^2 - (r^2, q^2, p^2)
+                          x[..., [1, 0, 0]] * x[..., [2, 2, 1]] - a * x], axis=-1)
+    return adj[..., _SYM].reshape(lam.shape + (3,)) / det[..., None, None]
 
 
 def dtp_euler(lam, lamdot, base, config: EulerConfig):
@@ -101,107 +108,100 @@ def dtp_euler(lam, lamdot, base, config: EulerConfig):
     shape (..., 3, 3) indexed [i, k] = d omega_i / d lambda_k.
     """
     lam = np.asarray(lam, dtype=float)
-    lamdot = np.asarray(lamdot, dtype=float)
-    base = np.broadcast_to(np.asarray(base, dtype=float), lam.shape)
-    I, c, a, nu = config.I, config.c, config.a, config.nu
+    I, c, nu = config.I, config.c, config.nu
 
-    K = _kmat(lam, c, a)
-    Kinv = _inv3(K, a)
-    rhs = I * lamdot - nu * I * lam
-    w = np.einsum("...ij,...j->...i", Kinv, rhs)      # omega - base
+    Kinv = _inv3(lam, c, config.a)
+    w = (Kinv @ (I * lamdot - nu * I * lam)[..., None])[..., 0]     # omega - base
     omega = base + w
 
-    # d omega / d lambda_k = Kinv f_k with the dK/dlambda_k cross terms
-    # acting on (omega - base)
-    f = np.zeros(lam.shape[:-1] + (3, 3))             # [..., component, k]
-    for k in range(3):
-        f[..., k, k] = -nu * I[k]
-        f[..., (k + 1) % 3, k] += -c[k] * w[..., (k + 2) % 3]
-        f[..., (k + 2) % 3, k] += -c[k] * w[..., (k + 1) % 3]
-    dw_dlam = np.einsum("...ij,...jk->...ik", Kinv, f)
-    g = np.zeros((3, 3))
-    np.fill_diagonal(g, I)
-    dw_dlamdot = np.einsum("...ij,jk->...ik", Kinv, g)
-    return omega, dw_dlam, dw_dlamdot
+    # d omega / d lambda_k = Kinv f_k, f[i, k] = -nu I_k delta_ik - c_k w_{3-i-k}:
+    # the dK/dlambda_k cross terms acting on (omega - base)
+    f = -(w[..., _OTHER].reshape(w.shape + (3,)) * (c * _OFFDIAG) + np.diag(nu * I))
+    return omega, Kinv @ f, Kinv * I
 
 
-def _gauss_eval(mesh: TimeMesh, lam: np.ndarray):
-    """lambda and its rate at the two Gauss points of each element.
+def _dtp_at_gauss(mesh: TimeMesh, lam: np.ndarray, base, config: EulerConfig):
+    """:func:`dtp_euler` at the two Gauss points of each element.
 
-    Returns (lam_g, lamdot_g, N, Ndot) with lam_g of shape (ne, 2, 3) and
-    the shape tables N, Ndot of shape (2 q, 2 a).
+    Returns (omega, domega_dlam, domega_dlamdot, Ndot) with omega of shape
+    (ne, 2 q, 3) and the rate table Ndot of shape (2 q, 2 a).
     """
-    rule = gauss_rule(1)
-    N = np.stack([[0.5 * (1 - xi), 0.5 * (1 + xi)] for xi in rule.points])
-    Ndot = np.tile(np.array([-1.0, 1.0]) / mesh.h, (2, 1))
-    lam_e = np.stack([lam[:, :-1], lam[:, 1:]], axis=-1)    # (3, ne, 2a)
-    lam_g = np.einsum("qa,iea->eqi", N, lam_e)
-    lamdot_g = np.einsum("qa,iea->eqi", Ndot, lam_e)
-    return lam_g, lamdot_g, N, Ndot
+    Ndot = _NDOT / mesh.h
+    lam_e = np.stack([lam[:, :-1].T, lam[:, 1:].T], axis=1)       # (ne, 2a, 3)
+    return dtp_euler(_N @ lam_e, Ndot @ lam_e, base, config) + (Ndot,)
 
 
 def residual(lam: np.ndarray, config: EulerConfig, mesh: TimeMesh,
              base: np.ndarray, omega0: np.ndarray) -> np.ndarray:
     """Discrete weak-form residual, shape (3, n_nodes), all dofs included."""
     I, c, nu = config.I, config.c, config.nu
-    lam_g, lamdot_g, N, Ndot = _gauss_eval(mesh, lam)
-    omega, _, _ = dtp_euler(lam_g, lamdot_g, base, config)    # (ne, 2q, 3)
+    omega, _, _, Ndot = _dtp_at_gauss(mesh, lam, base, config)
 
-    w_half_h = 0.5 * mesh.h    # Gauss weights are 1
-    R = np.zeros((3, mesh.n_nodes))
-    for i in range(3):
-        integrand_dot = -I[i] * omega[..., i]                       # vs Ndot
-        integrand_val = (c[i] * omega[..., (i + 1) % 3] * omega[..., (i + 2) % 3]
-                         + nu * I[i] * omega[..., i])               # vs N
-        contrib = w_half_h * (np.einsum("eq,qa->ea", integrand_dot, Ndot)
-                              + np.einsum("eq,qa->ea", integrand_val, N))
-        np.add.at(R[i], np.arange(mesh.ne), contrib[:, 0])
-        np.add.at(R[i], np.arange(1, mesh.ne + 1), contrib[:, 1])
-    R[:, 0] -= I * omega0
-    return R
+    # integrands against Ndot and N; Gauss weights are 1
+    dot = -I * omega
+    val = c * omega[..., [1, 2, 0]] * omega[..., [2, 0, 1]] + nu * I * omega
+    contrib = 0.5 * mesh.h * (Ndot.T @ dot + _N.T @ val)          # (ne, 2a, 3)
+    R = np.zeros((mesh.n_nodes, 3))
+    R[:-1] += contrib[:, 0]
+    R[1:] += contrib[:, 1]
+    R[0] -= I * omega0
+    return R.T
 
 
 def jacobian(lam: np.ndarray, config: EulerConfig, mesh: TimeMesh,
-             base: np.ndarray) -> np.ndarray:
-    """Discrete Jacobian over all dofs, shape (3*n_nodes, 3*n_nodes).
+             base: np.ndarray) -> sparse.csr_matrix:
+    """Discrete Jacobian over all dofs, sparse of shape (3*n_nodes, 3*n_nodes).
 
     Dof ordering matches the residual flattened as i * n_nodes + A.
     """
     I, c, nu = config.I, config.c, config.nu
-    lam_g, lamdot_g, N, Ndot = _gauss_eval(mesh, lam)
-    omega, dwl, dwld = dtp_euler(lam_g, lamdot_g, base, config)
+    n, ne = mesh.n_nodes, mesh.ne
+    omega, dwl, dwld, Ndot = _dtp_at_gauss(mesh, lam, base, config)
 
-    n = mesh.n_nodes
-    w_half_h = 0.5 * mesh.h
-    J = np.zeros((3, n, 3, n))
-    conn = np.stack([np.arange(mesh.ne), np.arange(1, mesh.ne + 1)], axis=1)
+    # test side [e, i, A, q, m]: how d omega_m at Gauss point q enters
+    # equation i at node A, directly (m = i) and through the product
+    # c_i omega_{i+1} omega_{i+2}
+    cross = omega[..., _OTHER].reshape(omega.shape + (3,)) * (c[:, None] * _OFFDIAG)
+    test = (np.diag(I)[:, None, None, :] * (nu * _N - Ndot).T[:, :, None]
+            + cross.transpose(0, 2, 1, 3)[:, :, None] * _N.T[:, :, None])
+    # trial side [e, q, m, j, B]: d omega_m / d lambda_jB at Gauss point q
+    trial = (dwl[..., None] * _N[:, None, None, :]
+             + dwld[..., None] * Ndot[:, None, None, :])
+    ke = 0.5 * mesh.h * (test.reshape(ne, 6, 6) @ trial.reshape(ne, 6, 6))   # [e, iA, jB]
 
-    for i in range(3):
-        i1, i2 = (i + 1) % 3, (i + 2) % 3
-        for j in range(3):
-            # test-side factors per Gauss point: (q, A)
-            test1 = -I[i] * Ndot + nu * I[i] * N                    # (2q, 2a)
-            ke = np.zeros((mesh.ne, 2, 2))
-            # group 1
-            ke += w_half_h * np.einsum(
-                "qA,eqB->eAB", test1,
-                dwl[..., i, j][..., None] * N[None, :, :] +
-                dwld[..., i, j][..., None] * Ndot[None, :, :])
-            # groups 2 and 3 (cross-product terms)
-            ke += w_half_h * np.einsum(
-                "qA,eq,eqB->eAB", N, c[i] * omega[..., i2],
-                dwl[..., i1, j][..., None] * N[None, :, :] +
-                dwld[..., i1, j][..., None] * Ndot[None, :, :])
-            ke += w_half_h * np.einsum(
-                "qA,eq,eqB->eAB", N, c[i] * omega[..., i1],
-                dwl[..., i2, j][..., None] * N[None, :, :] +
-                dwld[..., i2, j][..., None] * Ndot[None, :, :])
-            for a_loc in range(2):
-                for b_loc in range(2):
-                    np.add.at(J[i, :, j, :],
-                              (conn[:, a_loc], conn[:, b_loc]),
-                              ke[:, a_loc, b_loc])
-    return J.reshape(3 * n, 3 * n)
+    node = np.arange(ne)[:, None, None] + np.arange(2)            # [e, ., A]
+    dof = (np.arange(3)[:, None] * n + node).reshape(ne, 6)       # [e, iA]
+    rows = np.repeat(dof, 6, axis=1).ravel()
+    cols = np.tile(dof, 6).ravel()
+    return sparse.csr_matrix((ke.ravel(), (rows, cols)), shape=(3 * n, 3 * n))
+
+
+def _newton_step(J: sparse.csr_matrix, R: np.ndarray) -> np.ndarray:
+    """Newton step of shape (3, n_nodes), zero at lambda(T), checked against J.
+
+    In node-major order 3 A + i the free block of J is block-tridiagonal
+    with five sub- and five super-diagonals: one banded LU solve.
+    """
+    n = R.shape[1]
+    m = 3 * (n - 1)
+    node_major = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()   # i * n + A -> 3 A + i
+    r = np.repeat(node_major, np.diff(J.indptr))
+    col = node_major[J.indices]
+    keep = (r < m) & (col < m)
+    ab = np.zeros((11, m))
+    ab[5 + r[keep] - col[keep], col[keep]] = J.data[keep]
+    try:
+        step = solve_banded((5, 5), ab, -R.T[:-1].ravel(), check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Newton matrix is singular: {exc}") from exc
+    dlam = np.zeros((3, n))
+    dlam[:, :-1] = step.reshape(n - 1, 3).T
+    lin_res = np.linalg.norm((J @ dlam.ravel()).reshape(3, n)[:, :-1] + R[:, :-1])
+    bound = 1e-8 * np.linalg.norm(R[:, :-1])
+    if not lin_res <= bound:                    # a non-finite step fails too
+        raise SolverError(
+            f"Newton step residual {lin_res:.3e} exceeds 1e-8 |R| = {bound:.3e}")
+    return dlam
 
 
 def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
@@ -216,15 +216,12 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
     lam = np.zeros((3, n))
     lam[:, -1] = config.lambda_T
 
-    free = np.concatenate([i * n + np.arange(n - 1) for i in range(3)])
     increments = []
     grow = 0
     for it in range(config.max_iter):
-        R = residual(lam, config, mesh, base, omega0_stage).ravel()
-        J = jacobian(lam, config, mesh, base)
-        dlam = np.zeros(3 * n)
-        dlam[free] = np.linalg.solve(J[np.ix_(free, free)], -R[free])
-        lam = lam + dlam.reshape(3, n)
+        R = residual(lam, config, mesh, base, omega0_stage)
+        dlam = _newton_step(jacobian(lam, config, mesh, base), R)
+        lam = lam + dlam
         d = float(np.max(np.abs(dlam)))
         increments.append(d)
         if d < config.tol:
@@ -240,8 +237,7 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
         raise NonconvergenceError(
             f"Newton did not converge in {config.max_iter} iterations", increments)
 
-    lam_g, lamdot_g, _, _ = _gauss_eval(mesh, lam)
-    omega_g, _, _ = dtp_euler(lam_g, lamdot_g, base, config)     # (ne, 2q, 3)
+    omega_g = _dtp_at_gauss(mesh, lam, base, config)[0]           # (ne, 2q, 3)
     samples = np.moveaxis(omega_g, -1, 0)                        # (3, ne, 2q)
     omega_nodes = l2_project_time(mesh, samples,
                                   pinned=([0], omega0_stage[:, None]))
@@ -272,8 +268,10 @@ def run_euler(config: EulerConfig) -> EulerRun:
     while t_f < config.T_total - 1e-12:
         try:
             res = newton_stage(config, omega_f, mesh)
-        except Exception as exc:
-            raise type(exc)(f"stage {len(stages) + 1} failed: {exc}") from exc
+        except DualFemError as exc:
+            # re-raise the same object: its type and Newton history survive
+            exc.args = (f"stage {len(stages) + 1} failed: {exc}",) + exc.args[1:]
+            raise
         stages.append(res)
         times.append(t_f + res.t_nodes[1:])
         omegas.append(res.omega_nodes[:, 1:])

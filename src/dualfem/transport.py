@@ -17,11 +17,9 @@ import numpy as np
 from .errors import InvalidArgumentError, SolverError
 from .fem import (BlockLinearSystem, FactoredSystem, assemble_uniform,
                   boundary_load, eval_shapes_quad, gauss_rule)
-from .heat import gradient_tables
+from .heat import _ZERO, gradient_tables
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
-
-_ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=float))
 
 
 @dataclass

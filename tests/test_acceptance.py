@@ -260,7 +260,7 @@ def test_criterion_8_jacobian_finite_difference():
     worst = 0.0
     for _ in range(20):
         lam = rng.standard_normal((3, n)) * 0.05
-        J = jacobian(lam, cfg, mesh, base)
+        J = jacobian(lam, cfg, mesh, base).toarray()
         scale = max(1.0, np.abs(J).max())
         eps = 1e-7
         for dof in rng.choice(3 * n, size=4, replace=False):

@@ -1,12 +1,20 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy import sparse
 
-from dualfem.errors import InvalidArgumentError, SingularDtPError
+from dualfem import euler
+from dualfem.cli import run_euler_cfg
+from dualfem.errors import (InvalidArgumentError, NonconvergenceError,
+                            SingularDtPError, SolverError)
 from dualfem.euler import (EulerConfig, dtp_euler, jacobian, kinetic_energy,
                            momentum_magnitude, newton_stage, residual,
                            run_euler)
 from dualfem.mesh import build_time_mesh
 from dualfem.oracles import euler_free_exact, rk45_reference
+from dualfem.presets import get_preset
 
 I_DEFAULT = (1.0, 2.0, 3.0)
 
@@ -87,6 +95,20 @@ def test_singular_dtp_detected():
         dtp_euler(lam, np.zeros(3), np.zeros(3), cfg)
 
 
+def test_closed_form_inverse_matches_lapack(rng):
+    a = 1.5
+    c = np.array([3.0, -4.0, 1.0])          # I = (1, 2, 5)
+    lam = rng.uniform(-0.1, 0.1, size=(10_000, 3))
+    K = np.zeros((10_000, 3, 3))
+    K[:, [0, 1, 2], [0, 1, 2]] = a
+    K[:, 0, 1] = K[:, 1, 0] = c[2] * lam[:, 2]
+    K[:, 0, 2] = K[:, 2, 0] = c[1] * lam[:, 1]
+    K[:, 1, 2] = K[:, 2, 1] = c[0] * lam[:, 0]
+    ref = np.linalg.inv(K)
+    err = np.abs(euler._inv3(lam, c, a) - ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
+
+
 def test_residual_vanishes_on_exact_sphere_solution():
     # equal inertias, no damping: the constant base state solves the ODE,
     # so the residual at lambda = 0 must vanish at every dof
@@ -110,7 +132,7 @@ def test_jacobian_matches_finite_difference_residual(rng):
     n = mesh.n_nodes
     base = np.asarray(cfg.omega0)
     lam = rng.standard_normal((3, n)) * 0.05
-    J = jacobian(lam, cfg, mesh, base)
+    J = jacobian(lam, cfg, mesh, base).toarray()
     eps = 1e-7
     for dof in range(3 * n):
         d = np.zeros(3 * n)
@@ -118,6 +140,63 @@ def test_jacobian_matches_finite_difference_residual(rng):
         Rp = residual(lam + d.reshape(3, n), cfg, mesh, base, base).ravel()
         Rm = residual(lam - d.reshape(3, n), cfg, mesh, base, base).ravel()
         assert np.allclose((Rp - Rm) / (2 * eps), J[:, dof], atol=2e-6)
+
+
+def test_banded_newton_step_matches_dense_solve(rng):
+    cfg = EulerConfig(I=(1.0, 2.0, 5.0), omega0=(0.3, 1.0, 0.2), nu=0.2,
+                      T_stage=0.3, ne_per_stage=80, N_c=20)
+    mesh = build_time_mesh(cfg.T_stage, cfg.ne_per_stage)
+    n = mesh.n_nodes
+    lam = rng.standard_normal((3, n)) * 0.05
+    base = np.asarray(cfg.omega0)
+    R = residual(lam, cfg, mesh, base, base)
+    J = jacobian(lam, cfg, mesh, base)
+    free = np.concatenate([i * n + np.arange(n - 1) for i in range(3)])
+    dense = np.linalg.solve(J.toarray()[np.ix_(free, free)], -R.ravel()[free])
+    step = euler._newton_step(J, R)
+    assert np.all(step[:, -1] == 0.0)
+    assert np.abs(step.ravel()[free] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_singular_newton_matrix_is_a_solver_error(monkeypatch):
+    cfg = free_config(ne_per_stage=10, N_c=2)
+    n = 3 * (cfg.ne_per_stage + 1)
+    monkeypatch.setattr(euler, "jacobian", lambda *args: sparse.csr_matrix((n, n)))
+    with pytest.raises(SolverError, match="singular") as info:
+        newton_stage(cfg, cfg.omega0)
+    assert type(info.value) is SolverError
+
+
+@pytest.mark.parametrize("scale", [1.5, np.nan])
+def test_inaccurate_newton_step_is_a_solver_error(monkeypatch, scale):
+    cfg = free_config(ne_per_stage=10, N_c=2)
+    monkeypatch.setattr(euler, "solve_banded",
+                        lambda *args, **kw: scale * scipy.linalg.solve_banded(*args, **kw))
+    with pytest.raises(SolverError, match="Newton step residual") as info:
+        newton_stage(cfg, cfg.omega0)
+    assert type(info.value) is SolverError
+    measured, bound = re.search(r"residual (\S+) exceeds .* = (\S+)$",
+                                str(info.value)).groups()
+    assert not float(measured) <= float(bound)
+
+
+def test_stage_failure_keeps_newton_history():
+    cfg = free_config(max_iter=1)
+    with pytest.raises(NonconvergenceError) as info:
+        run_euler(cfg)
+    assert str(info.value).startswith("stage 1 failed: ")
+    assert len(info.value.increments) == 1
+    assert info.value.increments[0] > cfg.tol
+
+
+@pytest.mark.parametrize("name, iters", [
+    ("euler-free", [5, 5, 4, 5, 5, 4, 5, 5]),
+    ("euler-free-convergence", [5, 5, 4, 5, 5, 4, 5, 5]),
+    ("euler-damped", [5, 5, 6, 5, 5] + [4] * 18),
+])
+def test_preset_newton_histories(name, iters):
+    summary, _, _ = run_euler_cfg(get_preset(name))
+    assert summary["newton_iters"] == iters
 
 
 def test_sphere_converges_in_one_newton_step():
