@@ -19,7 +19,7 @@ from scipy.linalg import solve_banded
 
 from .errors import (DualFemError, InvalidArgumentError, NonconvergenceError,
                      SingularDtPError, SolverError)
-from .fem import gauss_rule
+from .fem import LINE_N as _N
 from .mesh import TimeMesh, build_time_mesh
 from .projection import l2_project_time
 
@@ -71,9 +71,8 @@ class StageResult:
     increments: list = field(default_factory=list)
 
 
-# 2-point Gauss shape tables on the reference element, [q, a]; the rate
-# table is per unit element length and is divided by h
-_N = np.array([[0.5 * (1 - xi), 0.5 * (1 + xi)] for xi in gauss_rule(1).points])
+# 2-point Gauss rate table on the reference element, [q, a], per unit
+# element length (divided by h)
 _NDOT = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 # flat [i, k] positions of the six distinct adjugate entries
 # (d0, d1, d2, K01, K02, K12), and of the component 3 - i - k for i != k

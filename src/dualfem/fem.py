@@ -1,13 +1,13 @@
 """Shared finite element machinery.
 
-Bilinear quadrilateral / linear interval shape functions, 2-point Gauss
-quadrature, element-to-global assembly of block systems, symmetric
-Dirichlet elimination, and a checked direct linear solve that can reuse a
+One reference-element table of linear (interval) and bilinear (space-time)
+shape functions at the 2-point and 2x2 Gauss points, the uniform-mesh
+scatter of one shared element matrix, boundary loads, symmetric Dirichlet
+elimination, and a checked direct linear solve that can reuse a
 factorization across right-hand sides.
 
 Global degrees of freedom are blocked by field: dof = field * n_nodes + node.
-Local element dofs follow the same ordering, dof = field * 4 + local_node
-(or field * 2 + local_node on intervals).
+Local element dofs follow the same ordering, dof = field * 4 + local_node.
 """
 
 from __future__ import annotations
@@ -19,74 +19,30 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
-from .mesh import SpaceTimeMesh
+from .mesh import BOTTOM, TOP, SpaceTimeMesh
 
-#: parent coordinates of the four local nodes, counter-clockwise
-PARENT_NODES = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-
+#: 2-point Gauss abscissa on [-1, 1]; both weights are 1
 GAUSS_1D = 1.0 / np.sqrt(3.0)
 
+#: linear shapes at the two Gauss points of an interval, [q, a]
+LINE_N = np.array([[0.5 * (1 - xi), 0.5 * (1 + xi)] for xi in (-GAUSS_1D, GAUSS_1D)])
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    points: np.ndarray   # (n_pts,) in 1-D, (n_pts, 2) in 2-D
-    weights: np.ndarray
+# (x, t) indices of the four corners, and of the 2x2 Gauss points, in the
+# counter-clockwise order of the mesh connectivity; a bilinear table entry
+# [q, a] is the product of the x and t line-table entries
+_CCW = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+_QX, _QT = _CCW[:, None, 0], _CCW[:, None, 1]
+_AX, _AT = _CCW[None, :, 0], _CCW[None, :, 1]
 
-
-def gauss_rule(dim: int) -> QuadratureRule:
-    """Two-point Gauss rule on [-1,1], tensorized in 2-D."""
-    if dim == 1:
-        return QuadratureRule(points=np.array([-GAUSS_1D, GAUSS_1D]),
-                              weights=np.array([1.0, 1.0]))
-    if dim == 2:
-        g = GAUSS_1D
-        pts = np.array([[-g, -g], [g, -g], [g, g], [-g, g]])
-        return QuadratureRule(points=pts, weights=np.ones(4))
-    raise InvalidArgumentError(f"quadrature dimension must be 1 or 2, got {dim}")
+#: bilinear shapes at the 2x2 Gauss points of a quadrilateral, [q, a]
+QUAD_N = LINE_N[_QX, _AX] * LINE_N[_QT, _AT]
 
 
-@dataclass(frozen=True)
-class ShapeEval:
-    """Shape function values and physical-space gradients at one point."""
-
-    values: np.ndarray
-    grad_x: np.ndarray
-    grad_t: np.ndarray
-
-
-def shape_values_quad(xi: float, eta: float) -> np.ndarray:
-    return 0.25 * np.array([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
-                            (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
-
-
-def shape_gradients_parent(xi: float, eta: float) -> np.ndarray:
-    """d N / d(xi, eta), shape (4, 2)."""
-    return 0.25 * np.array([
-        [-(1 - eta), -(1 - xi)],
-        [(1 - eta), -(1 + xi)],
-        [(1 + eta), (1 + xi)],
-        [-(1 + eta), (1 - xi)],
-    ])
-
-
-def eval_shapes_quad(coords: np.ndarray, parent_point) -> ShapeEval:
-    """Evaluate bilinear shapes on an element with corner ``coords`` (4, 2)."""
-    xi, eta = parent_point
-    vals = shape_values_quad(xi, eta)
-    dparent = shape_gradients_parent(xi, eta)
-    jac = coords.T @ dparent          # (2, 2), d(x,t)/d(xi,eta)
-    det = np.linalg.det(jac)
-    if det <= 0 or not np.isfinite(det):
-        raise SolverError(f"degenerate element Jacobian, det={det}")
-    grads = dparent @ np.linalg.inv(jac)
-    return ShapeEval(values=vals, grad_x=grads[:, 0], grad_t=grads[:, 1])
-
-
-def eval_shapes_line(h: float, xi: float) -> ShapeEval:
-    """Linear shapes on an interval of length h at parent coordinate xi."""
-    vals = np.array([0.5 * (1 - xi), 0.5 * (1 + xi)])
-    grads = np.array([-1.0 / h, 1.0 / h])
-    return ShapeEval(values=vals, grad_x=grads, grad_t=np.zeros(2))
+def gradient_tables(mesh: SpaceTimeMesh):
+    """(QUAD_N, d/dx, d/dt) of the uniform hx-by-ht element, each [q, a]."""
+    dline = np.array([-1.0, 1.0])
+    return (QUAD_N, dline[_AX] / mesh.hx * LINE_N[_QT, _AT],
+            LINE_N[_QX, _AX] * dline[_AT] / mesh.ht)
 
 
 @dataclass
@@ -118,79 +74,6 @@ class BlockLinearSystem:
                     f"conflicting constraints on dof {d}: "
                     f"{self.constrained[d]} vs {v}")
             self.constrained[d] = float(v)
-
-
-def element_dofs(conn: np.ndarray, n_fields: int, n_nodes: int) -> np.ndarray:
-    """Global dofs of one element, local ordering field-major."""
-    return np.concatenate([f * n_nodes + conn for f in range(n_fields)])
-
-
-def assemble(mesh: SpaceTimeMesh, element_kernel, n_fields: int = 1,
-             element_order=None) -> BlockLinearSystem:
-    """Scatter-add per-element contributions into a global block system.
-
-    ``element_kernel(e, shapes, wdets)`` receives the element index, the list
-    of ShapeEval objects at the 2x2 Gauss points, and the quadrature weights
-    multiplied by the Jacobian determinant.  It returns a (4*n_fields,
-    4*n_fields) matrix, a (4*n_fields,) vector, or a tuple of both (either
-    entry may be None).
-    """
-    rule = gauss_rule(2)
-    n_nodes = mesh.n_nodes
-    ndof_e = 4 * n_fields
-
-    order = np.arange(mesh.n_elements) if element_order is None else np.asarray(element_order)
-
-    rows, cols, data = [], [], []
-    rhs = np.zeros(n_fields * n_nodes)
-
-    # cache shape evaluations per distinct geometry; uniform meshes have one
-    shapes_cache = {}
-
-    def shapes_for(e):
-        coords = mesh.nodes[mesh.elements[e]]
-        key = (round(coords[0, 0] - coords[1, 0], 15), round(coords[0, 1] - coords[3, 1], 15))
-        if key not in shapes_cache:
-            evals, wdets = [], []
-            for pt, w in zip(rule.points, rule.weights):
-                se = eval_shapes_quad(coords, pt)
-                jac = coords.T @ shape_gradients_parent(*pt)
-                evals.append(se)
-                wdets.append(w * np.linalg.det(jac))
-            shapes_cache[key] = (evals, np.array(wdets))
-        return shapes_cache[key]
-
-    for e in order:
-        evals, wdets = shapes_for(e)
-        out = element_kernel(e, evals, wdets)
-        if isinstance(out, tuple):
-            ke, fe = out
-        else:
-            ke, fe = out, None
-        edofs = element_dofs(mesh.elements[e], n_fields, n_nodes)
-        if ke is not None:
-            ke = np.asarray(ke, dtype=float)
-            if ke.shape != (ndof_e, ndof_e):
-                raise AssemblyError(f"element {e}: kernel matrix shape {ke.shape}")
-            if not np.all(np.isfinite(ke)):
-                raise AssemblyError(f"element {e}: non-finite kernel matrix entries")
-            rows.append(np.repeat(edofs, ndof_e))
-            cols.append(np.tile(edofs, ndof_e))
-            data.append(ke.ravel())
-        if fe is not None:
-            fe = np.asarray(fe, dtype=float)
-            if not np.all(np.isfinite(fe)):
-                raise AssemblyError(f"element {e}: non-finite kernel rhs entries")
-            np.add.at(rhs, edofs, fe)
-
-    n = n_fields * n_nodes
-    if rows:
-        mat = sp.coo_matrix((np.concatenate(data),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(n, n)).tocsr()
-    else:
-        mat = sp.csr_matrix((n, n))
-    return BlockLinearSystem(n_fields=n_fields, n_nodes=n_nodes, matrix=mat, rhs=rhs)
 
 
 def assemble_uniform(mesh: SpaceTimeMesh, local_matrix: np.ndarray,
@@ -226,22 +109,16 @@ def boundary_load(mesh: SpaceTimeMesh, tag: str, func) -> np.ndarray:
     bottom/top, t on left/right) and may be vectorized.  Uses 2-point Gauss
     on each edge segment.
     """
-    from .mesh import BOTTOM, TOP
-
     bnodes = mesh.boundary_nodes(tag)
     coords = mesh.nodes[bnodes]
     s = coords[:, 0] if tag in (BOTTOM, TOP) else coords[:, 1]
     h = s[1:] - s[:-1]
-    rule = gauss_rule(1)
 
     load = np.zeros(mesh.n_nodes)
-    for xi, w in zip(rule.points, rule.weights):
-        n0 = 0.5 * (1 - xi)
-        n1 = 0.5 * (1 + xi)
-        sg = s[:-1] + 0.5 * (1 + xi) * h
-        g = np.asarray(func(sg), dtype=float)
-        np.add.at(load, bnodes[:-1], w * 0.5 * h * n0 * g)
-        np.add.at(load, bnodes[1:], w * 0.5 * h * n1 * g)
+    for n0, n1 in LINE_N:
+        g = np.asarray(func(s[:-1] + n1 * h), dtype=float)
+        np.add.at(load, bnodes[:-1], 0.5 * h * n0 * g)
+        np.add.at(load, bnodes[1:], 0.5 * h * n1 * g)
     return load
 
 

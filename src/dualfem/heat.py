@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fem import (BlockLinearSystem, assemble_uniform, boundary_load,
-                  eval_shapes_quad, gauss_rule, solve_system)
+                  gradient_tables, solve_system)
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh
 from .projection import l2_project
 
@@ -76,18 +76,10 @@ def _check_mesh(problem: HeatProblem, mesh: SpaceTimeMesh) -> None:
 
 def heat_local_matrix(mesh: SpaceTimeMesh, k: float) -> np.ndarray:
     """The shared 8x8 element matrix; local dofs [p0..p3, l0..l3]."""
-    rule = gauss_rule(2)
-    coords = mesh.nodes[mesh.elements[0]]
-    wdet = 0.25 * mesh.hx * mesh.ht
-    K = np.zeros((8, 8))
-    for pt in rule.points:
-        se = eval_shapes_quad(coords, pt)
-        N, gx, gt = se.values, se.grad_x, se.grad_t
-        K[:4, :4] += wdet * (-np.outer(gx, gx) - np.outer(N, N))
-        K[:4, 4:] += wdet * (-np.outer(gx, gt) + k * np.outer(N, gx))
-        K[4:, :4] += wdet * (-np.outer(gt, gx) + k * np.outer(gx, N))
-        K[4:, 4:] += wdet * (-np.outer(gt, gt) - k ** 2 * np.outer(gx, gx))
-    return K
+    N, gx, gt = gradient_tables(mesh)
+    return 0.25 * mesh.hx * mesh.ht * np.block([
+        [-gx.T @ gx - N.T @ N, -gx.T @ gt + k * N.T @ gx],
+        [-gt.T @ gx + k * gx.T @ N, -gt.T @ gt - k ** 2 * gx.T @ gx]])
 
 
 def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> BlockLinearSystem:
@@ -126,17 +118,6 @@ def solve_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> HeatDualSolution:
     sol = solve_system(system)
     n = mesh.n_nodes
     return HeatDualSolution(mesh=mesh, p=sol[:n], l=sol[n:])
-
-
-def gradient_tables(mesh: SpaceTimeMesh):
-    """Shape values/gradients at the 2x2 Gauss points of the uniform element."""
-    rule = gauss_rule(2)
-    coords = mesh.nodes[mesh.elements[0]]
-    evals = [eval_shapes_quad(coords, pt) for pt in rule.points]
-    N = np.stack([se.values for se in evals])     # (4q, 4a)
-    gx = np.stack([se.grad_x for se in evals])
-    gt = np.stack([se.grad_t for se in evals])
-    return N, gx, gt
 
 
 def dtp_heat(dual: HeatDualSolution, k: float):

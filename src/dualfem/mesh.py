@@ -46,9 +46,6 @@ class SpaceTimeMesh:
     def ht(self) -> float:
         return self.T / self.nt
 
-    def node_id(self, i: int, j: int) -> int:
-        return j * (self.nx + 1) + i
-
     def boundary_nodes(self, tag: str) -> np.ndarray:
         """Node ids on one of the four boundary lines, in index order."""
         nx1, nt1 = self.nx + 1, self.nt + 1
@@ -62,32 +59,11 @@ class SpaceTimeMesh:
             return self.nt * nx1 + np.arange(nx1)
         raise InvalidArgumentError(f"unknown boundary tag {tag!r}")
 
-    def boundary_tags(self, node: int) -> set[str]:
-        i, j = node % (self.nx + 1), node // (self.nx + 1)
-        tags = set()
-        if i == 0:
-            tags.add(LEFT)
-        if i == self.nx:
-            tags.add(RIGHT)
-        if j == 0:
-            tags.add(BOTTOM)
-        if j == self.nt:
-            tags.add(TOP)
-        return tags
-
     def x_coords(self) -> np.ndarray:
         return np.linspace(0.0, self.L, self.nx + 1)
 
     def t_coords(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.nt + 1)
-
-    def dump_csv(self, path) -> None:
-        """Write node_id,x,t,tags rows (tags joined with '|')."""
-        with open(path, "w") as f:
-            f.write("node_id,x,t,tags\n")
-            for n, (x, t) in enumerate(self.nodes):
-                tags = "|".join(sorted(self.boundary_tags(n)))
-                f.write(f"{n},{x:.17g},{t:.17g},{tags}\n")
 
 
 @dataclass(frozen=True)

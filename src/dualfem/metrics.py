@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fem import GAUSS_1D
+from .fem import LINE_N
 
 REF_FLOOR = 1e-12
 
@@ -28,8 +28,7 @@ def _row_rms(values_nodal: np.ndarray, hx: float) -> np.ndarray:
     v = np.asarray(values_nodal, dtype=float)
     L = hx * (v.shape[-1] - 1)
     acc = np.zeros(v.shape[:-1])
-    for xi in (-GAUSS_1D, GAUSS_1D):
-        n0, n1 = 0.5 * (1 - xi), 0.5 * (1 + xi)
+    for n0, n1 in LINE_N:
         vg = n0 * v[..., :-1] + n1 * v[..., 1:]
         acc = acc + 0.5 * hx * np.sum(vg ** 2, axis=-1)
     return np.sqrt(acc / L)

@@ -242,18 +242,16 @@ class DenseOutput:
 
     def __init__(self, t_grid, rcont):
         self.t_grid = np.asarray(t_grid)
-        self.rcont = rcont          # list of (5, n_dim) arrays, one per step
+        self.rcont = np.asarray(rcont)  # (steps, 5, n_dim), one quartic per step
 
     def __call__(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t.size, self.rcont[0].shape[1]))
         idx = np.clip(np.searchsorted(self.t_grid, t, side="right") - 1,
                       0, len(self.rcont) - 1)
-        for j, (ti, i) in enumerate(zip(t, idx)):
-            t0, t1 = self.t_grid[i], self.t_grid[i + 1]
-            theta = (ti - t0) / (t1 - t0)
-            r1, r2, r3, r4, r5 = self.rcont[i]
-            out[j] = r1 + theta * (r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
+        t0, t1 = self.t_grid[idx], self.t_grid[idx + 1]
+        theta = ((t - t0) / (t1 - t0))[:, None]
+        r1, r2, r3, r4, r5 = np.moveaxis(self.rcont[idx], 1, 0)   # each (n_t, n_dim)
+        out = r1 + theta * (r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
         return out.T
 
 

@@ -18,38 +18,8 @@ from scipy.linalg import solve_banded
 
 from .errors import InvalidArgumentError
 # solve_system stays importable from here for existing callers
-from .fem import eval_shapes_quad, gauss_rule, solve_linear, solve_system  # noqa: F401
+from .fem import LINE_N, QUAD_N, solve_linear, solve_system  # noqa: F401
 from .mesh import SpaceTimeMesh, TimeMesh
-
-
-def quad_points_2d(mesh: SpaceTimeMesh) -> np.ndarray:
-    """Physical (x, t) coordinates of the 2x2 Gauss points, shape (n_elems, 4, 2)."""
-    rule = gauss_rule(2)
-    out = np.empty((mesh.n_elements, 4, 2))
-    corners = mesh.nodes[mesh.elements]          # (ne, 4, 2)
-    for q, pt in enumerate(rule.points):
-        from .fem import shape_values_quad
-        N = shape_values_quad(*pt)
-        out[:, q, :] = np.einsum("a,eai->ei", N, corners)
-    return out
-
-
-def quad_points_1d(mesh: TimeMesh) -> np.ndarray:
-    """Gauss point times, shape (ne, 2)."""
-    rule = gauss_rule(1)
-    t0 = mesh.nodes[:-1]
-    return t0[:, None] + 0.5 * (1 + rule.points)[None, :] * mesh.h
-
-
-def mass_local_2d(hx: float, ht: float) -> np.ndarray:
-    """Exact 4x4 mass matrix of a hx-by-ht bilinear element."""
-    m1 = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    return np.kron(ht * m1, hx * m1)[_KRON_PERM][:, _KRON_PERM]
-
-
-# local node order (xi, eta): kron above yields (eta-major, xi) ordering
-# (0,0),(0,1),(1,0),(1,1) -> CCW order 0,1,3,2
-_KRON_PERM = np.array([0, 1, 3, 2])
 
 
 def _mass_bands(ne: int, h: float) -> np.ndarray:
@@ -140,12 +110,8 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned=None) -> np.ndar
         raise InvalidArgumentError(
             "pinned nodes must fill whole time rows and space columns")
 
-    rule = gauss_rule(2)
-    coords = mesh.nodes[mesh.elements[0]]
-    wdet = 0.25 * mesh.hx * mesh.ht
-    Nq = np.stack([eval_shapes_quad(coords, pt).values for pt in rule.points])  # (4q, 4a)
     # rhs_A = sum_e sum_q w detJ N^A(q) u(q)
-    contrib = wdet * samples @ Nq                # (ne, 4a)
+    contrib = 0.25 * mesh.hx * mesh.ht * samples @ QUAD_N    # (ne, 4a)
     rhs = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
                       minlength=mesh.n_nodes).reshape(shape)
 
@@ -179,9 +145,7 @@ def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned=None) -> np.ndar
 
     h = mesh.h
     n = mesh.n_nodes
-    rule = gauss_rule(1)
-    Nq = np.stack([[0.5 * (1 - xi), 0.5 * (1 + xi)] for xi in rule.points])  # (2q, 2a)
-    contrib = 0.5 * h * S @ Nq                   # (n_comp, ne, 2a)
+    contrib = 0.5 * h * S @ LINE_N               # (n_comp, ne, 2a)
     rhs = np.zeros((S.shape[0], n))
     rhs[:, :-1] += contrib[..., 0]
     rhs[:, 1:] += contrib[..., 1]

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SolverError
 from .fem import (BlockLinearSystem, FactoredSystem, assemble_uniform,
-                  boundary_load, eval_shapes_quad, gauss_rule)
-from .heat import _ZERO, gradient_tables
+                  boundary_load, gradient_tables)
+from .heat import _ZERO
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
 
@@ -66,15 +66,9 @@ class StitchedField:
 
 def transport_local_matrix(mesh: SpaceTimeMesh, c: float) -> np.ndarray:
     """Negative Gram matrix of the characteristic derivatives d_t N + c d_x N."""
-    rule = gauss_rule(2)
-    coords = mesh.nodes[mesh.elements[0]]
-    wdet = 0.25 * mesh.hx * mesh.ht
-    K = np.zeros((4, 4))
-    for pt in rule.points:
-        se = eval_shapes_quad(coords, pt)
-        d = se.grad_t + c * se.grad_x
-        K -= wdet * np.outer(d, d)
-    return K
+    _, gx, gt = gradient_tables(mesh)
+    d = gt + c * gx
+    return -0.25 * mesh.hx * mesh.ht * (d.T @ d)
 
 
 def transport_load(problem: TransportProblem, mesh: SpaceTimeMesh,
@@ -126,22 +120,21 @@ def solve_transport_stage(problem: TransportProblem, mesh: SpaceTimeMesh,
                           initial_u=None, pinned_nodal=None, dual=None):
     """Solve one stage; returns (lambda nodal, projected u nodal grid).
 
-    ``initial_u`` overrides the problem's initial datum: either a callable
-    of x or the nodal values of the previous stage's retained top row.  The
-    callable enters the weak initial term; projection pins ``pinned_nodal``
-    at the bottom nodes when given (jump nodes carry the average value).
-    ``dual`` is the stage matrix of ``assemble_transport(problem, mesh)``
-    as a :class:`FactoredSystem`; it is built here when not given.
+    ``initial_u`` holds the nodal values of the previous stage's retained
+    top row; their piecewise-linear interpolant enters the weak initial term
+    and they are pinned at the bottom nodes of the projection.  Without it
+    the problem's initial datum ``u0`` enters the weak term and its nodal
+    values are pinned.  ``pinned_nodal`` overrides the pinned bottom values
+    (jump nodes carry the average value).  ``dual`` is the stage matrix of
+    ``assemble_transport(problem, mesh)`` as a :class:`FactoredSystem`; it
+    is built here when not given.
     """
+    x = mesh.x_coords()
     if initial_u is None:
         u0_call = problem.u0
-        u0_nodal = np.asarray(problem.u0(mesh.x_coords()), dtype=float)
-    elif callable(initial_u):
-        u0_call = initial_u
-        u0_nodal = np.asarray(initial_u(mesh.x_coords()), dtype=float)
+        u0_nodal = np.asarray(problem.u0(x), dtype=float)
     else:
         u0_nodal = np.asarray(initial_u, dtype=float)
-        x = mesh.x_coords()
         u0_call = lambda s: np.interp(s, x, u0_nodal)
     if pinned_nodal is not None:
         u0_nodal = np.asarray(pinned_nodal, dtype=float)

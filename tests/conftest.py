@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
 
+from dualfem.mesh import TimeMesh
+
+# the 2x2 Gauss points of [-1, 1]^2 in the counter-clockwise order of the
+# element corners
+_GAUSS_2D = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(3.0)
+
 
 @pytest.fixture
 def rng():
@@ -24,3 +30,13 @@ def gauss_legendre_integrate_2d(f, ax, bx, at, bt, n=12):
         for pj, wj in zip(pts, wts):
             acc += wi * wj * f(xm + xr * pi, tm + tr * pj)
     return xr * tr * acc
+
+
+def gauss_points(mesh):
+    """Physical Gauss points of every element: (x, t) of the 2x2 points of a
+    space-time mesh, shape (n_elems, 4, 2), or the two times of each
+    element of a time mesh, shape (ne, 2)."""
+    if isinstance(mesh, TimeMesh):
+        return mesh.nodes[:-1, None] + 0.5 * (1 + _GAUSS_2D[:2, 0]) * mesh.h
+    lower_left = mesh.nodes[mesh.elements[:, 0]]
+    return lower_left[:, None, :] + 0.5 * (1 + _GAUSS_2D) * [mesh.hx, mesh.ht]

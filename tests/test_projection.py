@@ -3,17 +3,22 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from conftest import gauss_points
 from dualfem.errors import InvalidArgumentError
-from dualfem.fem import assemble_uniform, eval_shapes_quad, gauss_rule
+from dualfem.fem import QUAD_N, assemble_uniform
 from dualfem.mesh import build_space_time_mesh, build_time_mesh
-from dualfem.projection import (l2_project, l2_project_time, mass_local_2d,
-                                quad_points_1d, quad_points_2d)
+from dualfem.projection import l2_project, l2_project_time
 
 
 def sample_function(mesh, f):
     """Evaluate f(x, t) at every element Gauss point, shape (ne, 4)."""
-    pts = quad_points_2d(mesh)
+    pts = gauss_points(mesh)
     return f(pts[..., 0], pts[..., 1])
+
+
+def mass_local(mesh):
+    """Element mass matrix integrated by the 2x2 Gauss rule."""
+    return 0.25 * mesh.hx * mesh.ht * QUAD_N.T @ QUAD_N
 
 
 def nodal_rms(mesh, nodal):
@@ -21,19 +26,20 @@ def nodal_rms(mesh, nodal):
 
 
 def test_mass_local_is_exact():
-    hx, ht = 0.3, 0.7
-    M = mass_local_2d(hx, ht)
-    # total mass = element area; symmetric positive definite
+    m = build_space_time_mesh(0.9, 1.4, 3, 2)
+    hx, ht = m.hx, m.ht                              # 0.3, 0.7
+    M = mass_local(m)
+    # the exact mass matrix of the bilinear element
+    exact = hx * ht / 36 * np.array([[4.0, 2, 1, 2], [2, 4, 2, 1],
+                                     [1, 2, 4, 2], [2, 1, 2, 4]])
+    assert np.abs(M - exact).max() < 1e-16
+    # total mass = element area
     assert M.sum() == pytest.approx(hx * ht, rel=1e-14)
-    assert np.allclose(M, M.T)
-    assert np.all(np.linalg.eigvalsh(M) > 0)
-    # diagonal of the bilinear element mass matrix is (hx ht / 9)
-    assert np.allclose(np.diag(M), hx * ht / 9.0)
 
 
 def test_quad_points_inside_elements():
     m = build_space_time_mesh(2.0, 1.0, 3, 2)
-    pts = quad_points_2d(m)
+    pts = gauss_points(m)
     assert pts.shape == (6, 4, 2)
     corners = m.nodes[m.elements]
     lo = corners.min(axis=1, keepdims=True)
@@ -45,11 +51,7 @@ def test_identity_on_fe_space(rng):
     # samples of a field already in the FE space are recovered exactly
     m = build_space_time_mesh(1.0, 1.0, 6, 5)
     nodal = rng.standard_normal(m.n_nodes)
-    from dualfem.fem import eval_shapes_quad, gauss_rule
-    rule = gauss_rule(2)
-    coords = m.nodes[m.elements[0]]
-    Nq = np.stack([eval_shapes_quad(coords, pt).values for pt in rule.points])
-    samples = nodal[m.elements] @ Nq.T
+    samples = nodal[m.elements] @ QUAD_N.T
     recovered = l2_project(m, samples)
     assert np.abs(recovered - nodal).max() < 1e-10
 
@@ -75,12 +77,9 @@ def test_pinned_values_exact():
 def reference_projection(mesh, samples, nodes, values):
     """Assembled 2-D mass matrix, pinned values moved to the right-hand
     side, and a sparse direct solve on the free nodes."""
-    M = assemble_uniform(mesh, mass_local_2d(mesh.hx, mesh.ht), n_fields=1).matrix.tocsr()
-    rule = gauss_rule(2)
-    coords = mesh.nodes[mesh.elements[0]]
-    Nq = np.stack([eval_shapes_quad(coords, pt).values for pt in rule.points])
+    M = assemble_uniform(mesh, mass_local(mesh), n_fields=1).matrix.tocsr()
     rhs = np.zeros(mesh.n_nodes)
-    np.add.at(rhs, mesh.elements.ravel(), (0.25 * mesh.hx * mesh.ht * samples @ Nq).ravel())
+    np.add.at(rhs, mesh.elements.ravel(), (0.25 * mesh.hx * mesh.ht * samples @ QUAD_N).ravel())
     out = np.zeros(mesh.n_nodes)
     out[nodes] = values
     free = np.setdiff1d(np.arange(mesh.n_nodes), nodes)
@@ -138,15 +137,10 @@ def test_best_approximation_property(rng):
     f = lambda x, t: np.cos(2 * x + t) + x * t
     samples = sample_function(m, f)
     proj = l2_project(m, samples)
-
-    from dualfem.fem import eval_shapes_quad, gauss_rule
-    rule = gauss_rule(2)
-    coords = m.nodes[m.elements[0]]
-    Nq = np.stack([eval_shapes_quad(coords, pt).values for pt in rule.points])
     wdet = 0.25 * m.hx * m.ht
 
     def dist(nodal):
-        vals = nodal[m.elements] @ Nq.T
+        vals = nodal[m.elements] @ QUAD_N.T
         return np.sqrt(wdet * np.sum((vals - samples) ** 2))
 
     d0 = dist(proj)
@@ -164,7 +158,7 @@ def test_shape_mismatch_rejected():
 def test_time_projection_identity(rng):
     m = build_time_mesh(0.5, 10)
     nodal = rng.standard_normal(m.n_nodes)
-    pts = quad_points_1d(m)
+    pts = gauss_points(m)
     # linear interpolation at the Gauss points of each interval
     samples = np.empty((m.ne, 2))
     for e in range(m.ne):
@@ -175,7 +169,7 @@ def test_time_projection_identity(rng):
 
 def test_time_projection_with_pin_and_components():
     m = build_time_mesh(1.0, 8)
-    pts = quad_points_1d(m)
+    pts = gauss_points(m)
     samples = np.stack([np.sin(pts), np.cos(pts), pts ** 2])
     pinned = ([0], np.array([[0.0], [1.0], [0.0]]))
     out = l2_project_time(m, samples, pinned)

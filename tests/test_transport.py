@@ -6,7 +6,7 @@ import pytest
 from conftest import gauss_legendre_integrate_2d
 from dualfem import fem, transport
 from dualfem.errors import InvalidArgumentError
-from dualfem.heat import gradient_tables
+from dualfem.fem import gradient_tables
 from dualfem.mesh import BOTTOM, LEFT, RIGHT, TOP, build_space_time_mesh
 from dualfem.oracles import transport_exact
 from dualfem.transport import (StagePlan, TransportProblem, assemble_transport,
