@@ -62,6 +62,21 @@ def test_line_shapes():
     assert np.abs(LINE_N @ [-1.0, 1.0] - [-GAUSS_1D, GAUSS_1D]).max() < 1e-15
 
 
+def test_element_dofs_field_major():
+    # local dof field * 4 + corner lands on global dof field * n_nodes + node
+    one = build_space_time_mesh(1.0, 1.0, 1, 1)
+    assert np.array_equal(one.elements[0], [0, 1, 3, 2])
+    local = np.arange(64.0).reshape(8, 8) + 1.0     # every entry distinct
+    A = assemble_uniform(one, local, n_fields=2).matrix.toarray()
+    dofs = [0, 1, 3, 2, 4, 5, 7, 6]
+    assert np.array_equal(A[np.ix_(dofs, dofs)], local)
+    m = build_space_time_mesh(1.0, 1.0, 4, 1)
+    system = assemble_uniform(m, np.eye(8), n_fields=2)
+    conn = m.elements[3]
+    dofs = [system.dof(f, n) for f in range(2) for n in conn]
+    assert np.array_equal(dofs, [3, 4, 9, 8, 13, 14, 19, 18])
+
+
 def element_loop(mesh, local_matrix, n_fields):
     """Dense element-by-element assembly with field-major local dofs."""
     n = mesh.n_nodes
