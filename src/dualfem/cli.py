@@ -130,12 +130,38 @@ def make_heat_reference(spec: dict | None, k: float, initial_spec: dict):
 
 # ---------------------------------------------------------------------------
 # run drivers; each returns (summary_metrics, artifacts, extras) where
-# artifacts maps filename -> (header, 2-D float array of rows)
+# artifacts maps filename -> (header, rows) and rows is a 2-D float array of
+# rows or a GridRows
 
 
-def _grid_rows(x: np.ndarray, t: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(x, t, value) rows of a (t, x) nodal grid, x varying fastest."""
-    return np.column_stack([np.tile(x, t.size), np.repeat(t, x.size), values.ravel()])
+class GridRows:
+    """(x, t, value) rows of a (t, x) nodal grid, x varying fastest.
+
+    ``len()`` is the number of rows; :meth:`text` gives their CSV lines.
+    """
+
+    def __init__(self, x, t, values):
+        self.x = np.asarray(x, dtype=float)
+        self.t = np.asarray(t, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != (self.t.size, self.x.size):
+            raise ValueError(f"grid values of shape {self.values.shape} for "
+                             f"{self.t.size} times and {self.x.size} points")
+
+    def __len__(self) -> int:
+        return self.values.size
+
+    def text(self):
+        """The CSV lines of each time row, every value as %.17g.
+
+        Each x is formatted once into a template that every row fills with
+        its formatted t and its values.
+        """
+        line = "".join("%.17g" % v + ",%s,%.17g\n" for v in self.x.tolist())
+        for tv, row in zip(self.t.tolist(), self.values.tolist()):
+            args = ["%.17g" % tv] * (2 * len(row))
+            args[1::2] = row
+            yield line % tuple(args)
 
 
 def build_heat_problem(cfg: dict):
@@ -170,7 +196,7 @@ def run_heat(cfg: dict):
     reference = make_heat_reference(cfg.get("reference"), problem.k,
                                     _require(cfg, "initial"))
     summary: dict = {}
-    artifacts = {"theta.csv": (["x", "t", "theta"], _grid_rows(x, t, grid))}
+    artifacts = {"theta.csv": (["x", "t", "theta"], GridRows(x, t, grid))}
     if reference is not None:
         ref_grid = np.vstack([np.asarray(reference(x, tv), dtype=float) for tv in t])
         wanted = cfg.get("metrics", ["pct"])
@@ -178,7 +204,7 @@ def run_heat(cfg: dict):
             pct = metrics.pct_error(grid, ref_grid)
             summary["max_pct_error_retained"] = float(np.nanmax(pct[keep]))
             artifacts["error.csv"] = (["x", "t", "pct_error"],
-                                      _grid_rows(x, t[keep], pct[keep]))
+                                      GridRows(x, t[keep], pct[keep]))
         if "err1" in wanted:
             e1 = metrics.err1(grid, ref_grid, mesh.hx)
             summary["max_err1_retained"] = float(np.max(e1[keep]))
@@ -209,8 +235,8 @@ def run_transport(cfg: dict):
     locus = lambda t: xj + c * t
     ht, hb = transport.track_jump(field, locus, lo=lo, hi=hi)
 
-    ref = np.vstack([oracles.transport_exact(field.x, tv, c=c, x0=xj, lo=lo, hi=hi)
-                     for tv in field.t])
+    ref = oracles.transport_exact(field.x[None, :], field.t[:, None],
+                                  c=c, x0=xj, lo=lo, hi=hi)
     pct = metrics.pct_error(field.u, ref)
     h = field.x[1] - field.x[0]
     jump_dist = np.abs(field.x[None, :] - locus(field.t)[:, None])
@@ -229,7 +255,7 @@ def run_transport(cfg: dict):
         "max_undershoot": float(hb.max()),
     }
     artifacts = {
-        "u.csv": (["x", "t", "u"], _grid_rows(field.x, field.t, field.u)),
+        "u.csv": (["x", "t", "u"], GridRows(field.x, field.t, field.u)),
         "jump.csv": (["t", "h_t", "h_b"], np.column_stack([field.t, ht, hb])),
     }
     return summary, artifacts, {"field": field, "ht": ht, "hb": hb, "pct_masked": masked}
@@ -350,17 +376,27 @@ RUNNERS = {
 _CSV_CHUNK_ROWS = 4096
 
 
-def _write_csv(path: str, header, rows: np.ndarray) -> None:
-    """Write a 2-D array of rows, every value as %.17g (integers print bare)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(header):
-        raise ValueError(f"{path}: rows of shape {rows.shape} for {len(header)} columns")
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+def _array_text(rows: np.ndarray):
+    """CSV lines of a 2-D array of rows, every value as %.17g, in chunks."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
+        chunk = rows[start:start + _CSV_CHUNK_ROWS]
+        yield line * len(chunk) % tuple(chunk.ravel().tolist())
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Write rows, a 2-D array or a :class:`GridRows`, every value as %.17g
+    (integers print bare)."""
+    if isinstance(rows, GridRows):
+        shape, text = (len(rows), 3), rows.text()
+    else:
+        rows = np.asarray(rows, dtype=float)
+        shape, text = rows.shape, _array_text(rows)
+    if len(shape) != 2 or shape[1] != len(header):
+        raise ValueError(f"{path}: rows of shape {shape} for {len(header)} columns")
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-            chunk = rows[start:start + _CSV_CHUNK_ROWS]
-            f.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+        f.writelines(text)
 
 
 def run_config(cfg: dict, outdir: str) -> dict:

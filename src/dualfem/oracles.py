@@ -100,8 +100,9 @@ class FourierHeatSolution:
         out = np.full(x.shape, self.beta)
         chunk = 4096
         for s in range(0, n_active, chunk):
-            m = m_all[s:s + chunk]
-            amp = self.coefficients[s:s + chunk] * np.exp(-rate * m ** 2)
+            e = min(s + chunk, n_active)
+            m = m_all[s:e]
+            amp = self.coefficients[s:e] * np.exp(-rate * m ** 2)
             out += np.sin(2 * np.pi * np.outer(x, m)) @ amp
         return out
 

@@ -228,17 +228,15 @@ def track_jump(field: StitchedField, x_jump: Callable,
 
     For each retained time level: h_t = max(0, max u - hi) and
     h_b = max(0, lo - min u), over a window of +/- ``window_elems``
-    elements around x_jump(t).
+    elements around x_jump(t); a level whose window holds no node gives 0.
+    ``x_jump`` is called once with the array of times and may return a
+    scalar.
     """
     h = field.x[1] - field.x[0]
-    ht = np.zeros_like(field.t)
-    hb = np.zeros_like(field.t)
-    for i, t in enumerate(field.t):
-        xj = x_jump(t)
-        mask = np.abs(field.x - xj) <= window_elems * h + 1e-12
-        if not np.any(mask):
-            continue
-        vals = field.u[i, mask]
-        ht[i] = max(0.0, vals.max() - hi)
-        hb[i] = max(0.0, lo - vals.min())
-    return ht, hb
+    xj = np.broadcast_to(np.asarray(x_jump(field.t), dtype=float), field.t.shape)
+    window = np.abs(field.x[None, :] - xj[:, None]) <= window_elems * h + 1e-12
+    # outside the window u reads -inf for the max and +inf for the min, so an
+    # empty window gives 0; fmax also gives 0 where the window holds a NaN
+    top = np.where(window, field.u, -np.inf).max(axis=1)
+    bottom = np.where(window, field.u, np.inf).min(axis=1)
+    return np.fmax(0.0, top - hi), np.fmax(0.0, lo - bottom)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualfem.cli import (EXIT_BRANCH, EXIT_CONFIG, EXIT_OK, ConfigError,
-                         _write_csv, main, make_initial, run_config)
+                         GridRows, _write_csv, main, make_initial, run_config)
 from dualfem.presets import PRESETS, get_preset, list_presets
 
 FAST_HEAT = {
@@ -162,3 +162,27 @@ def test_csv_writer_matches_per_value_format(tmp_path, rng):
         ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
         for row in rows)
     assert path.read_bytes() == expected.encode()
+
+
+def test_grid_writer_matches_row_array_writer(tmp_path, rng):
+    # a grid writes the bytes of its (x, t, value) rows written as an array
+    tiny = np.nextafter(0.0, 1.0)
+    x = np.concatenate([[-0.0, 0.0, tiny, 0.1 + 0.2, 1 / 3, 2.2250738585072014e-308 / 3],
+                        rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)])
+    t = np.concatenate([[0.0, -0.0, 0.1 + 0.7, 2 / 3, 1e-310],
+                        rng.random(95) * 10.0 ** rng.integers(-5, 5, 95)])
+    values = rng.standard_normal((t.size, x.size)) * 10.0 ** rng.integers(-300, 300, (t.size, x.size))
+    values[0, :6] = [float("nan"), float("inf"), float("-inf"), -0.0, tiny, 1e-320]
+    grid = GridRows(x, t, values)
+    assert len(grid) == t.size * x.size
+    rows = np.column_stack([np.tile(x, t.size), np.repeat(t, x.size), values.ravel()])
+    assert len(rows) > 4096                  # the array writer uses more than one chunk
+    _write_csv(str(tmp_path / "grid.csv"), ["x", "t", "v"], grid)
+    _write_csv(str(tmp_path / "rows.csv"), ["x", "t", "v"], rows)
+    data = (tmp_path / "grid.csv").read_bytes()
+    assert data == (tmp_path / "rows.csv").read_bytes()
+    assert data.count(b"\n") - 1 == len(grid)
+    with pytest.raises(ValueError):
+        GridRows(x, t, values.T)
+    with pytest.raises(ValueError):
+        _write_csv(str(tmp_path / "bad.csv"), ["x", "v"], grid)

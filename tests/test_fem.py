@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, BlockLinearSystem,
                          q_dual_wave, solve_linear, solve_system)
 from dualfem.heat import heat_local_matrix
 from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
+from dualfem.transport import TransportProblem, assemble_transport
 
 STRETCHED = build_space_time_mesh(1.3, 0.6, 5, 4)      # hx = 0.26, ht = 0.15
 
@@ -189,6 +191,29 @@ def test_solve_linear_rejects_factor_of_another_matrix():
     assert np.allclose(solve_linear(A, b, 1e-8, factor(A)), [0.8, 1.4], atol=1e-14)
     with pytest.raises(SolverError, match="residual"):
         solve_linear(A, b, 1e-8, factor(B))
+
+
+def test_factor_fills_less_than_default_ordering():
+    # the minimum-degree symmetric factor of a transport dual keeps L + U
+    # well below SuperLU's default (COLAMD, partial pivoting)
+    problem = TransportProblem(c=0.25, L=2.0, T_total=1.0, u0=np.ones_like,
+                               u_left=np.ones_like)
+    mesh = build_space_time_mesh(2.0, 0.55, 100, 30)
+    A = FactoredSystem(assemble_transport(problem, mesh)).matrix
+    lu, default = factor(A), splu(sp.csc_matrix(A))
+    assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
+
+
+def test_factor_pivots_on_a_tiny_diagonal(rng):
+    # symmetric indefinite, with every diagonal entry 1e-10: a factor that
+    # always took the diagonal pivot would lose about ten digits here
+    B = rng.standard_normal((60, 60)) * (rng.random((60, 60)) < 0.08)
+    S = B + B.T
+    np.fill_diagonal(S, 1e-10)
+    A = sp.csr_matrix(S)
+    b = rng.standard_normal(60)
+    x = solve_linear(A, b, 1e-12, factor(A))
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_factored_system_solves_any_rhs(rng):

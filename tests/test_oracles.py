@@ -92,6 +92,34 @@ def test_fourier_discontinuous_solution_midpoint_symmetry():
     assert sol(np.array([0.5]), 0.0123)[0] == pytest.approx(2.0)
 
 
+def test_fourier_solution_sums_only_live_modes():
+    # modes whose decay factor underflows below 1e-300 are not summed: NaN
+    # coefficients there leave the values finite and equal to the live sum
+    beta, k, t = 2.0, 0.1, 0.01
+    sol = FourierHeatSolution.discontinuous(beta=beta, k=k, n_terms=20_000)
+    m = np.arange(1, sol.coefficients.size + 1)
+    live = 4.0 * np.pi ** 2 * k * t * m ** 2 < 690.0
+    assert 10 < live.sum() < 4096
+    poisoned = FourierHeatSolution(beta=beta, k=k,
+                                   coefficients=np.where(live, sol.coefficients, np.nan))
+    x = np.linspace(0.0, 1.0, 11)
+    amp = sol.coefficients[live] * np.exp(-4.0 * np.pi ** 2 * k * t * m[live] ** 2)
+    direct = beta + np.sin(2 * np.pi * np.outer(x, m[live])) @ amp
+    values = poisoned(x, t)
+    assert np.all(np.isfinite(values))
+    assert np.abs(values - direct).max() < 1e-12
+    assert np.array_equal(values, sol(x, t))
+
+
+def test_transport_exact_broadcasts_over_a_grid():
+    # one (t, x) broadcast call equals one call per time row, bitwise
+    x = np.linspace(0.0, 2.0, 81)
+    t = np.linspace(0.0, 5.0, 101)
+    rows = np.vstack([transport_exact(x, tv, c=0.25, x0=0.19, lo=1.7, hi=3.5) for tv in t])
+    grid = transport_exact(x[None, :], t[:, None], c=0.25, x0=0.19, lo=1.7, hi=3.5)
+    assert np.array_equal(grid, rows)
+
+
 def test_transport_exact_step():
     x = np.array([0.0, 0.2, 0.4, 1.0])
     u = transport_exact(x, 0.0)

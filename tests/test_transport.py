@@ -265,6 +265,39 @@ def test_track_jump_clamps_at_zero():
     assert ht3[1] == 0.0 and hb3[1] == 0.0
 
 
+def track_jump_by_row(field, x_jump, lo, hi, window_elems=10):
+    """The per-row loop that track_jump replaces."""
+    h = field.x[1] - field.x[0]
+    ht, hb = np.zeros_like(field.t), np.zeros_like(field.t)
+    for i, t in enumerate(field.t):
+        mask = np.abs(field.x - x_jump(t)) <= window_elems * h + 1e-12
+        if np.any(mask):
+            ht[i] = max(0.0, field.u[i, mask].max() - hi)
+            hb[i] = max(0.0, lo - field.u[i, mask].min())
+    return ht, hb
+
+
+def test_track_jump_matches_per_row_loop(rng):
+    prob = step_problem(T_total=0.6)
+    plan = StagePlan.cover(T_stage=0.15, T_keep=0.1, T_total=0.6)
+    field = run_time_sliced(prob, plan, nx=40, nt=6, jump_x=0.2, jump_avg=3.0)
+    locus = lambda t: 0.2 + 0.25 * t
+    ht, hb = track_jump(field, locus, lo=2.0, hi=4.0)
+    assert ht.max() > 0 and hb.max() > 0
+    ref_ht, ref_hb = track_jump_by_row(field, locus, 2.0, 4.0)
+    assert np.array_equal(ht, ref_ht) and np.array_equal(hb, ref_hb)
+    # NaN values, rows whose window leaves the domain and a narrow window
+    u = field.u + 0.3 * rng.standard_normal(field.u.shape)
+    u[2, 3] = np.nan
+    noisy = replace(field, u=u)
+    far = lambda t: 0.2 + 12.0 * t
+    for x_jump, window in ((locus, 10), (far, 10), (far, 0)):
+        got = track_jump(noisy, x_jump, lo=2.0, hi=4.0, window_elems=window)
+        want = track_jump_by_row(noisy, x_jump, 2.0, 4.0, window)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert track_jump(noisy, far, lo=2.0, hi=4.0)[0][-1] == 0.0
+
+
 @pytest.mark.parametrize("T_total", [0.25, 0.6])
 def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
     calls = {"factor": 0, "assemble": 0}
