@@ -22,14 +22,14 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import euler as euler_mod
 from . import heat as heat_mod
 from . import metrics, oracles, transport
-from .errors import (DualFemError, InvalidArgumentError, SolverError,
-                     UnsupportedBranchError)
+from .errors import DualFemError, InvalidArgumentError, UnsupportedBranchError
 from .mesh import build_space_time_mesh
 from .presets import PRESETS, get_preset
 
@@ -51,6 +51,18 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, default=None, kind=float):
+    """``kind`` of ``cfg[key]``, or of ``default`` if the key is absent or null
+    (without one the key is required); a ConfigError names a bad value."""
+    value = default if cfg.get(key) is None else cfg[key]
+    if value is None:
+        raise ConfigError(f"config field {key!r} is missing")
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {key!r} is not numeric: {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # named function families
 
@@ -58,12 +70,12 @@ def _require(cfg: dict, key: str):
 def make_initial(spec: dict):
     kind = _require(spec, "type")
     if kind == "linear":
-        a, b = spec.get("slope", 0.0), spec.get("intercept", 0.0)
+        a, b = _number(spec, "slope", 0.0), _number(spec, "intercept", 0.0)
         return lambda x: a * np.asarray(x, dtype=float) + b
     if kind == "sine_plus_one":
         return lambda x: np.sin(0.5 * np.pi * np.asarray(x, dtype=float)) + 1.0
     if kind == "jump":
-        beta = spec.get("beta", 10.0)
+        beta = _number(spec, "beta", 10.0)
 
         def jump(x):
             x = np.asarray(x, dtype=float)
@@ -71,7 +83,7 @@ def make_initial(spec: dict):
                             np.where(x > 0.5, beta - 2 + 2 * x, beta))
         return jump
     if kind == "smoothed_jump":
-        beta, eps = spec.get("beta", 10.0), _require(spec, "eps")
+        beta, eps = _number(spec, "beta", 10.0), _number(spec, "eps")
         ks = (2 * eps - 1) / eps
         cs = beta - (2 * eps - 1) / (2 * eps)
         lo, hi = 0.5 - eps, 0.5 + eps
@@ -82,8 +94,8 @@ def make_initial(spec: dict):
                             np.where(x > hi, beta - 2 + 2 * x, ks * x + cs))
         return smoothed
     if kind == "step":
-        xj = spec.get("x_jump", 0.2)
-        lo, hi = spec.get("lo", 2.0), spec.get("hi", 4.0)
+        xj = _number(spec, "x_jump", 0.2)
+        lo, hi = _number(spec, "lo", 2.0), _number(spec, "hi", 4.0)
 
         def step(x):
             x = np.asarray(x, dtype=float)
@@ -116,15 +128,13 @@ def make_heat_reference(spec: dict | None, k: float, initial_spec: dict):
     if kind == "transient":
         return lambda x, t: oracles.heat_transient(x, t, k)
     if kind == "fourier_smoothed":
-        sol = oracles.FourierHeatSolution.smoothed_jump(
-            beta=initial_spec.get("beta", 10.0), eps=_require(initial_spec, "eps"),
-            k=k, n_terms=spec.get("n_terms", 100_000))
-        return sol
+        return oracles.FourierHeatSolution.smoothed_jump(
+            beta=_number(initial_spec, "beta", 10.0), eps=_number(initial_spec, "eps"),
+            k=k, n_terms=_number(spec, "n_terms", 100_000, int))
     if kind == "fourier_discontinuous":
-        sol = oracles.FourierHeatSolution.discontinuous(
-            beta=initial_spec.get("beta", 10.0), k=k,
-            n_terms=spec.get("n_terms", 100_000))
-        return sol
+        return oracles.FourierHeatSolution.discontinuous(
+            beta=_number(initial_spec, "beta", 10.0), k=k,
+            n_terms=_number(spec, "n_terms", 100_000, int))
     raise ConfigError(f"unknown reference type {kind!r}")
 
 
@@ -165,22 +175,23 @@ class GridRows:
 
 
 def build_heat_problem(cfg: dict):
-    k = float(_require(cfg, "k"))
-    L, T = float(_require(cfg, "L")), float(_require(cfg, "T"))
+    k = _number(cfg, "k")
+    L, T = _number(cfg, "L"), _number(cfg, "T")
     initial = make_initial(_require(cfg, "initial"))
     dual = make_dual_bc(cfg.get("dual_bc", {"type": "zero"}), k)
     mode = cfg.get("right_mode", heat_mod.NEUMANN_PI)
-    const = lambda v: (lambda s: np.full_like(np.asarray(s, dtype=float), float(v)))
+    const = lambda key: (lambda s, v=_number(cfg, key, 0.0):
+                         np.full_like(np.asarray(s, dtype=float), v))
     problem = heat_mod.HeatProblem(
         k=k, L=L, T=T,
         theta0=initial,
-        theta_left=const(cfg.get("theta_left", 0.0)),
+        theta_left=const("theta_left"),
         right_mode=mode,
-        pi_right=const(cfg.get("pi_right", 0.0)),
-        theta_right=const(cfg.get("theta_right", 0.0)),
+        pi_right=const("pi_right"), theta_right=const("theta_right"),
         l_left=dual["l_left"], l_top=dual["l_top"],
         p_right=dual["p_right"], l_right=dual["l_right"])
-    mesh = build_space_time_mesh(L, T, int(_require(cfg, "nx")), int(_require(cfg, "nt")))
+    mesh = build_space_time_mesh(L, T, _number(cfg, "nx", kind=int),
+                                 _number(cfg, "nt", kind=int))
     return problem, mesh
 
 
@@ -190,8 +201,7 @@ def run_heat(cfg: dict):
     grid = theta.reshape(mesh.nt + 1, mesh.nx + 1)
     x, t = mesh.x_coords(), mesh.t_coords()
 
-    T_keep = cfg.get("T_keep")
-    keep = np.ones(t.size, dtype=bool) if T_keep is None else t <= T_keep + 1e-12
+    keep = t <= _number(cfg, "T_keep", np.inf) + 1e-12
 
     reference = make_heat_reference(cfg.get("reference"), problem.k,
                                     _require(cfg, "initial"))
@@ -218,19 +228,18 @@ def run_heat(cfg: dict):
 def run_transport(cfg: dict):
     initial_spec = _require(cfg, "initial")
     u0 = make_initial(initial_spec)
-    c = float(_require(cfg, "c"))
-    u_left_val = float(cfg.get("u_left", 2.0))
+    c = _number(cfg, "c")
+    u_left_val = _number(cfg, "u_left", 2.0)
     problem = transport.TransportProblem(
-        c=c, L=float(_require(cfg, "L")), T_total=float(_require(cfg, "T_total")),
+        c=c, L=_number(cfg, "L"), T_total=_number(cfg, "T_total"),
         u0=u0,
         u_left=lambda t: np.full_like(np.asarray(t, dtype=float), u_left_val))
-    plan = transport.StagePlan.cover(float(_require(cfg, "T_stage")),
-                                     float(_require(cfg, "T_keep")),
+    plan = transport.StagePlan.cover(_number(cfg, "T_stage"), _number(cfg, "T_keep"),
                                      problem.T_total)
-    xj = initial_spec.get("x_jump", 0.2)
-    lo, hi = initial_spec.get("lo", 2.0), initial_spec.get("hi", 4.0)
-    field = transport.run_time_sliced(problem, plan,
-                                      int(_require(cfg, "nx")), int(_require(cfg, "nt")),
+    xj = _number(initial_spec, "x_jump", 0.2)
+    lo, hi = _number(initial_spec, "lo", 2.0), _number(initial_spec, "hi", 4.0)
+    field = transport.run_time_sliced(problem, plan, _number(cfg, "nx", kind=int),
+                                      _number(cfg, "nt", kind=int),
                                       jump_x=xj, jump_avg=0.5 * (lo + hi))
     locus = lambda t: xj + c * t
     ht, hb = transport.track_jump(field, locus, lo=lo, hi=hi)
@@ -262,16 +271,17 @@ def run_transport(cfg: dict):
 
 
 def _euler_config(cfg: dict, ne=None) -> euler_mod.EulerConfig:
+    vector = partial(np.asarray, dtype=float)
     return euler_mod.EulerConfig(
-        I=_require(cfg, "I"), omega0=_require(cfg, "omega0"),
-        nu=float(cfg.get("nu", 0.0)),
-        a=float(cfg.get("a", 1.0)),
-        T_total=float(_require(cfg, "T_total")),
-        T_stage=float(_require(cfg, "T_stage")),
-        ne_per_stage=int(ne if ne is not None else _require(cfg, "ne_per_stage")),
-        N_c=int(cfg.get("N_c", 5)),
-        tol=float(cfg.get("tol", 1e-10)),
-        lambda_T=cfg.get("lambda_T", (0.0, 0.0, 0.0)))
+        I=_number(cfg, "I", kind=vector), omega0=_number(cfg, "omega0", kind=vector),
+        nu=_number(cfg, "nu", 0.0),
+        a=_number(cfg, "a", 1.0),
+        T_total=_number(cfg, "T_total"),
+        T_stage=_number(cfg, "T_stage"),
+        ne_per_stage=_number(cfg, "ne_per_stage", kind=int) if ne is None else ne,
+        N_c=_number(cfg, "N_c", 5, int),
+        tol=_number(cfg, "tol", 1e-10),
+        lambda_T=_number(cfg, "lambda_T", (0.0, 0.0, 0.0), vector))
 
 
 def _euler_reference(cfg: dict, config: euler_mod.EulerConfig, t: np.ndarray):
@@ -306,7 +316,7 @@ def run_euler_cfg(cfg: dict):
 
     if "refinements" in cfg:
         errs = []
-        for ne in cfg["refinements"]:
+        for ne in _number(cfg, "refinements", kind=lambda v: [int(n) for n in v]):
             sub = euler_mod.run_euler(_euler_config(cfg, ne=ne))
             sub_ref = _euler_reference(cfg, config, sub.t)
             errs.append(float(metrics.err_omega(sub.omega, sub_ref).max()))
@@ -330,9 +340,9 @@ def run_euler_cfg(cfg: dict):
 
 
 def run_algebraic_demo(cfg: dict):
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
-    n_cases = int(cfg.get("n_cases", 100))
-    rows, cols = int(cfg.get("rows", 4)), int(cfg.get("cols", 6))
+    rng = np.random.default_rng(_number(cfg, "seed", 0, int))
+    n_cases = _number(cfg, "n_cases", 100, int)
+    rows, cols = _number(cfg, "rows", 4, int), _number(cfg, "cols", 6, int)
     solved = reported_no_solution = false_positive = 0
     for _ in range(n_cases):
         A = rng.standard_normal((rows, cols))
@@ -406,9 +416,9 @@ def run_config(cfg: dict, outdir: str) -> dict:
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     summary_metrics, artifacts, _ = RUNNERS[problem](cfg)
-    wall = time.perf_counter() - t0
     for name, (header, rows) in artifacts.items():
         _write_csv(os.path.join(outdir, name), header, rows)
+    wall = time.perf_counter() - t0
     summary = {
         "schema_version": SCHEMA_VERSION,
         "preset": cfg.get("preset"),
@@ -464,7 +474,6 @@ def main(argv=None) -> int:
             except KeyError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            summary = run_config(cfg, _default_outdir(args))
         else:
             try:
                 with open(args.config) as f:
@@ -472,14 +481,14 @@ def main(argv=None) -> int:
             except (OSError, json.JSONDecodeError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-            summary = run_config(cfg, _default_outdir(args))
-    except ConfigError as exc:
+        summary = run_config(cfg, _default_outdir(args))
+    except InvalidArgumentError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnsupportedBranchError as exc:
         print(f"unsupported branch: {exc}", file=sys.stderr)
         return EXIT_BRANCH
-    except (SolverError, DualFemError) as exc:
+    except DualFemError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

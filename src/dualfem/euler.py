@@ -67,7 +67,6 @@ class StageResult:
     omega_nodes: np.ndarray       # (3, n_retained)
     lam: np.ndarray               # converged dual field, (3, n_nodes)
     newton_iters: int
-    final_increment: float
     increments: list = field(default_factory=list)
 
 
@@ -245,7 +244,6 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
                        omega_nodes=omega_nodes[:, :n_keep + 1],
                        lam=lam,
                        newton_iters=len(increments),
-                       final_increment=increments[-1],
                        increments=increments)
 
 

@@ -2,9 +2,10 @@
 
 One reference-element table of linear (interval) and bilinear (space-time)
 shape functions at the 2-point and 2x2 Gauss points, the uniform-mesh
-scatter of one shared element matrix, boundary loads, symmetric Dirichlet
-elimination, and a checked direct linear solve that can reuse a
-factorization across right-hand sides.
+scatter of one shared element matrix, boundary loads, prescribed dofs as
+sorted ``(dofs, values)`` arrays (:func:`pin`), their symmetric elimination,
+and a residual-checked linear solve by a factorization that serves every
+right-hand side.
 
 Global degrees of freedom are blocked by field: dof = field * n_nodes + node.
 Local element dofs follow the same ordering, dof = field * 4 + local_node.
@@ -12,7 +13,7 @@ Local element dofs follow the same ordering, dof = field * 4 + local_node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,39 +46,42 @@ def gradient_tables(mesh: SpaceTimeMesh):
             LINE_N[_QX, _AX] * dline[_AT] / mesh.ht)
 
 
+def pin(*pairs):
+    """Merge ``(dofs, values)`` pairs into one ``(dofs, values)`` pin set,
+    sorted by dof; the values of a pair broadcast to its dofs.
+
+    A dof given more than once keeps its last value, and all its values
+    must agree to 1e-12.
+    """
+    dofs = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.atleast_1d(np.asarray(d, dtype=np.int64)) for d, _ in pairs])
+    values = np.concatenate([np.zeros(0)] + [
+        np.broadcast_to(np.asarray(v, dtype=float), np.shape(np.atleast_1d(d)))
+        for d, v in pairs])
+    order = np.argsort(dofs, kind="stable")
+    dofs, values = dofs[order], values[order]
+    repeat = dofs[1:] == dofs[:-1]
+    clash = repeat & ~np.isclose(values[1:], values[:-1], rtol=1e-12, atol=1e-12)
+    if clash.any():
+        i = int(np.argmax(clash))
+        raise InvalidArgumentError(f"conflicting constraints on dof {dofs[i]}: "
+                                   f"{values[i]} vs {values[i + 1]}")
+    last = np.ones(dofs.size, dtype=bool)      # the last entry of each dof
+    last[:-1] = ~repeat
+    return dofs[last], values[last]
+
+
 @dataclass
 class BlockLinearSystem:
-    """Assembled matrix/rhs over (field, node) dofs with constraint bookkeeping."""
+    """Assembled matrix and rhs with the prescribed dofs, a :func:`pin` set."""
 
-    n_fields: int
-    n_nodes: int
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    constrained: dict = field(default_factory=dict)
-
-    @property
-    def n_dofs(self) -> int:
-        return self.n_fields * self.n_nodes
-
-    def dof(self, field_idx: int, node: int) -> int:
-        return field_idx * self.n_nodes + node
-
-    def constrain(self, field_idx: int, nodes, values) -> None:
-        """Prescribe dof values; re-prescribing with a different value is an error."""
-        nodes = np.atleast_1d(np.asarray(nodes))
-        values = np.broadcast_to(np.asarray(values, dtype=float), nodes.shape)
-        for n, v in zip(nodes, values):
-            d = self.dof(field_idx, int(n))
-            if d in self.constrained and not np.isclose(self.constrained[d], v,
-                                                        rtol=1e-12, atol=1e-12):
-                raise InvalidArgumentError(
-                    f"conflicting constraints on dof {d}: "
-                    f"{self.constrained[d]} vs {v}")
-            self.constrained[d] = float(v)
+    pinned: tuple
 
 
 def assemble_uniform(mesh: SpaceTimeMesh, local_matrix: np.ndarray,
-                     n_fields: int) -> BlockLinearSystem:
+                     n_fields: int) -> sp.csr_matrix:
     """Fast scatter of one shared local matrix over every element.
 
     Valid for constant-coefficient kernels on uniform meshes, where all
@@ -97,9 +101,7 @@ def assemble_uniform(mesh: SpaceTimeMesh, local_matrix: np.ndarray,
     cols = np.tile(edofs, (1, ndof_e)).ravel()
     data = np.tile(local_matrix.ravel(), mesh.n_elements)
     n = n_fields * n_nodes
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    return BlockLinearSystem(n_fields=n_fields, n_nodes=n_nodes, matrix=mat,
-                             rhs=np.zeros(n))
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def boundary_load(mesh: SpaceTimeMesh, tag: str, func) -> np.ndarray:
@@ -122,34 +124,29 @@ def boundary_load(mesh: SpaceTimeMesh, tag: str, func) -> np.ndarray:
     return load
 
 
-def apply_dirichlet(system: BlockLinearSystem):
-    """Symmetric elimination of constrained dofs.
+def apply_dirichlet(A, pinned):
+    """Symmetric elimination of the pinned dofs of A, a :func:`pin` set.
 
-    Returns (A_red, b_red, free_idx, recover) where ``recover(u_red)``
-    rebuilds the full solution vector with prescribed values inserted.
+    Returns (A_ff, lift, free, recover): the free-free block, the lift
+    -A[free, pinned] @ values that every right-hand side shares, the free
+    dofs, and ``recover(u_free)``, which rebuilds the full solution vector
+    with the prescribed values inserted.
     """
-    n = system.n_dofs
-    cdofs = np.array(sorted(system.constrained), dtype=np.int64)
+    n = A.shape[0]
+    cdofs, cvals = pinned
     if cdofs.size and (cdofs.min() < 0 or cdofs.max() >= n):
         raise InvalidArgumentError("constraint dof out of range")
-    cvals = np.array([system.constrained[d] for d in cdofs])
-    mask = np.ones(n, dtype=bool)
-    mask[cdofs] = False
-    free = np.nonzero(mask)[0]
+    free = np.setdiff1d(np.arange(n), cdofs, assume_unique=True)
+    A_f = A.tocsc()[free]
+    lift = -(A_f[:, cdofs] @ cvals)
 
-    A = system.matrix.tocsc()
-    A_red = A[free][:, free]
-    b_red = system.rhs[free]
-    if cdofs.size:
-        b_red = b_red - A[free][:, cdofs] @ cvals
-
-    def recover(u_red):
+    def recover(u_free):
         full = np.empty(n)
-        full[free] = u_red
+        full[free] = u_free
         full[cdofs] = cvals
         return full
 
-    return A_red.tocsr(), b_red, free, recover
+    return A_f[:, free].tocsr(), lift, free, recover
 
 
 def factor(A):
@@ -169,21 +166,18 @@ def factor(A):
         raise SolverError(f"singular matrix: {exc}") from exc
 
 
-def solve_linear(A, b, rtol: float = 1e-8, lu=None) -> np.ndarray:
-    """Direct solve of A x = b with a relative residual check.
+def solve_linear(A, b, lu) -> np.ndarray:
+    """Direct solve of A x = b by ``lu``, checking the relative residual to 1e-8.
 
     ``lu`` is a factorization of A (anything with ``solve(b)``, such as the
-    result of :func:`factor`); A is factored here when it is not given.  The
-    residual is always measured against A itself, so a factorization of a
-    different matrix is caught.
+    result of :func:`factor`).  The residual is always measured against A
+    itself, so a factorization of a different matrix is caught.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise InvalidArgumentError(f"shape mismatch: A {A.shape}, b {b.shape}")
     if A.shape[0] == 0:
         return np.zeros(0)
-    if lu is None:
-        lu = factor(A)
     with np.errstate(all="ignore"):
         x = lu.solve(b)
     if not np.all(np.isfinite(x)):
@@ -191,34 +185,29 @@ def solve_linear(A, b, rtol: float = 1e-8, lu=None) -> np.ndarray:
     resid = np.linalg.norm(A @ x - b)
     scale = np.linalg.norm(b)
     rel = resid / scale if scale > 0 else resid
-    if rel > rtol:
-        raise SolverError(f"linear solve residual too large: {rel:.3e} > {rtol:.1e}")
+    if rel > 1e-8:
+        raise SolverError(f"linear solve residual too large: {rel:.3e} > 1e-8")
     return x
 
 
 class FactoredSystem:
-    """A block system with its constraints eliminated and its matrix factored once.
+    """A matrix with its pinned dofs eliminated and the rest factored once.
 
-    :meth:`solve` then takes any full-length right-hand side; the matrix and
-    the prescribed values are those of the system given here.
+    :meth:`solve` then takes any full-length right-hand side.
     """
 
-    def __init__(self, system: BlockLinearSystem, rtol: float = 1e-8):
-        # eliminating with a zero load leaves -A[free, c] @ values, the lift
-        # that every right-hand side shares
-        self.matrix, self._lift, self._free, self._recover = apply_dirichlet(
-            replace(system, rhs=np.zeros(system.n_dofs)))
+    def __init__(self, A, pinned):
+        self.matrix, self._lift, self._free, self._recover = apply_dirichlet(A, pinned)
         self._lu = factor(self.matrix) if self.matrix.shape[0] else None
-        self.rtol = rtol
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         b_red = np.asarray(rhs, dtype=float)[self._free] + self._lift
-        return self._recover(solve_linear(self.matrix, b_red, self.rtol, self._lu))
+        return self._recover(solve_linear(self.matrix, b_red, self._lu))
 
 
-def solve_system(system: BlockLinearSystem, rtol: float = 1e-8) -> np.ndarray:
-    """Constrain, solve, and recover the full dof vector."""
-    return FactoredSystem(system, rtol).solve(system.rhs)
+def solve_system(system: BlockLinearSystem) -> np.ndarray:
+    """Eliminate the pinned dofs, solve, and recover the full dof vector."""
+    return FactoredSystem(system.matrix, system.pinned).solve(system.rhs)
 
 
 def q_dual_heat(F: np.ndarray, k: float):

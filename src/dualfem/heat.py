@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .fem import (BlockLinearSystem, assemble_uniform, boundary_load,
-                  gradient_tables, solve_system)
+                  gradient_tables, pin, solve_system)
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh
 from .projection import l2_project
 
@@ -85,32 +85,26 @@ def heat_local_matrix(mesh: SpaceTimeMesh, k: float) -> np.ndarray:
 def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> BlockLinearSystem:
     """Assemble the two-field dual system including boundary data terms."""
     _check_mesh(problem, mesh)
-    system = assemble_uniform(mesh, heat_local_matrix(mesh, problem.k), n_fields=2)
+    matrix = assemble_uniform(mesh, heat_local_matrix(mesh, problem.k), n_fields=2)
     n = mesh.n_nodes
 
-    # field 0 = p, field 1 = l
-    system.rhs[:n] += boundary_load(mesh, LEFT, problem.theta_left)
+    # dof = field * n + node, field 0 = p, field 1 = l
+    rhs = np.zeros(2 * n)
+    rhs[:n] += boundary_load(mesh, LEFT, problem.theta_left)
+    t, right = mesh.t_coords(), mesh.boundary_nodes(RIGHT)
     if problem.right_mode == NEUMANN_PI:
-        system.rhs[n:] += boundary_load(
+        rhs[n:] += boundary_load(
             mesh, RIGHT, lambda t: problem.k * np.asarray(problem.pi_right(t)))
-        system.rhs[n:] += boundary_load(mesh, BOTTOM, problem.theta0)
+        right_pin = (right, problem.p_right(t))
     else:
-        system.rhs[:n] -= boundary_load(mesh, RIGHT, problem.theta_right)
-        system.rhs[n:] += boundary_load(mesh, BOTTOM, problem.theta0)
+        rhs[:n] -= boundary_load(mesh, RIGHT, problem.theta_right)
+        right_pin = (n + right, problem.l_right(t))
+    rhs[n:] += boundary_load(mesh, BOTTOM, problem.theta0)
 
-    t_coords = mesh.t_coords()
-    x_coords = mesh.x_coords()
-    system.constrain(1, mesh.boundary_nodes(LEFT),
-                     np.asarray(problem.l_left(t_coords), dtype=float))
-    system.constrain(1, mesh.boundary_nodes(TOP),
-                     np.asarray(problem.l_top(x_coords), dtype=float))
-    if problem.right_mode == NEUMANN_PI:
-        system.constrain(0, mesh.boundary_nodes(RIGHT),
-                         np.asarray(problem.p_right(t_coords), dtype=float))
-    else:
-        system.constrain(1, mesh.boundary_nodes(RIGHT),
-                         np.asarray(problem.l_right(t_coords), dtype=float))
-    return system
+    pinned = pin((n + mesh.boundary_nodes(LEFT), problem.l_left(t)),
+                 (n + mesh.boundary_nodes(TOP), problem.l_top(mesh.x_coords())),
+                 right_pin)
+    return BlockLinearSystem(matrix, rhs, pinned)
 
 
 def solve_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> HeatDualSolution:
@@ -142,13 +136,10 @@ def project_theta(problem: HeatProblem, dual: HeatDualSolution) -> np.ndarray:
     mesh = dual.mesh
     theta_q, _ = dtp_heat(dual, problem.k)
     t = mesh.t_coords()
-    nodes, values = [mesh.boundary_nodes(LEFT)], [problem.theta_left(t)]
+    pins = [(mesh.boundary_nodes(LEFT), problem.theta_left(t))]
     if problem.right_mode == DIRICHLET_THETA:
-        nodes.append(mesh.boundary_nodes(RIGHT))
-        values.append(problem.theta_right(t))
-    values = [np.broadcast_to(np.asarray(v, dtype=float), t.shape) for v in values]
-    pinned = (np.concatenate(nodes), np.concatenate(values))
-    return l2_project(mesh, theta_q, pinned)
+        pins.append((mesh.boundary_nodes(RIGHT), problem.theta_right(t)))
+    return l2_project(mesh, theta_q, pin(*pins))
 
 
 def solve_heat_primal(problem: HeatProblem, mesh: SpaceTimeMesh):

@@ -10,13 +10,13 @@ feeds its last retained row to the next stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidArgumentError, SolverError
-from .fem import (BlockLinearSystem, FactoredSystem, assemble_uniform,
-                  boundary_load, gradient_tables)
+from .fem import FactoredSystem, assemble_uniform, boundary_load, gradient_tables, pin
 from .heat import _ZERO
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
@@ -72,23 +72,21 @@ def transport_local_matrix(mesh: SpaceTimeMesh, c: float) -> np.ndarray:
 
 
 def transport_load(problem: TransportProblem, mesh: SpaceTimeMesh,
-                   u0=None) -> np.ndarray:
-    """Right-hand side R of one stage: the inflow and initial boundary loads.
+                   u0: Callable) -> np.ndarray:
+    """Right-hand side R of one stage: the inflow and initial (``u0``) loads.
 
     The inflow boundary term carries the wave speed factor so that the
     natural boundary condition enforces u(0, t) = u_left(t); see the notes
     in the package README on this point.
     """
-    u0 = problem.u0 if u0 is None else u0
     rhs = problem.c * boundary_load(
         mesh, LEFT, lambda t: np.asarray(problem.u_left(t), dtype=float))
     rhs += boundary_load(mesh, BOTTOM, u0)
     return rhs
 
 
-def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh,
-                       u0=None) -> BlockLinearSystem:
-    """Assemble K lambda = R for one stage.
+def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh):
+    """The stage matrix K of K lambda = R and its pinned dofs, ``(K, pinned)``.
 
     K and the dual conditions on the top and right edges are the same for
     every stage on one mesh; only R (:func:`transport_load`) depends on the
@@ -97,16 +95,10 @@ def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh,
     if not np.isclose(mesh.L, problem.L):
         raise InvalidArgumentError(
             f"mesh length {mesh.L} does not match problem length {problem.L}")
-    system = assemble_uniform(mesh, transport_local_matrix(mesh, problem.c), n_fields=1)
-    system.rhs = transport_load(problem, mesh, u0)
-
-    t_coords = mesh.t_coords()
-    x_coords = mesh.x_coords()
-    system.constrain(0, mesh.boundary_nodes(TOP),
-                     np.asarray(problem.lambda_top(x_coords), dtype=float))
-    system.constrain(0, mesh.boundary_nodes(RIGHT),
-                     np.asarray(problem.lambda_right(t_coords), dtype=float))
-    return system
+    matrix = assemble_uniform(mesh, transport_local_matrix(mesh, problem.c), n_fields=1)
+    pinned = pin((mesh.boundary_nodes(TOP), problem.lambda_top(mesh.x_coords())),
+                 (mesh.boundary_nodes(RIGHT), problem.lambda_right(mesh.t_coords())))
+    return matrix, pinned
 
 
 def dtp_transport(mesh: SpaceTimeMesh, lam: np.ndarray, c: float) -> np.ndarray:
@@ -117,38 +109,20 @@ def dtp_transport(mesh: SpaceTimeMesh, lam: np.ndarray, c: float) -> np.ndarray:
 
 
 def solve_transport_stage(problem: TransportProblem, mesh: SpaceTimeMesh,
-                          initial_u=None, pinned_nodal=None, dual=None):
+                          dual: FactoredSystem, u0: Callable, u0_nodal: np.ndarray):
     """Solve one stage; returns (lambda nodal, projected u nodal grid).
 
-    ``initial_u`` holds the nodal values of the previous stage's retained
-    top row; their piecewise-linear interpolant enters the weak initial term
-    and they are pinned at the bottom nodes of the projection.  Without it
-    the problem's initial datum ``u0`` enters the weak term and its nodal
-    values are pinned.  ``pinned_nodal`` overrides the pinned bottom values
-    (jump nodes carry the average value).  ``dual`` is the stage matrix of
-    ``assemble_transport(problem, mesh)`` as a :class:`FactoredSystem`; it
-    is built here when not given.
+    ``dual`` is the stage matrix of ``assemble_transport(problem, mesh)`` as
+    a :class:`FactoredSystem`.  The initial datum ``u0`` enters the weak
+    initial term, and its nodal values ``u0_nodal`` are pinned at the bottom
+    nodes of the projection.
     """
-    x = mesh.x_coords()
-    if initial_u is None:
-        u0_call = problem.u0
-        u0_nodal = np.asarray(problem.u0(x), dtype=float)
-    else:
-        u0_nodal = np.asarray(initial_u, dtype=float)
-        u0_call = lambda s: np.interp(s, x, u0_nodal)
-    if pinned_nodal is not None:
-        u0_nodal = np.asarray(pinned_nodal, dtype=float)
-
-    if dual is None:
-        dual = FactoredSystem(assemble_transport(problem, mesh))
-    lam = dual.solve(transport_load(problem, mesh, u0_call))
+    lam = dual.solve(transport_load(problem, mesh, u0))
     u_q = dtp_transport(mesh, lam, problem.c)
 
     # the inflow column takes the corner node (0, 0)
-    t = mesh.t_coords()
-    u_left = np.broadcast_to(np.asarray(problem.u_left(t), dtype=float), t.shape)
-    pinned = (np.concatenate([mesh.boundary_nodes(BOTTOM)[1:], mesh.boundary_nodes(LEFT)]),
-              np.concatenate([u0_nodal[1:], u_left]))
+    pinned = pin((mesh.boundary_nodes(BOTTOM)[1:], u0_nodal[1:]),
+                 (mesh.boundary_nodes(LEFT), problem.u_left(mesh.t_coords())))
     u = l2_project(mesh, u_q, pinned).reshape(mesh.nt + 1, mesh.nx + 1)
     return lam, u
 
@@ -190,31 +164,30 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     if keep_rows < 1:
         raise InvalidArgumentError("T_keep shorter than one element row")
 
-    u_init = initial_nodal_values(problem, mesh.x_coords(), jump_x, jump_avg)
+    x = mesh.x_coords()
+    u_init = initial_nodal_values(problem, x, jump_x, jump_avg)
     # the stage matrix and its dual conditions do not change between stages:
     # eliminate and factor once, then each stage only builds its load
-    dual = FactoredSystem(assemble_transport(stage_problem, mesh))
+    dual = FactoredSystem(*assemble_transport(stage_problem, mesh))
 
     rows_t = [np.array([0.0])]
     rows_u = [u_init[None, :nx + 1].copy()]
     lambdas = []
     t_offset = 0.0
+    # the first stage's weak term takes the exact (possibly discontinuous)
+    # datum and its projection pins the jump-averaged nodal values; each
+    # later stage starts from the interpolant of the last retained row
+    u0 = problem.u0
     for s in range(plan.n_stages):
         try:
-            if s == 0:
-                # exact (possibly discontinuous) datum enters the weak term;
-                # projection pins the jump-averaged nodal values
-                lam, u = solve_transport_stage(stage_problem, mesh, initial_u=None,
-                                               pinned_nodal=u_init, dual=dual)
-            else:
-                lam, u = solve_transport_stage(stage_problem, mesh, initial_u=u_init,
-                                               dual=dual)
+            lam, u = solve_transport_stage(stage_problem, mesh, dual, u0, u_init)
         except SolverError as exc:
             raise SolverError(f"stage {s + 1} failed: {exc}") from exc
         lambdas.append(lam)
         rows_t.append(t_offset + t_rows[1:keep_rows + 1])
         rows_u.append(u[1:keep_rows + 1, :nx + 1])
         u_init = u[keep_rows].copy()
+        u0 = partial(np.interp, xp=x, fp=u_init)
         t_offset += t_rows[keep_rows]
     return StitchedField(x=np.linspace(0.0, problem.L, nx + 1),
                          t=np.concatenate(rows_t),

@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from dualfem import cli
 from dualfem.cli import (EXIT_BRANCH, EXIT_CONFIG, EXIT_OK, ConfigError,
                          GridRows, _write_csv, main, make_initial, run_config)
 from dualfem.presets import PRESETS, get_preset, list_presets
@@ -113,6 +115,49 @@ def test_unsupported_branch_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_BRANCH
     assert "unsupported branch" in capsys.readouterr().err
+
+
+FAST_TRANSPORT = {
+    "problem": "transport", "c": 0.25, "L": 2.0, "T_total": 0.5,
+    "T_stage": 0.55, "T_keep": 0.5, "nx": 20, "nt": 11,
+    "initial": {"type": "step", "x_jump": 0.2, "lo": 2.0, "hi": 4.0},
+}
+FAST_EULER = {
+    "problem": "euler", "I": [1.0, 2.0, 3.0], "omega0": [1.0, 0.0, 3.0],
+    "T_total": 0.375, "T_stage": 0.5, "ne_per_stage": 10, "N_c": 2,
+}
+
+
+@pytest.mark.parametrize("base, override, named", [
+    (FAST_HEAT, {"k": -1}, "k=-1"),
+    (FAST_TRANSPORT, {"T_keep": 0.6, "T_stage": 0.5}, "T_keep"),
+    (FAST_HEAT, {"nx": 0}, "nx=0"),
+    (FAST_EULER, {"omega0": [1.0, 0.0]}, "omega0"),
+    (FAST_HEAT, {"right_mode": "foo"}, "'foo'"),
+    (FAST_HEAT, {"k": "abc"}, "'k'"),
+    (FAST_EULER, {"ne_per_stage": "x"}, "'ne_per_stage'"),
+], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
+        "unknown-right-mode", "text-k", "text-ne_per_stage"])
+def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
+    # out-of-range and non-numeric values are configuration errors, found
+    # before any solve, with a message instead of a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**base, **override}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
+def test_wall_time_includes_csv_output(tmp_path, monkeypatch):
+    write_csv = cli._write_csv
+
+    def slow_write_csv(*args):
+        time.sleep(0.05)
+        write_csv(*args)
+
+    monkeypatch.setattr(cli, "_write_csv", slow_write_csv)
+    summary = run_config(dict(FAST_HEAT), str(tmp_path / "o"))
+    assert summary["wall_time_s"] >= 0.05
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from conftest import gauss_points
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
 from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, BlockLinearSystem,
                          FactoredSystem, apply_dirichlet, assemble_uniform,
-                         boundary_load, factor, gradient_tables, q_dual_heat,
+                         boundary_load, factor, gradient_tables, pin, q_dual_heat,
                          q_dual_wave, solve_linear, solve_system)
 from dualfem.heat import heat_local_matrix
 from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
@@ -69,14 +71,17 @@ def test_element_dofs_field_major():
     one = build_space_time_mesh(1.0, 1.0, 1, 1)
     assert np.array_equal(one.elements[0], [0, 1, 3, 2])
     local = np.arange(64.0).reshape(8, 8) + 1.0     # every entry distinct
-    A = assemble_uniform(one, local, n_fields=2).matrix.toarray()
+    A = assemble_uniform(one, local, n_fields=2).toarray()
     dofs = [0, 1, 3, 2, 4, 5, 7, 6]
     assert np.array_equal(A[np.ix_(dofs, dofs)], local)
+    # on four elements in a row (10 nodes) the right edge, local corners 1
+    # and 2 of the last element, is nodes 4 and 9, dofs 4, 9, 14, 19
     m = build_space_time_mesh(1.0, 1.0, 4, 1)
-    system = assemble_uniform(m, np.eye(8), n_fields=2)
-    conn = m.elements[3]
-    dofs = [system.dof(f, n) for f in range(2) for n in conn]
-    assert np.array_equal(dofs, [3, 4, 9, 8, 13, 14, 19, 18])
+    assert np.array_equal(m.elements[3], [3, 4, 9, 8])
+    A = assemble_uniform(m, local, n_fields=2).toarray()
+    edge = [1, 2, 5, 6]
+    assert np.array_equal(A[np.ix_([4, 9, 14, 19], [4, 9, 14, 19])],
+                          local[np.ix_(edge, edge)])
 
 
 def element_loop(mesh, local_matrix, n_fields):
@@ -96,9 +101,9 @@ def mass_local(mesh):
 def test_assembled_mass_matrix_row_sums():
     # sum over all entries of the mass matrix equals the domain area
     m = build_space_time_mesh(2.0, 1.0, 5, 4)
-    system = assemble_uniform(m, mass_local(m), n_fields=1)
+    M = assemble_uniform(m, mass_local(m), n_fields=1)
     ones = np.ones(m.n_nodes)
-    assert ones @ (system.matrix @ ones) == pytest.approx(2.0, rel=1e-13)
+    assert ones @ (M @ ones) == pytest.approx(2.0, rel=1e-13)
 
 
 def test_assemble_uniform_matches_generic():
@@ -106,7 +111,7 @@ def test_assemble_uniform_matches_generic():
     # so the field-major dof layout is checked too)
     m = build_space_time_mesh(1.0, 1.0, 4, 3)
     for n_fields, local in ((1, mass_local(m)), (2, heat_local_matrix(m, 0.7))):
-        fast = assemble_uniform(m, local, n_fields).matrix.toarray()
+        fast = assemble_uniform(m, local, n_fields).toarray()
         ref = element_loop(m, local, n_fields)
         assert np.abs(fast - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -140,26 +145,38 @@ def test_boundary_load_linear_exact():
 
 
 def test_constrain_conflicts_rejected():
-    system = BlockLinearSystem(n_fields=1, n_nodes=4,
-                               matrix=sp.eye(4, format="csr"),
-                               rhs=np.zeros(4))
-    system.constrain(0, [1], [2.0])
-    system.constrain(0, [1], [2.0])      # identical re-prescription is fine
-    with pytest.raises(InvalidArgumentError):
-        system.constrain(0, [1], [3.0])
+    dofs, values = pin(([1], [2.0]), ([1, 3], [2.0, 5.0]))    # identical re-prescription is fine
+    assert np.array_equal(dofs, [1, 3]) and np.array_equal(values, [2.0, 5.0])
+    with pytest.raises(InvalidArgumentError, match="dof 7"):
+        pin(([0, 7], [2.0, 1.0]), ([7], [3.0]))
+
+
+def test_pin_sorts_and_keeps_the_last_value():
+    dofs, values = pin(([5, 1], 0.3), ([1], [0.1 + 0.2]), (np.arange(1), -1.0))
+    assert dofs.dtype == np.int64 and np.array_equal(dofs, [0, 1, 5])
+    assert values[1] == 0.1 + 0.2 and values[1] != 0.3    # bitwise, the last one
+    assert np.array_equal(values[[0, 2]], [-1.0, 0.3])
+
+
+def test_pin_of_nothing_leaves_every_dof_free():
+    dofs, values = pin()
+    assert dofs.shape == values.shape == (0,)
+    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    A_ff, lift, free, _ = apply_dirichlet(A, pin())
+    assert np.array_equal(A_ff.toarray(), A.toarray())
+    assert np.array_equal(lift, [0.0, 0.0]) and np.array_equal(free, [0, 1])
+    system = BlockLinearSystem(A, np.array([3.0, 5.0]), pin())
+    assert np.allclose(solve_system(system), [0.8, 1.4], atol=1e-14)
 
 
 def test_dirichlet_recovery_bitwise():
-    system = BlockLinearSystem(n_fields=1, n_nodes=3,
-                               matrix=sp.csr_matrix(np.array(
-                                   [[2.0, 1.0, 0.0],
-                                    [1.0, 3.0, 1.0],
-                                    [0.0, 1.0, 2.0]])),
-                               rhs=np.array([1.0, 2.0, 3.0]))
+    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                [1.0, 3.0, 1.0],
+                                [0.0, 1.0, 2.0]]))
     value = 0.1 + 0.2          # deliberately not exactly representable
-    system.constrain(0, [0], [value])
-    _, _, free, recover = apply_dirichlet(system)
+    _, lift, free, recover = apply_dirichlet(A, pin(([0], [value])))
     assert np.array_equal(free, [1, 2])
+    assert np.array_equal(lift, [-value, 0.0])
     full = recover(np.array([5.0, 6.0]))
     assert full[0] == value    # bitwise
     assert np.array_equal(full[1:], [5.0, 6.0])
@@ -167,15 +184,16 @@ def test_dirichlet_recovery_bitwise():
 
 def test_hand_solved_two_by_two():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x = solve_linear(A, np.array([3.0, 5.0]))
+    x = solve_linear(A, np.array([3.0, 5.0]), factor(A))
     assert np.allclose(x, [0.8, 1.4], atol=1e-14)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_solve_linear_rejects_singular():
+    # a factorization that breaks down gives non-finite values
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SolverError):
-        solve_linear(A, np.array([1.0, 0.0]))
+    breakdown = SimpleNamespace(solve=lambda b: b / np.zeros_like(b))
+    with pytest.raises(SolverError, match="singular"):
+        solve_linear(A, np.array([1.0, 0.0]), breakdown)
 
 
 def test_factor_of_singular_matrix_is_a_solver_error():
@@ -188,9 +206,9 @@ def test_solve_linear_rejects_factor_of_another_matrix():
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
     B = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 4.0]]))
     b = np.array([3.0, 5.0])
-    assert np.allclose(solve_linear(A, b, 1e-8, factor(A)), [0.8, 1.4], atol=1e-14)
+    assert np.allclose(solve_linear(A, b, factor(A)), [0.8, 1.4], atol=1e-14)
     with pytest.raises(SolverError, match="residual"):
-        solve_linear(A, b, 1e-8, factor(B))
+        solve_linear(A, b, factor(B))
 
 
 def test_factor_fills_less_than_default_ordering():
@@ -199,7 +217,7 @@ def test_factor_fills_less_than_default_ordering():
     problem = TransportProblem(c=0.25, L=2.0, T_total=1.0, u0=np.ones_like,
                                u_left=np.ones_like)
     mesh = build_space_time_mesh(2.0, 0.55, 100, 30)
-    A = FactoredSystem(assemble_transport(problem, mesh)).matrix
+    A = FactoredSystem(*assemble_transport(problem, mesh)).matrix
     lu, default = factor(A), splu(sp.csc_matrix(A))
     assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
 
@@ -212,7 +230,7 @@ def test_factor_pivots_on_a_tiny_diagonal(rng):
     np.fill_diagonal(S, 1e-10)
     A = sp.csr_matrix(S)
     b = rng.standard_normal(60)
-    x = solve_linear(A, b, 1e-12, factor(A))
+    x = solve_linear(A, b, factor(A))
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -221,9 +239,8 @@ def test_factored_system_solves_any_rhs(rng):
                                 [-1.0, 4.0, -1.0, 0.0],
                                 [0.0, -1.0, 4.0, -1.0],
                                 [0.0, 0.0, -1.0, 4.0]]))
-    system = BlockLinearSystem(n_fields=1, n_nodes=4, matrix=A, rhs=np.zeros(4))
-    system.constrain(0, [0, 3], [0.1 + 0.2, -2.0])
-    factored = FactoredSystem(system)
+    system = BlockLinearSystem(A, np.zeros(4), pin(([0, 3], [0.1 + 0.2, -2.0])))
+    factored = FactoredSystem(A, system.pinned)
     for _ in range(3):
         rhs = rng.standard_normal(4)
         system.rhs = rhs
@@ -238,9 +255,7 @@ def test_solve_system_with_constraints():
     A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0],
                                 [-1.0, 2.0, -1.0],
                                 [0.0, -1.0, 2.0]]))
-    system = BlockLinearSystem(n_fields=1, n_nodes=3, matrix=A, rhs=np.zeros(3))
-    system.constrain(0, [0, 2], [0.0, 1.0])
-    u = solve_system(system)
+    u = solve_system(BlockLinearSystem(A, np.zeros(3), pin(([0, 2], [0.0, 1.0]))))
     assert np.allclose(u, [0.0, 0.5, 1.0], atol=1e-14)
 
 

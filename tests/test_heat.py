@@ -122,16 +122,35 @@ def test_constraint_layout_per_mode():
     n = m.n_nodes
     sysD = hm.assemble_heat(steady_problem(), m)
     # Dirichlet-theta mode constrains l on left, top, right; p is free
-    constrained = set(sysD.constrained)
+    constrained = set(sysD.pinned[0].tolist())
     for node in m.boundary_nodes(RIGHT):
         assert n + node in constrained
         assert node not in constrained
     sysN = hm.assemble_heat(transient_problem(), m)
-    constrained = set(sysN.constrained)
+    constrained = set(sysN.pinned[0].tolist())
     for node in m.boundary_nodes(RIGHT):
         assert node in constrained           # p pinned in neumann_pi mode
         if node not in m.boundary_nodes(TOP):
             assert n + node not in constrained
+
+
+@pytest.mark.parametrize("make_problem", [steady_problem, transient_problem])
+def test_heat_pins_each_corner_once(make_problem):
+    # the top corners lie on two pinned edges each, but are pinned once
+    m = build_space_time_mesh(1.0, 1.1, 3, 3)
+    n = m.n_nodes
+    problem = make_problem()
+    dofs, values = hm.assemble_heat(problem, m).pinned
+    assert np.all(np.diff(dofs) > 0)              # sorted, no dof twice
+    top = m.boundary_nodes(TOP)
+    neumann = problem.right_mode == hm.NEUMANN_PI
+    # l at both top corners, and p at the top-right one in neumann_pi mode
+    corners = [n + top[0], n + top[-1]] + ([top[-1]] if neumann else [])
+    for d in corners:
+        assert np.count_nonzero(dofs == d) == 1
+    # two columns and a row, less the corners they share
+    shared = 1 if neumann else 2
+    assert dofs.size == values.size == 2 * (m.nt + 1) + (m.nx + 1) - shared
 
 
 def test_mesh_extent_mismatch_rejected():

@@ -6,13 +6,13 @@ import pytest
 from conftest import gauss_legendre_integrate_2d
 from dualfem import fem, transport
 from dualfem.errors import InvalidArgumentError
-from dualfem.fem import gradient_tables
+from dualfem.fem import FactoredSystem, gradient_tables
 from dualfem.mesh import BOTTOM, LEFT, RIGHT, TOP, build_space_time_mesh
 from dualfem.oracles import transport_exact
 from dualfem.transport import (StagePlan, TransportProblem, assemble_transport,
                                dtp_transport, initial_nodal_values,
                                run_time_sliced, solve_transport_stage,
-                               track_jump, transport_local_matrix)
+                               track_jump, transport_load, transport_local_matrix)
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=float))
 const = lambda v: (lambda s: np.full_like(np.asarray(s, dtype=float), v))
@@ -23,6 +23,12 @@ def step_problem(c=0.25, L=2.0, T_total=1.0):
         c=c, L=L, T_total=T_total,
         u0=lambda x: np.where(np.asarray(x, dtype=float) < 0.2, 2.0, 4.0),
         u_left=const(2.0))
+
+
+def solve_single_stage(prob, m):
+    """One stage from the problem's own initial datum, pinned at its nodal values."""
+    dual = FactoredSystem(*assemble_transport(prob, m))
+    return solve_transport_stage(prob, m, dual, prob.u0, prob.u0(m.x_coords()))
 
 
 def bilinear_interp(coords, nodal):
@@ -73,8 +79,7 @@ def test_local_matrix_against_independent_integration():
 def test_zero_data_gives_zero_rhs():
     prob = TransportProblem(c=1.0, L=1.0, T_total=0.5, u0=ZERO, u_left=ZERO)
     m = build_space_time_mesh(1.0, 0.5, 4, 4)
-    system = assemble_transport(prob, m)
-    assert np.all(system.rhs == 0.0)
+    assert np.all(transport_load(prob, m, prob.u0) == 0.0)
 
 
 def test_inflow_load_carries_wave_speed():
@@ -85,8 +90,8 @@ def test_inflow_load_carries_wave_speed():
     for c in (0.5, 1.0):
         prob = TransportProblem(c=c, L=1.0, T_total=1.0, u0=ZERO,
                                 u_left=const(3.0))
-        system = assemble_transport(prob, m)
-        loads.append(system.rhs[m.boundary_nodes(LEFT)].copy())
+        rhs = transport_load(prob, m, prob.u0)
+        loads.append(rhs[m.boundary_nodes(LEFT)])
     assert np.allclose(loads[1], 2.0 * loads[0])
     # interior hat along the inflow: c * u_l * ht = 1.0 * 3.0 * 0.25
     assert loads[1][2] == pytest.approx(0.75, rel=1e-13)
@@ -113,7 +118,7 @@ def test_inflow_value_enforced_on_recovered_field():
     prob = TransportProblem(c=0.25, L=1.0, T_total=0.4,
                             u0=const(2.0), u_left=lambda t: 2.0 + 0.0 * t)
     m = build_space_time_mesh(1.0, 0.4, 20, 8)
-    _, u = solve_transport_stage(prob, m)
+    _, u = solve_single_stage(prob, m)
     assert np.array_equal(u[:, 0], np.full(m.nt + 1, 2.0))
     assert np.array_equal(u[0], np.full(m.nx + 1, 2.0))
 
@@ -125,7 +130,7 @@ def test_constant_state_transported():
     prob = TransportProblem(c=0.25, L=2.0, T_total=0.5,
                             u0=const(2.0), u_left=const(2.0))
     m = build_space_time_mesh(2.0, 0.55, 80, 22)
-    _, u = solve_transport_stage(prob, m)
+    _, u = solve_single_stage(prob, m)
     x = m.x_coords()
     interior = x < 1.7
     assert np.abs(u[:, interior] - 2.0).max() < 1e-3
@@ -162,7 +167,7 @@ def test_recovered_field_is_projection_of_exact_solution():
                             u0=lambda x: u_exact(np.asarray(x, dtype=float), 0.0),
                             u_left=lambda t: u_exact(0.0, np.asarray(t, dtype=float)))
     m = build_space_time_mesh(L, T, 10, 6)
-    lam, _ = solve_transport_stage(prob, m)
+    lam, _ = solve_single_stage(prob, m)
     u_q = dtp_transport(m, lam, c)
 
     # integral u_q D N_A: the integrand is exact under the 2x2 Gauss rule
@@ -328,14 +333,15 @@ def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
     stage_prob = replace(prob, L=prob.L + pad * h)
     mesh = build_space_time_mesh(stage_prob.L, plan.T_stage, nx + pad, nt)
     keep = 4                                  # rows with t <= T_keep
-    u_init = initial_nodal_values(prob, mesh.x_coords(), 0.2, 3.0)
+    x = mesh.x_coords()
+    u_init = initial_nodal_values(prob, x, 0.2, 3.0)
+    u0 = prob.u0
     rows = [u_init[None, :nx + 1]]
     for s in range(plan.n_stages):
-        if s == 0:
-            lam, u = solve_transport_stage(stage_prob, mesh, pinned_nodal=u_init)
-        else:
-            lam, u = solve_transport_stage(stage_prob, mesh, initial_u=u_init)
+        dual = FactoredSystem(*assemble_transport(stage_prob, mesh))
+        lam, u = solve_transport_stage(stage_prob, mesh, dual, u0, u_init)
         assert np.abs(lam - field.lambda_stages[s]).max() <= 1e-10 * np.abs(lam).max()
         rows.append(u[1:keep + 1, :nx + 1])
         u_init = u[keep].copy()
+        u0 = lambda s, u_prev=u_init: np.interp(s, x, u_prev)
     assert np.abs(np.vstack(rows) - field.u).max() <= 1e-11 * np.abs(field.u).max()
