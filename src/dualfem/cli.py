@@ -51,16 +51,25 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _whole(value) -> int:
+    """``value`` as an int; a fractional part is a ValueError, not truncated."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} has a fractional part")
+    return int(number)
+
+
 def _number(cfg: dict, key: str, default=None, kind=float):
     """``kind`` of ``cfg[key]``, or of ``default`` if the key is absent or null
-    (without one the key is required); a ConfigError names a bad value."""
+    (without one the key is required); a ConfigError names a bad value.
+    ``int`` means :func:`_whole`: a count with a fractional part is an error."""
     value = default if cfg.get(key) is None else cfg[key]
     if value is None:
         raise ConfigError(f"config field {key!r} is missing")
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {key!r} is not numeric: {value!r}") from None
+        return (_whole if kind is int else kind)(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {key!r} is not valid: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +306,7 @@ def _euler_reference(cfg: dict, config: euler_mod.EulerConfig, t: np.ndarray):
 
 def run_euler_cfg(cfg: dict):
     config = _euler_config(cfg)
+    refinements = _number(cfg, "refinements", [], kind=lambda v: [_whole(n) for n in v])
     run = euler_mod.run_euler(config)
     E = euler_mod.kinetic_energy(config.I, run.omega)
     L = euler_mod.momentum_magnitude(config.I, run.omega)
@@ -316,7 +326,7 @@ def run_euler_cfg(cfg: dict):
 
     if "refinements" in cfg:
         errs = []
-        for ne in _number(cfg, "refinements", kind=lambda v: [int(n) for n in v]):
+        for ne in refinements:
             sub = euler_mod.run_euler(_euler_config(cfg, ne=ne))
             sub_ref = _euler_reference(cfg, config, sub.t)
             errs.append(float(metrics.err_omega(sub.omega, sub_ref).max()))

@@ -37,6 +37,8 @@ class EulerConfig:
     tol: float = 1e-10
     max_iter: int = 50
     lambda_T: Sequence[float] = (0.0, 0.0, 0.0)
+    # inertia differences c_i = I_{i+2} - I_{i+1}, indices mod 3
+    c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.I = np.asarray(self.I, dtype=float)
@@ -53,12 +55,7 @@ class EulerConfig:
         if not 0 <= self.N_c < self.ne_per_stage:
             raise InvalidArgumentError(
                 f"need 0 <= N_c < ne_per_stage, got {self.N_c}, {self.ne_per_stage}")
-
-    @property
-    def c(self) -> np.ndarray:
-        """Inertia differences c_i = I_{i+2} - I_{i+1}, indices mod 3."""
-        I = self.I
-        return np.array([I[(i + 2) % 3] - I[(i + 1) % 3] for i in range(3)])
+        self.c = np.roll(self.I, 1) - np.roll(self.I, 2)
 
 
 @dataclass
@@ -70,136 +67,141 @@ class StageResult:
     increments: list = field(default_factory=list)
 
 
-# 2-point Gauss rate table on the reference element, [q, a], per unit
-# element length (divided by h)
-_NDOT = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 # flat [i, k] positions of the six distinct adjugate entries
 # (d0, d1, d2, K01, K02, K12), and of the component 3 - i - k for i != k
-_SYM = [0, 3, 4, 3, 1, 5, 4, 5, 2]
-_OTHER = [0, 2, 1, 2, 0, 0, 1, 0, 0]
+_SYM = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
+_OTHER = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
 _OFFDIAG = 1.0 - np.eye(3)
+# diagonal offsets of the node-major Jacobian band, in LAPACK band row order;
+# element entry [a, b, i, j] lies in column 3 (e + b) + j, band row 5 + row - column
+_OFFSETS = np.arange(5, -6, -1)
+_A, _B, _I, _J = np.ix_(range(2), range(2), range(3), range(3))
+_ELEM_COL, _ELEM_BAND = (3 * _B + _J)[..., None], (5 + 3 * (_A - _B) + _I - _J)[..., None]
 
 
 def _inv3(lam: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
-    """Closed-form inverse of the batched DtP matrices K(lambda), lam (..., 3).
+    """Closed-form inverse of the batched DtP matrices K(lambda).
 
+    lam has shape (3, m); returns (3, 3, m) indexed [i, k, point].
     K = [[a, p, q], [p, a, r], [q, r, a]] with p = c2 lam2, q = c1 lam1,
-    r = c0 lam0; det K = a^3 + 2pqr - a(p^2 + q^2 + r^2).
+    r = c0 lam0; det K is expanded along row 0.
     """
-    x = lam[..., ::-1] * c[::-1]                                # (p, q, r)
-    det = a * (a * a - np.sum(x * x, axis=-1)) + 2 * np.prod(x, axis=-1)
+    x = lam[::-1] * c[::-1, None]                               # (p, q, r)
+    adj = np.concatenate([a * a - x[::-1] ** 2,                  # a^2 - (r^2, q^2, p^2)
+                          x[[1, 0, 0]] * x[[2, 2, 1]] - a * x])  # K01, K02, K12
+    det = a * adj[0] + x[0] * adj[3] + x[1] * adj[4]
     bad = np.abs(det) < 1e-12 * a ** 3
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise SingularDtPError(
-            f"DtP matrix singular at quadrature point {idx}, det={det.flat[idx]:.3e}")
-    adj = np.concatenate([a * a - x[..., ::-1] ** 2,              # a^2 - (r^2, q^2, p^2)
-                          x[..., [1, 0, 0]] * x[..., [2, 2, 1]] - a * x], axis=-1)
-    return adj[..., _SYM].reshape(lam.shape + (3,)) / det[..., None, None]
+    if bad.any():
+        raise SingularDtPError(f"DtP matrix singular at quadrature point "
+                               f"{np.argmax(bad)}, det={det[bad][0]:.3e}")
+    return (adj / det)[_SYM].reshape((3, 3) + lam.shape[1:])
 
 
 def dtp_euler(lam, lamdot, base, config: EulerConfig):
     """DtP map and its derivatives at one or many quadrature points.
 
-    All arguments broadcast with trailing axis 3.  Returns
-    (omega, domega_dlam, domega_dlamdot) where the derivative arrays have
-    shape (..., 3, 3) indexed [i, k] = d omega_i / d lambda_k.
+    lam and lamdot have shape (3, ...), base (3,) or (3, ...).  Returns
+    (omega, domega_dlam, domega_dlamdot), omega shaped like lam and the
+    derivatives (3, 3, ...) indexed [i, k] = d omega_i / d lambda_k.
     """
     lam = np.asarray(lam, dtype=float)
-    I, c, nu = config.I, config.c, config.nu
+    shape = lam.shape
+    lam, lamdot, base = (np.reshape(v, (3, -1)) for v in (lam, lamdot, base))
+    I, c, nu = config.I[:, None], config.c, config.nu
 
     Kinv = _inv3(lam, c, config.a)
-    w = (Kinv @ (I * lamdot - nu * I * lam)[..., None])[..., 0]     # omega - base
-    omega = base + w
+    w = np.einsum("ikm,km->im", Kinv, I * (lamdot - nu * lam))   # omega - base
 
     # d omega / d lambda_k = Kinv f_k, f[i, k] = -nu I_k delta_ik - c_k w_{3-i-k}:
     # the dK/dlambda_k cross terms acting on (omega - base)
-    f = -(w[..., _OTHER].reshape(w.shape + (3,)) * (c * _OFFDIAG) + np.diag(nu * I))
-    return omega, Kinv @ f, Kinv * I
+    dwld = Kinv * I
+    dwl = -np.einsum("ijm,jkm->ikm", Kinv, w[_OTHER].reshape(3, 3, -1)
+                     * (c * _OFFDIAG)[..., None]) - nu * dwld
+    return tuple(v.reshape(v.shape[:-1] + shape[1:]) for v in (base + w, dwl, dwld))
 
 
 def _dtp_at_gauss(mesh: TimeMesh, lam: np.ndarray, base, config: EulerConfig):
     """:func:`dtp_euler` at the two Gauss points of each element.
 
     Returns (omega, domega_dlam, domega_dlamdot, Ndot) with omega of shape
-    (ne, 2 q, 3) and the rate table Ndot of shape (2 q, 2 a).
+    (3, 2 q, ne) and the rate table Ndot of shape (2 q, 2 a).
     """
-    Ndot = _NDOT / mesh.h
-    lam_e = np.stack([lam[:, :-1].T, lam[:, 1:].T], axis=1)       # (ne, 2a, 3)
+    Ndot = np.array([[-1.0, 1.0], [-1.0, 1.0]]) / mesh.h          # [q, a]
+    lam_e = np.stack([lam[:, :-1], lam[:, 1:]], axis=1)          # (3, 2a, ne)
     return dtp_euler(_N @ lam_e, Ndot @ lam_e, base, config) + (Ndot,)
 
 
 def residual(lam: np.ndarray, config: EulerConfig, mesh: TimeMesh,
              base: np.ndarray, omega0: np.ndarray) -> np.ndarray:
     """Discrete weak-form residual, shape (3, n_nodes), all dofs included."""
-    I, c, nu = config.I, config.c, config.nu
+    I, c, nu = config.I[:, None, None], config.c[:, None, None], config.nu
     omega, _, _, Ndot = _dtp_at_gauss(mesh, lam, base, config)
 
     # integrands against Ndot and N; Gauss weights are 1
-    dot = -I * omega
-    val = c * omega[..., [1, 2, 0]] * omega[..., [2, 0, 1]] + nu * I * omega
-    contrib = 0.5 * mesh.h * (Ndot.T @ dot + _N.T @ val)          # (ne, 2a, 3)
-    R = np.zeros((mesh.n_nodes, 3))
-    R[:-1] += contrib[:, 0]
-    R[1:] += contrib[:, 1]
-    R[0] -= I * omega0
-    return R.T
+    val = c * omega[[1, 2, 0]] * omega[[2, 0, 1]] + nu * I * omega
+    contrib = 0.5 * mesh.h * (Ndot.T @ (-I * omega) + _N.T @ val)   # (3, 2a, ne)
+    R = np.zeros((3, mesh.n_nodes))
+    R[:, :-1] += contrib[:, 0]
+    R[:, 1:] += contrib[:, 1]
+    R[:, 0] -= config.I * omega0
+    return R
 
 
 def jacobian(lam: np.ndarray, config: EulerConfig, mesh: TimeMesh,
-             base: np.ndarray) -> sparse.csr_matrix:
-    """Discrete Jacobian over all dofs, sparse of shape (3*n_nodes, 3*n_nodes).
+             base: np.ndarray) -> sparse.dia_matrix:
+    """Discrete Jacobian over all dofs, a (3*n_nodes, 3*n_nodes) DIA matrix.
 
-    Dof ordering matches the residual flattened as i * n_nodes + A.
+    Dofs are node-major, 3 A + i, the order of ``R.T.ravel()``.  Its data is
+    the block-tridiagonal band, offsets 5 .. -5, in LAPACK band storage.
     """
-    I, c, nu = config.I, config.c, config.nu
-    n, ne = mesh.n_nodes, mesh.ne
+    I, c, nu, n, ne = config.I, config.c, config.nu, mesh.n_nodes, mesh.ne
     omega, dwl, dwld, Ndot = _dtp_at_gauss(mesh, lam, base, config)
 
-    # test side [e, i, A, q, m]: how d omega_m at Gauss point q enters
-    # equation i at node A, directly (m = i) and through the product
-    # c_i omega_{i+1} omega_{i+2}
-    cross = omega[..., _OTHER].reshape(omega.shape + (3,)) * (c[:, None] * _OFFDIAG)
-    test = (np.diag(I)[:, None, None, :] * (nu * _N - Ndot).T[:, :, None]
-            + cross.transpose(0, 2, 1, 3)[:, :, None] * _N.T[:, :, None])
-    # trial side [e, q, m, j, B]: d omega_m / d lambda_jB at Gauss point q
-    trial = (dwl[..., None] * _N[:, None, None, :]
-             + dwld[..., None] * Ndot[:, None, None, :])
-    ke = 0.5 * mesh.h * (test.reshape(ne, 6, 6) @ trial.reshape(ne, 6, 6))   # [e, iA, jB]
+    # d val_i / d omega_m = nu I_i delta_im + c_i omega_{3-i-m} (i != m) and
+    # d dot_i / d omega_m = -I_i delta_im, each applied to the trial
+    # derivatives d omega_m / d(lambda_j, lambdadot_j): M[s, t, q, i, j, e]
+    dval = (omega[_OTHER].reshape(3, 3, 2, ne) * (c[:, None] * _OFFDIAG)[..., None, None]
+            + np.diag(nu * I)[..., None, None])
+    trial = np.stack([dwl, dwld])                                 # [t, m, j, q, e]
+    M = np.stack([np.einsum("imqe,tmjqe->tqije", dval, trial),
+                  -I[:, None, None] * trial.transpose(0, 3, 1, 2, 4)])
+    # shape-function weights [a, b, s, t, q]: N for (val, lambda), Ndot for
+    # (dot, lambdadot)
+    phi = np.stack([_N, Ndot])                                    # [s, q, a]
+    W = np.einsum("sqa,tqb->abstq", phi, phi).reshape(4, 8)
+    ke = 0.5 * mesh.h * (W @ M.reshape(8, -1))                    # [a b, i j e]
 
-    node = np.arange(ne)[:, None, None] + np.arange(2)            # [e, ., A]
-    dof = (np.arange(3)[:, None] * n + node).reshape(ne, 6)       # [e, iA]
-    rows = np.repeat(dof, 6, axis=1).ravel()
-    cols = np.tile(dof, 6).ravel()
-    return sparse.csr_matrix((ke.ravel(), (rows, cols)), shape=(3 * n, 3 * n))
+    band = _ELEM_BAND * (3 * n) + _ELEM_COL + 3 * np.arange(ne)     # [a, b, i, j, e]
+    ab = np.bincount(band.ravel(), ke.ravel(), minlength=11 * 3 * n)
+    return sparse.dia_matrix((ab.reshape(11, 3 * n), _OFFSETS), shape=(3 * n, 3 * n))
 
 
-def _newton_step(J: sparse.csr_matrix, R: np.ndarray) -> np.ndarray:
+def _newton_step(J, R: np.ndarray) -> np.ndarray:
     """Newton step of shape (3, n_nodes), zero at lambda(T), checked against J.
 
-    In node-major order 3 A + i the free block of J is block-tridiagonal
-    with five sub- and five super-diagonals: one banded LU solve.
+    J is node-major (dof 3 A + i).  Its first m = 3 (n - 1) rows and columns,
+    the free block, are block-tridiagonal with five sub- and super-diagonals:
+    one banded LU solve of the first m band columns.  Band entries of the
+    lambda(T) rows fall below that m x m matrix, where LAPACK never reads.
     """
     n = R.shape[1]
     m = 3 * (n - 1)
-    node_major = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()   # i * n + A -> 3 A + i
-    r = np.repeat(node_major, np.diff(J.indptr))
-    col = node_major[J.indices]
-    keep = (r < m) & (col < m)
+    D = J.todia()
+    inside = np.abs(D.offsets) <= 5
     ab = np.zeros((11, m))
-    ab[5 + r[keep] - col[keep], col[keep]] = J.data[keep]
+    ab[5 - D.offsets[inside], :D.data.shape[1]] = D.data[inside, :m]
+    rhs = R.T.ravel()
     try:
-        step = solve_banded((5, 5), ab, -R.T[:-1].ravel(), check_finite=False)
+        step = solve_banded((5, 5), ab, -rhs[:m], check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Newton matrix is singular: {exc}") from exc
-    dlam = np.zeros((3, n))
-    dlam[:, :-1] = step.reshape(n - 1, 3).T
-    lin_res = np.linalg.norm((J @ dlam.ravel()).reshape(3, n)[:, :-1] + R[:, :-1])
-    bound = 1e-8 * np.linalg.norm(R[:, :-1])
+    dlam = np.concatenate([step, np.zeros(3)])
+    lin_res = np.linalg.norm((J @ dlam)[:m] + rhs[:m])
+    bound = 1e-8 * np.linalg.norm(rhs[:m])
     if not lin_res <= bound:                    # a non-finite step fails too
         raise SolverError(
             f"Newton step residual {lin_res:.3e} exceeds 1e-8 |R| = {bound:.3e}")
-    return dlam
+    return dlam.reshape(n, 3).T
 
 
 def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
@@ -207,11 +209,10 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
     """Solve one stage: Newton on the dual fields, DtP, projection, discard."""
     if mesh is None:
         mesh = build_time_mesh(config.T_stage, config.ne_per_stage)
-    n = mesh.n_nodes
     omega0_stage = np.asarray(omega0_stage, dtype=float)
     base = omega0_stage                         # piecewise-constant base state
 
-    lam = np.zeros((3, n))
+    lam = np.zeros((3, mesh.n_nodes))
     lam[:, -1] = config.lambda_T
 
     increments = []
@@ -220,7 +221,7 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
         R = residual(lam, config, mesh, base, omega0_stage)
         dlam = _newton_step(jacobian(lam, config, mesh, base), R)
         lam = lam + dlam
-        d = float(np.max(np.abs(dlam)))
+        d = float(np.abs(dlam).max())
         increments.append(d)
         if d < config.tol:
             break
@@ -235,8 +236,7 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
         raise NonconvergenceError(
             f"Newton did not converge in {config.max_iter} iterations", increments)
 
-    omega_g = _dtp_at_gauss(mesh, lam, base, config)[0]           # (ne, 2q, 3)
-    samples = np.moveaxis(omega_g, -1, 0)                        # (3, ne, 2q)
+    samples = _dtp_at_gauss(mesh, lam, base, config)[0].transpose(0, 2, 1)   # (3, ne, 2q)
     omega_nodes = l2_project_time(mesh, samples,
                                   pinned=([0], omega0_stage[:, None]))
     n_keep = mesh.ne - config.N_c

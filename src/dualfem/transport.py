@@ -179,8 +179,10 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     # later stage starts from the interpolant of the last retained row
     u0 = problem.u0
     for s in range(plan.n_stages):
+        # the inflow datum is read at global time: stage time t is t_offset + t
+        stage = replace(stage_problem, u_left=lambda t, t0=t_offset: problem.u_left(t0 + t))
         try:
-            lam, u = solve_transport_stage(stage_problem, mesh, dual, u0, u_init)
+            lam, u = solve_transport_stage(stage, mesh, dual, u0, u_init)
         except SolverError as exc:
             raise SolverError(f"stage {s + 1} failed: {exc}") from exc
         lambdas.append(lam)

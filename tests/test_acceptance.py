@@ -257,10 +257,12 @@ def test_criterion_8_jacobian_finite_difference():
     mesh = build_time_mesh(cfg.T_stage, cfg.ne_per_stage)
     n = mesh.n_nodes
     base = np.asarray(cfg.omega0)
+    # J is node-major (3 A + i); p reads it in the residual's order i n + A
+    p = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()
     worst = 0.0
     for _ in range(20):
         lam = rng.standard_normal((3, n)) * 0.05
-        J = jacobian(lam, cfg, mesh, base).toarray()
+        J = jacobian(lam, cfg, mesh, base).toarray()[np.ix_(p, p)]
         scale = max(1.0, np.abs(J).max())
         eps = 1e-7
         for dof in rng.choice(3 * n, size=4, replace=False):

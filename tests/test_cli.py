@@ -136,8 +136,12 @@ FAST_EULER = {
     (FAST_HEAT, {"right_mode": "foo"}, "'foo'"),
     (FAST_HEAT, {"k": "abc"}, "'k'"),
     (FAST_EULER, {"ne_per_stage": "x"}, "'ne_per_stage'"),
+    (FAST_HEAT, {"nx": 10.7}, "'nx'"),
+    (FAST_EULER, {"N_c": 2.5}, "'N_c'"),
+    (FAST_EULER, {"refinements": [10, 20.5]}, "'refinements'"),
 ], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
-        "unknown-right-mode", "text-k", "text-ne_per_stage"])
+        "unknown-right-mode", "text-k", "text-ne_per_stage", "fractional-nx",
+        "fractional-N_c", "fractional-refinement"])
 def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
     # out-of-range and non-numeric values are configuration errors, found
     # before any solve, with a message instead of a traceback
@@ -146,6 +150,11 @@ def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+def test_integral_float_counts_are_accepted():
+    assert cli._number({"nx": 10.0}, "nx", kind=int) == 10
+    assert cli._number({"nx": "12"}, "nx", kind=int) == 12
 
 
 def test_wall_time_includes_csv_output(tmp_path, monkeypatch):

@@ -105,7 +105,7 @@ def test_closed_form_inverse_matches_lapack(rng):
     K[:, 0, 2] = K[:, 2, 0] = c[1] * lam[:, 1]
     K[:, 1, 2] = K[:, 2, 1] = c[0] * lam[:, 0]
     ref = np.linalg.inv(K)
-    err = np.abs(euler._inv3(lam, c, a) - ref).max(axis=(1, 2))
+    err = np.abs(euler._inv3(lam.T, c, a).transpose(2, 0, 1) - ref).max(axis=(1, 2))
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
 
 
@@ -132,7 +132,9 @@ def test_jacobian_matches_finite_difference_residual(rng):
     n = mesh.n_nodes
     base = np.asarray(cfg.omega0)
     lam = rng.standard_normal((3, n)) * 0.05
-    J = jacobian(lam, cfg, mesh, base).toarray()
+    # J is node-major (3 A + i); p reads it in the residual's order i n + A
+    p = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()
+    J = jacobian(lam, cfg, mesh, base).toarray()[np.ix_(p, p)]
     eps = 1e-7
     for dof in range(3 * n):
         d = np.zeros(3 * n)
@@ -151,11 +153,55 @@ def test_banded_newton_step_matches_dense_solve(rng):
     base = np.asarray(cfg.omega0)
     R = residual(lam, cfg, mesh, base, base)
     J = jacobian(lam, cfg, mesh, base)
+    p = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()
     free = np.concatenate([i * n + np.arange(n - 1) for i in range(3)])
-    dense = np.linalg.solve(J.toarray()[np.ix_(free, free)], -R.ravel()[free])
+    dense = np.linalg.solve(J.toarray()[np.ix_(p, p)][np.ix_(free, free)],
+                            -R.ravel()[free])
     step = euler._newton_step(J, R)
     assert np.all(step[:, -1] == 0.0)
     assert np.abs(step.ravel()[free] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_newton_step_ignores_the_final_node_band(rng):
+    # the lambda(T) rows and columns of the band never reach the banded LU:
+    # filling them with 1e6 leaves the step equal to a dense free-block solve
+    cfg = EulerConfig(I=(1.0, 2.0, 5.0), omega0=(0.3, 1.0, 0.2), nu=0.2,
+                      T_stage=0.3, ne_per_stage=20, N_c=5)
+    mesh = build_time_mesh(cfg.T_stage, cfg.ne_per_stage)
+    n = mesh.n_nodes
+    m = 3 * (n - 1)
+    lam = rng.standard_normal((3, n)) * 0.05
+    base = np.asarray(cfg.omega0)
+    R = residual(lam, cfg, mesh, base, base)
+    J = jacobian(lam, cfg, mesh, base)
+    dense = np.linalg.solve(J.toarray()[:m, :m], -R.T.ravel()[:m])
+    col = np.arange(3 * n)
+    J.data[(col >= m) | (col - J.offsets[:, None] >= m)] = 1e6
+    assert np.abs(J.toarray()[m:]).max() == 1e6 and np.abs(J.toarray()[:, m:]).max() == 1e6
+    step = euler._newton_step(J, R)
+    assert np.all(step[:, -1] == 0.0)
+    assert np.abs(step.T.ravel()[:m] - dense).max() <= 1e-12 * np.abs(dense).max()
+    # any sparse format reaches the same band
+    assert np.array_equal(euler._newton_step(J.tocsr(), R), step)
+
+
+def test_newton_stage_builds_one_residual_and_jacobian_per_iteration(monkeypatch):
+    calls = {"residual": 0, "jacobian": 0}
+
+    def counted(name):
+        real = getattr(euler, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(euler, name, counted(name))
+    cfg = free_config(ne_per_stage=20, N_c=5)
+    res = newton_stage(cfg, cfg.omega0)
+    assert res.newton_iters > 1
+    assert calls == {"residual": res.newton_iters, "jacobian": res.newton_iters}
 
 
 def test_singular_newton_matrix_is_a_solver_error(monkeypatch):

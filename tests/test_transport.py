@@ -151,6 +151,17 @@ def test_time_sliced_discards_outflow_layer(nx, nt):
     assert np.abs(field.u - 2.0).max() < 0.02
 
 
+def test_time_sliced_inflow_reads_global_time():
+    # a time-dependent inflow must be evaluated at t_offset + t in every
+    # stage, not at the stage-local time
+    prob = TransportProblem(c=0.25, L=1.0, T_total=1.5,
+                            u0=const(2.0), u_left=lambda t: 2.0 + np.asarray(t))
+    plan = StagePlan.cover(T_stage=0.55, T_keep=0.5, T_total=1.5)
+    field = run_time_sliced(prob, plan, nx=40, nt=22)
+    assert plan.n_stages == 3 and field.t[-1] == pytest.approx(1.5)
+    assert np.abs(field.u[:, 0] - (2.0 + field.t)).max() <= 1e-12
+
+
 # corner signs (xi, eta) of the counter-clockwise local nodes
 CORNERS = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]])
 
