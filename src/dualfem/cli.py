@@ -62,10 +62,13 @@ def _whole(value) -> int:
 def _number(cfg: dict, key: str, default=None, kind=float):
     """``kind`` of ``cfg[key]``, or of ``default`` if the key is absent or null
     (without one the key is required); a ConfigError names a bad value.
-    ``int`` means :func:`_whole`: a count with a fractional part is an error."""
+    ``int`` means :func:`_whole`: a count with a fractional part is an error.
+    A boolean, alone or in a list, is not a number (``float(True)`` is 1.0)."""
     value = default if cfg.get(key) is None else cfg[key]
     if value is None:
         raise ConfigError(f"config field {key!r} is missing")
+    if any(isinstance(v, bool) for v in (value if isinstance(value, (list, tuple)) else [value])):
+        raise ConfigError(f"config field {key!r} is not valid: {value!r} is a boolean")
     try:
         return (_whole if kind is int else kind)(value)
     except (TypeError, ValueError) as exc:
@@ -324,13 +327,13 @@ def run_euler_cfg(cfg: dict):
         L_exact = L[0] * np.exp(-config.nu * run.t)
         summary["momentum_decay_err_rel"] = float(np.max(np.abs(L - L_exact) / L_exact))
 
-    if "refinements" in cfg:
+    if refinements:
         errs = []
         for ne in refinements:
             sub = euler_mod.run_euler(_euler_config(cfg, ne=ne))
             sub_ref = _euler_reference(cfg, config, sub.t)
             errs.append(float(metrics.err_omega(sub.omega, sub_ref).max()))
-        summary["refinement_ne"] = list(cfg["refinements"])
+        summary["refinement_ne"] = refinements
         summary["refinement_max_err"] = errs
         summary["refinement_ratios"] = [errs[i] / errs[i + 1]
                                         for i in range(len(errs) - 1)]

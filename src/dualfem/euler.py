@@ -10,12 +10,13 @@ elements of every stage are discarded before chaining.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from scipy import sparse
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import (DualFemError, InvalidArgumentError, NonconvergenceError,
                      SingularDtPError, SolverError)
@@ -120,22 +121,43 @@ def dtp_euler(lam, lamdot, base, config: EulerConfig):
     return tuple(v.reshape(v.shape[:-1] + shape[1:]) for v in (base + w, dwl, dwld))
 
 
+@lru_cache(maxsize=8)
+def _mesh_tables(ne: int, h: float):
+    """Per-mesh constants of the Gauss-point integrals, built once per (ne, h).
+
+    Returns the rate table Ndot [q, a], the Jacobian's shape-function weights
+    W [a b, s t q] (N for (val, lambda), Ndot for (dot, lambdadot)) and the
+    flat band index of every element entry [a, b, i, j, e] for ``np.bincount``.
+    """
+    Ndot = np.array([[-1.0, 1.0], [-1.0, 1.0]]) / h              # [q, a]
+    phi = np.stack([_N, Ndot])                                    # [s, q, a]
+    W = np.einsum("sqa,tqb->abstq", phi, phi).reshape(4, 8)
+    band = (_ELEM_BAND * (3 * (ne + 1)) + _ELEM_COL + 3 * np.arange(ne)).ravel()
+    for table in (Ndot, W, band):
+        table.flags.writeable = False
+    return Ndot, W, band
+
+
 def _dtp_at_gauss(mesh: TimeMesh, lam: np.ndarray, base, config: EulerConfig):
     """:func:`dtp_euler` at the two Gauss points of each element.
 
-    Returns (omega, domega_dlam, domega_dlamdot, Ndot) with omega of shape
+    Returns the Gauss-point state (omega, domega_dlam, domega_dlamdot, Ndot)
+    that :func:`residual` and :func:`jacobian` read, omega of shape
     (3, 2 q, ne) and the rate table Ndot of shape (2 q, 2 a).
     """
-    Ndot = np.array([[-1.0, 1.0], [-1.0, 1.0]]) / mesh.h          # [q, a]
+    Ndot = _mesh_tables(mesh.ne, mesh.h)[0]
     lam_e = np.stack([lam[:, :-1], lam[:, 1:]], axis=1)          # (3, 2a, ne)
     return dtp_euler(_N @ lam_e, Ndot @ lam_e, base, config) + (Ndot,)
 
 
-def residual(lam: np.ndarray, config: EulerConfig, mesh: TimeMesh,
-             base: np.ndarray, omega0: np.ndarray) -> np.ndarray:
-    """Discrete weak-form residual, shape (3, n_nodes), all dofs included."""
+def residual(gauss: tuple, config: EulerConfig, mesh: TimeMesh,
+             omega0: np.ndarray) -> np.ndarray:
+    """Discrete weak-form residual, shape (3, n_nodes), all dofs included.
+
+    ``gauss`` is the Gauss-point state returned by :func:`_dtp_at_gauss`.
+    """
     I, c, nu = config.I[:, None, None], config.c[:, None, None], config.nu
-    omega, _, _, Ndot = _dtp_at_gauss(mesh, lam, base, config)
+    omega, _, _, Ndot = gauss
 
     # integrands against Ndot and N; Gauss weights are 1
     val = c * omega[[1, 2, 0]] * omega[[2, 0, 1]] + nu * I * omega
@@ -147,15 +169,16 @@ def residual(lam: np.ndarray, config: EulerConfig, mesh: TimeMesh,
     return R
 
 
-def jacobian(lam: np.ndarray, config: EulerConfig, mesh: TimeMesh,
-             base: np.ndarray) -> sparse.dia_matrix:
+def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> sparse.dia_matrix:
     """Discrete Jacobian over all dofs, a (3*n_nodes, 3*n_nodes) DIA matrix.
 
+    ``gauss`` is the Gauss-point state returned by :func:`_dtp_at_gauss`.
     Dofs are node-major, 3 A + i, the order of ``R.T.ravel()``.  Its data is
     the block-tridiagonal band, offsets 5 .. -5, in LAPACK band storage.
     """
     I, c, nu, n, ne = config.I, config.c, config.nu, mesh.n_nodes, mesh.ne
-    omega, dwl, dwld, Ndot = _dtp_at_gauss(mesh, lam, base, config)
+    omega, dwl, dwld, _ = gauss
+    _, W, band = _mesh_tables(ne, mesh.h)
 
     # d val_i / d omega_m = nu I_i delta_im + c_i omega_{3-i-m} (i != m) and
     # d dot_i / d omega_m = -I_i delta_im, each applied to the trial
@@ -165,14 +188,9 @@ def jacobian(lam: np.ndarray, config: EulerConfig, mesh: TimeMesh,
     trial = np.stack([dwl, dwld])                                 # [t, m, j, q, e]
     M = np.stack([np.einsum("imqe,tmjqe->tqije", dval, trial),
                   -I[:, None, None] * trial.transpose(0, 3, 1, 2, 4)])
-    # shape-function weights [a, b, s, t, q]: N for (val, lambda), Ndot for
-    # (dot, lambdadot)
-    phi = np.stack([_N, Ndot])                                    # [s, q, a]
-    W = np.einsum("sqa,tqb->abstq", phi, phi).reshape(4, 8)
     ke = 0.5 * mesh.h * (W @ M.reshape(8, -1))                    # [a b, i j e]
 
-    band = _ELEM_BAND * (3 * n) + _ELEM_COL + 3 * np.arange(ne)     # [a, b, i, j, e]
-    ab = np.bincount(band.ravel(), ke.ravel(), minlength=11 * 3 * n)
+    ab = np.bincount(band, ke.ravel(), minlength=11 * 3 * n)
     return sparse.dia_matrix((ab.reshape(11, 3 * n), _OFFSETS), shape=(3 * n, 3 * n))
 
 
@@ -181,20 +199,22 @@ def _newton_step(J, R: np.ndarray) -> np.ndarray:
 
     J is node-major (dof 3 A + i).  Its first m = 3 (n - 1) rows and columns,
     the free block, are block-tridiagonal with five sub- and super-diagonals:
-    one banded LU solve of the first m band columns.  Band entries of the
-    lambda(T) rows fall below that m x m matrix, where LAPACK never reads.
+    one LAPACK ``dgbsv`` of the first m band columns, placed in rows 5 .. 15
+    of a zeroed (16, m) array (the five extra rows hold the LU fill-in).
+    Band entries of the lambda(T) rows fall below that m x m matrix, where
+    LAPACK never reads.
     """
     n = R.shape[1]
     m = 3 * (n - 1)
     D = J.todia()
     inside = np.abs(D.offsets) <= 5
-    ab = np.zeros((11, m))
-    ab[5 - D.offsets[inside], :D.data.shape[1]] = D.data[inside, :m]
+    ab = np.zeros((16, m), order="F")
+    ab[10 - D.offsets[inside], :D.data.shape[1]] = D.data[inside, :m]
     rhs = R.T.ravel()
-    try:
-        step = solve_banded((5, 5), ab, -rhs[:m], check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Newton matrix is singular: {exc}") from exc
+    _, _, step, info = dgbsv(5, 5, ab, -rhs[:m], overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise SolverError(f"Newton matrix is singular: zero pivot at free dof "
+                          f"{info - 1} of {m}")
     dlam = np.concatenate([step, np.zeros(3)])
     lin_res = np.linalg.norm((J @ dlam)[:m] + rhs[:m])
     bound = 1e-8 * np.linalg.norm(rhs[:m])
@@ -218,8 +238,9 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
     increments = []
     grow = 0
     for it in range(config.max_iter):
-        R = residual(lam, config, mesh, base, omega0_stage)
-        dlam = _newton_step(jacobian(lam, config, mesh, base), R)
+        gauss = _dtp_at_gauss(mesh, lam, base, config)
+        R = residual(gauss, config, mesh, omega0_stage)
+        dlam = _newton_step(jacobian(gauss, config, mesh), R)
         lam = lam + dlam
         d = float(np.abs(dlam).max())
         increments.append(d)

@@ -11,6 +11,7 @@ import copy
 import numpy as np
 import pytest
 
+from dualfem import euler
 from dualfem.cli import run_euler_cfg, run_heat, run_transport
 from dualfem.euler import EulerConfig, jacobian, residual
 from dualfem.fem import q_dual_heat, q_dual_wave
@@ -259,17 +260,18 @@ def test_criterion_8_jacobian_finite_difference():
     base = np.asarray(cfg.omega0)
     # J is node-major (3 A + i); p reads it in the residual's order i n + A
     p = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()
+    gauss = lambda lam: euler._dtp_at_gauss(mesh, lam, base, cfg)
     worst = 0.0
     for _ in range(20):
         lam = rng.standard_normal((3, n)) * 0.05
-        J = jacobian(lam, cfg, mesh, base).toarray()[np.ix_(p, p)]
+        J = jacobian(gauss(lam), cfg, mesh).toarray()[np.ix_(p, p)]
         scale = max(1.0, np.abs(J).max())
         eps = 1e-7
         for dof in rng.choice(3 * n, size=4, replace=False):
             d = np.zeros(3 * n)
             d[dof] = eps
-            Rp = residual(lam + d.reshape(3, n), cfg, mesh, base, base).ravel()
-            Rm = residual(lam - d.reshape(3, n), cfg, mesh, base, base).ravel()
+            Rp = residual(gauss(lam + d.reshape(3, n)), cfg, mesh, base).ravel()
+            Rm = residual(gauss(lam - d.reshape(3, n)), cfg, mesh, base).ravel()
             fd = (Rp - Rm) / (2 * eps)
             worst = max(worst, np.abs(fd - J[:, dof]).max() / scale)
     ok = worst <= 1e-6

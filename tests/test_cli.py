@@ -139,9 +139,15 @@ FAST_EULER = {
     (FAST_HEAT, {"nx": 10.7}, "'nx'"),
     (FAST_EULER, {"N_c": 2.5}, "'N_c'"),
     (FAST_EULER, {"refinements": [10, 20.5]}, "'refinements'"),
+    (FAST_HEAT, {"k": True}, "'k'"),
+    (FAST_HEAT, {"nx": True}, "'nx'"),
+    (FAST_EULER, {"refinements": [10, True]}, "'refinements'"),
+    (FAST_EULER, {"nu": True}, "'nu'"),
+    (FAST_EULER, {"omega0": [1.0, False, 3.0]}, "'omega0'"),
 ], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
         "unknown-right-mode", "text-k", "text-ne_per_stage", "fractional-nx",
-        "fractional-N_c", "fractional-refinement"])
+        "fractional-N_c", "fractional-refinement", "bool-k", "bool-nx",
+        "bool-refinement", "bool-nu", "bool-omega0"])
 def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
     # out-of-range and non-numeric values are configuration errors, found
     # before any solve, with a message instead of a traceback
@@ -155,6 +161,21 @@ def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
 def test_integral_float_counts_are_accepted():
     assert cli._number({"nx": 10.0}, "nx", kind=int) == 10
     assert cli._number({"nx": "12"}, "nx", kind=int) == 12
+
+
+def test_null_refinements_read_as_absent(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**FAST_EULER, "refinements": None}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    metrics = json.loads((tmp_path / "o" / "summary.json").read_text())["metrics"]
+    assert not any(key.startswith("refinement") for key in metrics)
+
+
+def test_refinement_ne_reports_parsed_counts():
+    summary, _, _ = cli.run_euler_cfg({**FAST_EULER, "refinements": [10.0, 20.0]})
+    assert summary["refinement_ne"] == [10, 20]
+    assert all(type(ne) is int for ne in summary["refinement_ne"])
+    assert len(summary["refinement_max_err"]) == 2
 
 
 def test_wall_time_includes_csv_output(tmp_path, monkeypatch):

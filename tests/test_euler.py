@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 from scipy import sparse
 
 from dualfem import euler
@@ -117,7 +117,7 @@ def test_residual_vanishes_on_exact_sphere_solution():
     mesh = build_time_mesh(cfg.T_stage, 4)
     lam = np.zeros((3, mesh.n_nodes))
     base = np.asarray(cfg.omega0)
-    R = residual(lam, cfg, mesh, base, base)
+    R = residual(euler._dtp_at_gauss(mesh, lam, base, cfg), cfg, mesh, base)
     assert R.shape == (3, mesh.n_nodes)
     # all free dofs vanish; the final node carries the boundary term -I omega
     # and is eliminated by the Dirichlet condition on lambda(T)
@@ -134,13 +134,14 @@ def test_jacobian_matches_finite_difference_residual(rng):
     lam = rng.standard_normal((3, n)) * 0.05
     # J is node-major (3 A + i); p reads it in the residual's order i n + A
     p = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()
-    J = jacobian(lam, cfg, mesh, base).toarray()[np.ix_(p, p)]
+    gauss = lambda lam: euler._dtp_at_gauss(mesh, lam, base, cfg)
+    J = jacobian(gauss(lam), cfg, mesh).toarray()[np.ix_(p, p)]
     eps = 1e-7
     for dof in range(3 * n):
         d = np.zeros(3 * n)
         d[dof] = eps
-        Rp = residual(lam + d.reshape(3, n), cfg, mesh, base, base).ravel()
-        Rm = residual(lam - d.reshape(3, n), cfg, mesh, base, base).ravel()
+        Rp = residual(gauss(lam + d.reshape(3, n)), cfg, mesh, base).ravel()
+        Rm = residual(gauss(lam - d.reshape(3, n)), cfg, mesh, base).ravel()
         assert np.allclose((Rp - Rm) / (2 * eps), J[:, dof], atol=2e-6)
 
 
@@ -151,8 +152,9 @@ def test_banded_newton_step_matches_dense_solve(rng):
     n = mesh.n_nodes
     lam = rng.standard_normal((3, n)) * 0.05
     base = np.asarray(cfg.omega0)
-    R = residual(lam, cfg, mesh, base, base)
-    J = jacobian(lam, cfg, mesh, base)
+    gauss = euler._dtp_at_gauss(mesh, lam, base, cfg)
+    R = residual(gauss, cfg, mesh, base)
+    J = jacobian(gauss, cfg, mesh)
     p = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()
     free = np.concatenate([i * n + np.arange(n - 1) for i in range(3)])
     dense = np.linalg.solve(J.toarray()[np.ix_(p, p)][np.ix_(free, free)],
@@ -160,6 +162,10 @@ def test_banded_newton_step_matches_dense_solve(rng):
     step = euler._newton_step(J, R)
     assert np.all(step[:, -1] == 0.0)
     assert np.abs(step.ravel()[free] - dense).max() <= 1e-12 * np.abs(dense).max()
+    # the direct dgbsv call is the LU of solve_banded on the same band, bitwise
+    m = 3 * (n - 1)
+    ref = scipy.linalg.solve_banded((5, 5), J.data[:, :m], -R.T.ravel()[:m])
+    assert np.array_equal(step.T.ravel()[:m], ref)
 
 
 def test_newton_step_ignores_the_final_node_band(rng):
@@ -172,8 +178,9 @@ def test_newton_step_ignores_the_final_node_band(rng):
     m = 3 * (n - 1)
     lam = rng.standard_normal((3, n)) * 0.05
     base = np.asarray(cfg.omega0)
-    R = residual(lam, cfg, mesh, base, base)
-    J = jacobian(lam, cfg, mesh, base)
+    gauss = euler._dtp_at_gauss(mesh, lam, base, cfg)
+    R = residual(gauss, cfg, mesh, base)
+    J = jacobian(gauss, cfg, mesh)
     dense = np.linalg.solve(J.toarray()[:m, :m], -R.T.ravel()[:m])
     col = np.arange(3 * n)
     J.data[(col >= m) | (col - J.offsets[:, None] >= m)] = 1e6
@@ -186,7 +193,7 @@ def test_newton_step_ignores_the_final_node_band(rng):
 
 
 def test_newton_stage_builds_one_residual_and_jacobian_per_iteration(monkeypatch):
-    calls = {"residual": 0, "jacobian": 0}
+    calls = {"residual": 0, "jacobian": 0, "dtp_euler": 0}
 
     def counted(name):
         real = getattr(euler, name)
@@ -201,7 +208,10 @@ def test_newton_stage_builds_one_residual_and_jacobian_per_iteration(monkeypatch
     cfg = free_config(ne_per_stage=20, N_c=5)
     res = newton_stage(cfg, cfg.omega0)
     assert res.newton_iters > 1
-    assert calls == {"residual": res.newton_iters, "jacobian": res.newton_iters}
+    # one DtP evaluation per iteration, shared by residual and jacobian, and
+    # one at the converged lambda for the projection
+    assert calls == {"residual": res.newton_iters, "jacobian": res.newton_iters,
+                     "dtp_euler": res.newton_iters + 1}
 
 
 def test_singular_newton_matrix_is_a_solver_error(monkeypatch):
@@ -211,13 +221,19 @@ def test_singular_newton_matrix_is_a_solver_error(monkeypatch):
     with pytest.raises(SolverError, match="singular") as info:
         newton_stage(cfg, cfg.omega0)
     assert type(info.value) is SolverError
+    # the LU names its first zero pivot among the 3 (n - 1) free dofs
+    assert str(info.value).endswith("zero pivot at free dof 0 of 30")
 
 
 @pytest.mark.parametrize("scale", [1.5, np.nan])
 def test_inaccurate_newton_step_is_a_solver_error(monkeypatch, scale):
     cfg = free_config(ne_per_stage=10, N_c=2)
-    monkeypatch.setattr(euler, "solve_banded",
-                        lambda *args, **kw: scale * scipy.linalg.solve_banded(*args, **kw))
+
+    def scaled_dgbsv(*args, **kw):
+        lu, piv, x, info = scipy.linalg.lapack.dgbsv(*args, **kw)
+        return lu, piv, scale * x, info
+
+    monkeypatch.setattr(euler, "dgbsv", scaled_dgbsv)
     with pytest.raises(SolverError, match="Newton step residual") as info:
         newton_stage(cfg, cfg.omega0)
     assert type(info.value) is SolverError
