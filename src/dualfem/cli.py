@@ -31,7 +31,7 @@ from . import heat as heat_mod
 from . import metrics, oracles, transport
 from .errors import DualFemError, InvalidArgumentError, UnsupportedBranchError
 from .mesh import build_space_time_mesh
-from .presets import PRESETS, get_preset
+from .presets import get_preset, list_presets
 
 SCHEMA_VERSION = 1
 
@@ -45,10 +45,20 @@ class ConfigError(InvalidArgumentError):
     pass
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _get(cfg: dict, key: str, default=None, kind=dict):
+    """``cfg[key]``, or ``default`` if the key is absent or null (without one
+    the key is required); a value that is not of JSON type ``kind`` (dict,
+    list, str, or object for any) is a ConfigError naming the key."""
+    value = default if cfg.get(key) is None else cfg[key]
+    if value is None:
         raise ConfigError(f"config field {key!r} is missing")
-    return cfg[key]
+    if not isinstance(value, kind):
+        raise ConfigError(f"config field {key!r} is not valid: "
+                          f"{value!r} is not {_JSON_TYPES[kind]}")
+    return value
 
 
 def _whole(value) -> int:
@@ -64,9 +74,7 @@ def _number(cfg: dict, key: str, default=None, kind=float):
     (without one the key is required); a ConfigError names a bad value.
     ``int`` means :func:`_whole`: a count with a fractional part is an error.
     A boolean, alone or in a list, is not a number (``float(True)`` is 1.0)."""
-    value = default if cfg.get(key) is None else cfg[key]
-    if value is None:
-        raise ConfigError(f"config field {key!r} is missing")
+    value = _get(cfg, key, default, object)
     if any(isinstance(v, bool) for v in (value if isinstance(value, (list, tuple)) else [value])):
         raise ConfigError(f"config field {key!r} is not valid: {value!r} is a boolean")
     try:
@@ -80,7 +88,7 @@ def _number(cfg: dict, key: str, default=None, kind=float):
 
 
 def make_initial(spec: dict):
-    kind = _require(spec, "type")
+    kind = _get(spec, "type", kind=str)
     if kind == "linear":
         a, b = _number(spec, "slope", 0.0), _number(spec, "intercept", 0.0)
         return lambda x: a * np.asarray(x, dtype=float) + b
@@ -117,7 +125,7 @@ def make_initial(spec: dict):
 
 
 def make_dual_bc(spec: dict, k: float):
-    kind = _require(spec, "type")
+    kind = _get(spec, "type", kind=str)
     zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
     if kind == "zero":
         return {"l_left": zero, "l_top": zero, "p_right": zero, "l_right": zero}
@@ -131,10 +139,8 @@ def make_dual_bc(spec: dict, k: float):
     raise ConfigError(f"unknown dual boundary family {kind!r}")
 
 
-def make_heat_reference(spec: dict | None, k: float, initial_spec: dict):
-    if spec is None:
-        return None
-    kind = _require(spec, "type")
+def make_heat_reference(spec: dict, k: float, initial_spec: dict):
+    kind = _get(spec, "type", kind=str)
     if kind == "steady":
         return lambda x, t: oracles.heat_steady(x)
     if kind == "transient":
@@ -189,9 +195,9 @@ class GridRows:
 def build_heat_problem(cfg: dict):
     k = _number(cfg, "k")
     L, T = _number(cfg, "L"), _number(cfg, "T")
-    initial = make_initial(_require(cfg, "initial"))
-    dual = make_dual_bc(cfg.get("dual_bc", {"type": "zero"}), k)
-    mode = cfg.get("right_mode", heat_mod.NEUMANN_PI)
+    initial = make_initial(_get(cfg, "initial"))
+    dual = make_dual_bc(_get(cfg, "dual_bc", {"type": "zero"}), k)
+    mode = _get(cfg, "right_mode", heat_mod.NEUMANN_PI, str)
     const = lambda key: (lambda s, v=_number(cfg, key, 0.0):
                          np.full_like(np.asarray(s, dtype=float), v))
     problem = heat_mod.HeatProblem(
@@ -215,13 +221,13 @@ def run_heat(cfg: dict):
 
     keep = t <= _number(cfg, "T_keep", np.inf) + 1e-12
 
-    reference = make_heat_reference(cfg.get("reference"), problem.k,
-                                    _require(cfg, "initial"))
     summary: dict = {}
     artifacts = {"theta.csv": (["x", "t", "theta"], GridRows(x, t, grid))}
-    if reference is not None:
+    if cfg.get("reference") is not None:
+        reference = make_heat_reference(_get(cfg, "reference"), problem.k,
+                                        _get(cfg, "initial"))
         ref_grid = np.vstack([np.asarray(reference(x, tv), dtype=float) for tv in t])
-        wanted = cfg.get("metrics", ["pct"])
+        wanted = _get(cfg, "metrics", ["pct"], list)
         if "pct" in wanted:
             pct = metrics.pct_error(grid, ref_grid)
             summary["max_pct_error_retained"] = float(np.nanmax(pct[keep]))
@@ -238,7 +244,11 @@ def run_heat(cfg: dict):
 
 
 def run_transport(cfg: dict):
-    initial_spec = _require(cfg, "initial")
+    initial_spec = _get(cfg, "initial")
+    # the reference, the jump tracking and both error masks assume a step
+    if _get(initial_spec, "type", kind=str) != "step":
+        raise ConfigError(f"config field 'initial' is not valid: transport takes "
+                          f"the 'step' family only, got {initial_spec['type']!r}")
     u0 = make_initial(initial_spec)
     c = _number(cfg, "c")
     u_left_val = _number(cfg, "u_left", 2.0)
@@ -292,12 +302,11 @@ def _euler_config(cfg: dict, ne=None) -> euler_mod.EulerConfig:
         T_stage=_number(cfg, "T_stage"),
         ne_per_stage=_number(cfg, "ne_per_stage", kind=int) if ne is None else ne,
         N_c=_number(cfg, "N_c", 5, int),
-        tol=_number(cfg, "tol", 1e-10),
-        lambda_T=_number(cfg, "lambda_T", (0.0, 0.0, 0.0), vector))
+        tol=_number(cfg, "tol", 1e-10))
 
 
 def _euler_reference(cfg: dict, config: euler_mod.EulerConfig, t: np.ndarray):
-    kind = cfg.get("reference", "rk45")
+    kind = _get(cfg, "reference", "rk45", str)
     if kind == "elliptic":
         return oracles.euler_free_exact(t, config.I, config.omega0)
     if kind == "rk45":
@@ -309,6 +318,7 @@ def _euler_reference(cfg: dict, config: euler_mod.EulerConfig, t: np.ndarray):
 
 def run_euler_cfg(cfg: dict):
     config = _euler_config(cfg)
+    _get(cfg, "refinements", [], list)      # a string would read digit by digit
     refinements = _number(cfg, "refinements", [], kind=lambda v: [_whole(n) for n in v])
     run = euler_mod.run_euler(config)
     E = euler_mod.kinetic_energy(config.I, run.omega)
@@ -423,7 +433,9 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def run_config(cfg: dict, outdir: str) -> dict:
-    problem = _require(cfg, "problem")
+    if not isinstance(cfg, dict):
+        raise ConfigError("the config is not a JSON object")
+    problem = _get(cfg, "problem", kind=str)
     if problem not in RUNNERS:
         raise ConfigError(f"unknown problem kind {problem!r}")
     os.makedirs(outdir, exist_ok=True)
@@ -478,8 +490,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "list-presets":
-            for name in sorted(PRESETS):
-                print(name)
+            print("\n".join(list_presets()))
             return EXIT_OK
         if args.command == "preset":
             try:

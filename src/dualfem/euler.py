@@ -1,7 +1,7 @@
 """Dual solver for the rigid-body angular velocity equations.
 
 Each time stage poses a two-point boundary value problem in three dual
-fields lambda_i with a final-time Dirichlet condition, solved by
+fields lambda_i with the final-time condition lambda(T) = 0, solved by
 Newton-Raphson.  The angular velocity is recovered pointwise through a 3x3
 solve (the DtP map), projected onto the stage nodes, and the trailing
 elements of every stage are discarded before chaining.
@@ -37,14 +37,12 @@ class EulerConfig:
     N_c: int = 5
     tol: float = 1e-10
     max_iter: int = 50
-    lambda_T: Sequence[float] = (0.0, 0.0, 0.0)
     # inertia differences c_i = I_{i+2} - I_{i+1}, indices mod 3
     c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.I = np.asarray(self.I, dtype=float)
         self.omega0 = np.asarray(self.omega0, dtype=float)
-        self.lambda_T = np.asarray(self.lambda_T, dtype=float)
         if self.I.shape != (3,) or np.any(self.I <= 0):
             raise InvalidArgumentError("inertias must be three positive values")
         if self.omega0.shape != (3,):
@@ -194,22 +192,20 @@ def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> sparse.dia_ma
     return sparse.dia_matrix((ab.reshape(11, 3 * n), _OFFSETS), shape=(3 * n, 3 * n))
 
 
-def _newton_step(J, R: np.ndarray) -> np.ndarray:
+def _newton_step(J: sparse.dia_matrix, R: np.ndarray) -> np.ndarray:
     """Newton step of shape (3, n_nodes), zero at lambda(T), checked against J.
 
-    J is node-major (dof 3 A + i).  Its first m = 3 (n - 1) rows and columns,
-    the free block, are block-tridiagonal with five sub- and super-diagonals:
-    one LAPACK ``dgbsv`` of the first m band columns, placed in rows 5 .. 15
-    of a zeroed (16, m) array (the five extra rows hold the LU fill-in).
-    Band entries of the lambda(T) rows fall below that m x m matrix, where
-    LAPACK never reads.
+    J is the node-major (dof 3 A + i) band of :func:`jacobian`, offsets
+    5 .. -5 in LAPACK band storage.  Its first m = 3 (n - 1) rows and
+    columns, the free block, go to one LAPACK ``dgbsv``: the first m band
+    columns, placed in rows 5 .. 15 of a zeroed (16, m) array (the five
+    extra rows hold the LU fill-in).  Band entries of the lambda(T) rows
+    fall below that m x m matrix, where LAPACK never reads.
     """
     n = R.shape[1]
     m = 3 * (n - 1)
-    D = J.todia()
-    inside = np.abs(D.offsets) <= 5
     ab = np.zeros((16, m), order="F")
-    ab[10 - D.offsets[inside], :D.data.shape[1]] = D.data[inside, :m]
+    ab[5:] = J.data[:, :m]
     rhs = R.T.ravel()
     _, _, step, info = dgbsv(5, 5, ab, -rhs[:m], overwrite_ab=True, overwrite_b=True)
     if info > 0:
@@ -225,16 +221,13 @@ def _newton_step(J, R: np.ndarray) -> np.ndarray:
 
 
 def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
-                 mesh: TimeMesh | None = None) -> StageResult:
-    """Solve one stage: Newton on the dual fields, DtP, projection, discard."""
-    if mesh is None:
-        mesh = build_time_mesh(config.T_stage, config.ne_per_stage)
+                 mesh: TimeMesh) -> StageResult:
+    """Solve one stage on ``mesh``: Newton on the dual fields, DtP,
+    projection, discard."""
     omega0_stage = np.asarray(omega0_stage, dtype=float)
     base = omega0_stage                         # piecewise-constant base state
 
     lam = np.zeros((3, mesh.n_nodes))
-    lam[:, -1] = config.lambda_T
-
     increments = []
     grow = 0
     for it in range(config.max_iter):

@@ -13,8 +13,6 @@ Local element dofs follow the same ordering, dof = field * 4 + local_node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -69,15 +67,6 @@ def pin(*pairs):
     last = np.ones(dofs.size, dtype=bool)      # the last entry of each dof
     last[:-1] = ~repeat
     return dofs[last], values[last]
-
-
-@dataclass
-class BlockLinearSystem:
-    """Assembled matrix and rhs with the prescribed dofs, a :func:`pin` set."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    pinned: tuple
 
 
 def assemble_uniform(mesh: SpaceTimeMesh, local_matrix: np.ndarray,
@@ -205,9 +194,10 @@ class FactoredSystem:
         return self._recover(solve_linear(self.matrix, b_red, self._lu))
 
 
-def solve_system(system: BlockLinearSystem) -> np.ndarray:
-    """Eliminate the pinned dofs, solve, and recover the full dof vector."""
-    return FactoredSystem(system.matrix, system.pinned).solve(system.rhs)
+def solve_system(A, rhs: np.ndarray, pinned) -> np.ndarray:
+    """Eliminate the pinned dofs of A x = rhs, a :func:`pin` set, solve, and
+    recover the full dof vector."""
+    return FactoredSystem(A, pinned).solve(rhs)
 
 
 def q_dual_heat(F: np.ndarray, k: float):

@@ -16,8 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fem import (BlockLinearSystem, assemble_uniform, boundary_load,
-                  gradient_tables, pin, solve_system)
+from .fem import assemble_uniform, boundary_load, gradient_tables, pin, solve_system
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh
 from .projection import l2_project
 
@@ -82,8 +81,9 @@ def heat_local_matrix(mesh: SpaceTimeMesh, k: float) -> np.ndarray:
         [-gt.T @ gx + k * gx.T @ N, -gt.T @ gt - k ** 2 * gx.T @ gx]])
 
 
-def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> BlockLinearSystem:
-    """Assemble the two-field dual system including boundary data terms."""
+def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh):
+    """Assemble the two-field dual system including boundary data terms;
+    returns ``(matrix, rhs, pinned)``, ``pinned`` a :func:`pin` set."""
     _check_mesh(problem, mesh)
     matrix = assemble_uniform(mesh, heat_local_matrix(mesh, problem.k), n_fields=2)
     n = mesh.n_nodes
@@ -104,12 +104,11 @@ def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> BlockLinearSyste
     pinned = pin((n + mesh.boundary_nodes(LEFT), problem.l_left(t)),
                  (n + mesh.boundary_nodes(TOP), problem.l_top(mesh.x_coords())),
                  right_pin)
-    return BlockLinearSystem(matrix, rhs, pinned)
+    return matrix, rhs, pinned
 
 
 def solve_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> HeatDualSolution:
-    system = assemble_heat(problem, mesh)
-    sol = solve_system(system)
+    sol = solve_system(*assemble_heat(problem, mesh))
     n = mesh.n_nodes
     return HeatDualSolution(mesh=mesh, p=sol[:n], l=sol[n:])
 

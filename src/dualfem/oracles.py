@@ -297,9 +297,9 @@ def rk45_integrate(rhs, t_span, y0, rtol: float = 1e-10, atol: float = 1e-12,
     return DenseOutput(t_grid, rcont)
 
 
-def rk45_reference(I, omega0, nu, T, rtol: float = 1e-10, atol: float = 1e-12):
+def rk45_reference(I, omega0, nu, T):
     """Dense reference trajectory for the rigid-body system over [0, T]."""
-    return rk45_integrate(euler_rhs(I, nu), (0.0, T), omega0, rtol=rtol, atol=atol)
+    return rk45_integrate(euler_rhs(I, nu), (0.0, T), omega0)
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,6 @@ def _pin_values(pinned, n: int, lead: tuple = ()):
     set; the values broadcast to (*lead, n_pins)."""
     mask = np.zeros(n, dtype=bool)
     out = np.zeros(lead + (n,))
-    if pinned is None:
-        return mask, out
     nodes, values = pinned
     nodes = np.asarray(nodes, dtype=np.int64)
     if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
@@ -88,7 +86,7 @@ def _pin_values(pinned, n: int, lead: tuple = ()):
     return mask, out
 
 
-def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned=None) -> np.ndarray:
+def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
     """Project element Gauss-point samples (n_elems, 4) onto nodal values.
 
     ``pinned`` is a pair (node ids, values) of known nodal data; those
@@ -117,9 +115,8 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned=None) -> np.ndar
 
     mt, mx = _mass_bands(mesh.nt, mesh.ht), _mass_bands(mesh.nx, mesh.hx)
     U = out.reshape(shape)                       # a view: solved values land in out
-    if pinned is not None:
-        # kron(M_t, M_x) @ pinned values, as M_t U M_x on the node grid
-        rhs = rhs - _band_matvec(mt, _band_matvec(mx, U.T).T)
+    # kron(M_t, M_x) @ pinned values, as M_t U M_x on the node grid
+    rhs = rhs - _band_matvec(mt, _band_matvec(mx, U.T).T)
     fr, fc = np.nonzero(~pin_rows)[0], np.nonzero(~pin_cols)[0]
     mt_f, mx_f = _restrict(mt, fr), _restrict(mx, fc)
     free = np.ix_(fr, fc)
@@ -129,7 +126,7 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned=None) -> np.ndar
     return out
 
 
-def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned=None) -> np.ndarray:
+def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
     """1-D analogue of :func:`l2_project` for stage time meshes.
 
     ``samples`` has shape (ne, 2) or (n_comp, ne, 2); all components are
@@ -152,8 +149,7 @@ def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned=None) -> np.ndar
 
     ab = _mass_bands(mesh.ne, h)
     mask, out = _pin_values(pinned, n, (S.shape[0],))
-    if pinned is not None:
-        rhs = rhs - _band_matvec(ab, out.T).T
+    rhs = rhs - _band_matvec(ab, out.T).T
     idx = np.nonzero(~mask)[0]
     out[:, idx] = solve_banded((1, 1), _restrict(ab, idx), rhs[:, idx].T,
                                check_finite=False).T

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SolverError
 from .fem import FactoredSystem, assemble_uniform, boundary_load, gradient_tables, pin
-from .heat import _ZERO
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
 
@@ -29,8 +28,6 @@ class TransportProblem:
     T_total: float
     u0: Callable             # initial datum, may be discontinuous
     u_left: Callable         # inflow datum u(0, t)
-    lambda_top: Callable = _ZERO
-    lambda_right: Callable = _ZERO
 
     def __post_init__(self):
         if self.c <= 0:
@@ -88,16 +85,15 @@ def transport_load(problem: TransportProblem, mesh: SpaceTimeMesh,
 def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh):
     """The stage matrix K of K lambda = R and its pinned dofs, ``(K, pinned)``.
 
-    K and the dual conditions on the top and right edges are the same for
-    every stage on one mesh; only R (:func:`transport_load`) depends on the
-    stage's initial datum.
+    K and the dual conditions, lambda = 0 on the top and right edges, are
+    the same for every stage on one mesh; only R (:func:`transport_load`)
+    depends on the stage's initial datum.
     """
     if not np.isclose(mesh.L, problem.L):
         raise InvalidArgumentError(
             f"mesh length {mesh.L} does not match problem length {problem.L}")
     matrix = assemble_uniform(mesh, transport_local_matrix(mesh, problem.c), n_fields=1)
-    pinned = pin((mesh.boundary_nodes(TOP), problem.lambda_top(mesh.x_coords())),
-                 (mesh.boundary_nodes(RIGHT), problem.lambda_right(mesh.t_coords())))
+    pinned = pin((mesh.boundary_nodes(TOP), 0.0), (mesh.boundary_nodes(RIGHT), 0.0))
     return matrix, pinned
 
 
@@ -150,8 +146,7 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     delta = (ceil(c * T_stage / h) + 2) * h, so that the layer the dual
     condition at the right edge leaves behind lies outside (0, L); the next
     stage starts from the whole retained row, band included, and the
-    stitched field keeps the nx + 1 columns of (0, L).  ``lambda_top`` and
-    ``lambda_right`` apply on the widened stage domain.
+    stitched field keeps the nx + 1 columns of (0, L).
     """
     # the layer reaches back to the characteristic through the stage's
     # top-right corner, c * T_stage; two more elements cover its smearing

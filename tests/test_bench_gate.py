@@ -3,7 +3,7 @@
 The benchmark (``bench/run.py``) fails a repetition whose traced call counts
 do not match its workload's fingerprint, for example when
 ``euler.residual`` is renamed or called more than once per Newton
-iteration.  This test runs one traced ``euler-newton`` repetition through
+iteration.  These tests run one traced repetition of each workload through
 the benchmark's own tracer and gate, so such a change fails here first.
 """
 
@@ -31,3 +31,16 @@ def test_traced_euler_newton_repetition_passes_the_gate(tmp_path):
     # one DtP evaluation per Newton iteration and one per stage for the
     # projection of the converged dual field
     assert bd["euler.dtp_euler.calls"] == iters + n_stages
+
+
+def test_traced_transport_stages_repetition_passes_the_gate(tmp_path):
+    cfg = make_config("transport-stages", 0, 0)
+    with tracer.Tracer(run_id=0) as tr:
+        _, summary, _, failure = worker._one_call("transport-stages", cfg, str(tmp_path / "o"))
+    assert failure is None
+    bd = tracer.run_breakdown(tr.spans)
+    assert worker._fingerprint_failure("transport-stages", tr, bd, summary) is None
+    # one dual solve and one projection per stage, and the stage matrix is
+    # assembled and its pinned dofs eliminated once per run
+    assert bd["fem.solve_linear.dual.calls"] == bd["fem.solve_linear.project.calls"] == 10
+    assert bd["fem.apply_dirichlet.calls"] == bd["transport.assemble_transport.calls"] == 1

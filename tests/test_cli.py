@@ -144,10 +144,20 @@ FAST_EULER = {
     (FAST_EULER, {"refinements": [10, True]}, "'refinements'"),
     (FAST_EULER, {"nu": True}, "'nu'"),
     (FAST_EULER, {"omega0": [1.0, False, 3.0]}, "'omega0'"),
+    (FAST_HEAT, {"initial": None}, "'initial'"),
+    (FAST_HEAT, {"initial": 5}, "'initial'"),
+    (FAST_HEAT, {"reference": 5}, "'reference'"),
+    (FAST_HEAT, {"dual_bc": 5}, "'dual_bc'"),
+    (FAST_EULER, {"problem": ["euler"]}, "'problem'"),
+    (FAST_EULER, {"refinements": "88"}, "'refinements'"),
+    (FAST_HEAT, {"metrics": "err1err2"}, "'metrics'"),
+    (FAST_TRANSPORT, {"initial": {"type": "linear", "slope": 1.0}}, "'initial'"),
 ], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
         "unknown-right-mode", "text-k", "text-ne_per_stage", "fractional-nx",
         "fractional-N_c", "fractional-refinement", "bool-k", "bool-nx",
-        "bool-refinement", "bool-nu", "bool-omega0"])
+        "bool-refinement", "bool-nu", "bool-omega0", "null-initial",
+        "number-initial", "number-reference", "number-dual_bc", "list-problem",
+        "text-refinements", "text-metrics", "linear-transport-initial"])
 def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
     # out-of-range and non-numeric values are configuration errors, found
     # before any solve, with a message instead of a traceback
@@ -156,6 +166,31 @@ def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+def test_non_object_config_exits_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    for text in ("5", "null", '["heat"]'):
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("base, key", [
+    (FAST_HEAT, "dual_bc"), (FAST_HEAT, "metrics"), (FAST_HEAT, "right_mode"),
+    (FAST_HEAT, "reference"), (FAST_EULER, "reference"),
+], ids=["dual_bc", "metrics", "right_mode", "heat-reference", "euler-reference"])
+def test_null_key_reads_as_absent(tmp_path, capsys, base, key):
+    # a null key takes its default: the run matches one without the key
+    runs = {"null": {**base, key: None},
+            "absent": {k: v for k, v in base.items() if k != key}}
+    metrics = {}
+    for name, cfg in runs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / name)]) == EXIT_OK
+        metrics[name] = json.loads((tmp_path / name / "summary.json").read_text())["metrics"]
+    assert metrics["null"] == metrics["absent"]
 
 
 def test_integral_float_counts_are_accepted():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import gauss_points
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
-from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, BlockLinearSystem,
-                         FactoredSystem, apply_dirichlet, assemble_uniform,
-                         boundary_load, factor, gradient_tables, pin, q_dual_heat,
-                         q_dual_wave, solve_linear, solve_system)
+from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, FactoredSystem,
+                         apply_dirichlet, assemble_uniform, boundary_load,
+                         factor, gradient_tables, pin, q_dual_heat, q_dual_wave,
+                         solve_linear, solve_system)
 from dualfem.heat import heat_local_matrix
 from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
 from dualfem.transport import TransportProblem, assemble_transport
@@ -165,8 +165,7 @@ def test_pin_of_nothing_leaves_every_dof_free():
     A_ff, lift, free, _ = apply_dirichlet(A, pin())
     assert np.array_equal(A_ff.toarray(), A.toarray())
     assert np.array_equal(lift, [0.0, 0.0]) and np.array_equal(free, [0, 1])
-    system = BlockLinearSystem(A, np.array([3.0, 5.0]), pin())
-    assert np.allclose(solve_system(system), [0.8, 1.4], atol=1e-14)
+    assert np.allclose(solve_system(A, np.array([3.0, 5.0]), pin()), [0.8, 1.4], atol=1e-14)
 
 
 def test_dirichlet_recovery_bitwise():
@@ -239,13 +238,12 @@ def test_factored_system_solves_any_rhs(rng):
                                 [-1.0, 4.0, -1.0, 0.0],
                                 [0.0, -1.0, 4.0, -1.0],
                                 [0.0, 0.0, -1.0, 4.0]]))
-    system = BlockLinearSystem(A, np.zeros(4), pin(([0, 3], [0.1 + 0.2, -2.0])))
-    factored = FactoredSystem(A, system.pinned)
+    pinned = pin(([0, 3], [0.1 + 0.2, -2.0]))
+    factored = FactoredSystem(A, pinned)
     for _ in range(3):
         rhs = rng.standard_normal(4)
-        system.rhs = rhs
         u = factored.solve(rhs)
-        assert np.array_equal(u, solve_system(system))
+        assert np.array_equal(u, solve_system(A, rhs, pinned))
         assert u[0] == 0.1 + 0.2 and u[3] == -2.0
         assert np.abs((A @ u)[1:3] - rhs[1:3]).max() < 1e-14
 
@@ -255,7 +253,7 @@ def test_solve_system_with_constraints():
     A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0],
                                 [-1.0, 2.0, -1.0],
                                 [0.0, -1.0, 2.0]]))
-    u = solve_system(BlockLinearSystem(A, np.zeros(3), pin(([0, 2], [0.0, 1.0]))))
+    u = solve_system(A, np.zeros(3), pin(([0, 2], [0.0, 1.0])))
     assert np.allclose(u, [0.0, 0.5, 1.0], atol=1e-14)
 
 

@@ -94,40 +94,40 @@ def test_zero_data_gives_zero_rhs():
     prob = hm.HeatProblem(k=1.0, L=1.0, T=1.0, theta0=ZERO, theta_left=ZERO,
                           right_mode=hm.NEUMANN_PI, pi_right=ZERO)
     m = build_space_time_mesh(1.0, 1.0, 3, 3)
-    system = hm.assemble_heat(prob, m)
-    assert np.all(system.rhs == 0.0)
+    _, rhs, _ = hm.assemble_heat(prob, m)
+    assert np.all(rhs == 0.0)
 
 
 def test_dirichlet_right_rhs_carries_negative_theta_r_term():
     prob = steady_problem()
     m = build_space_time_mesh(1.0, 1.1, 4, 4)
-    system = hm.assemble_heat(prob, m)
+    _, rhs, _ = hm.assemble_heat(prob, m)
     n = m.n_nodes
     right = m.boundary_nodes(RIGHT)
     left = m.boundary_nodes(LEFT)
     # p-block rhs at interior right nodes: -integral N * 4 = -4 * ht
-    assert system.rhs[right[1]] == pytest.approx(-4.0 * m.ht, rel=1e-13)
+    assert rhs[right[1]] == pytest.approx(-4.0 * m.ht, rel=1e-13)
     # and + theta_l = +1 weighting on the left
-    assert system.rhs[left[1]] == pytest.approx(1.0 * m.ht, rel=1e-13)
+    assert rhs[left[1]] == pytest.approx(1.0 * m.ht, rel=1e-13)
     # l-block rhs at an interior bottom node: integral N * theta0
     theta0 = lambda x: 3.0 * x + 1.0
     i = 2
     x_i = m.x_coords()[i]
     expect = theta0(x_i) * m.hx           # exact for linear data on uniform hats
-    assert system.rhs[n + i] == pytest.approx(expect, rel=1e-13)
+    assert rhs[n + i] == pytest.approx(expect, rel=1e-13)
 
 
 def test_constraint_layout_per_mode():
     m = build_space_time_mesh(1.0, 1.1, 3, 3)
     n = m.n_nodes
-    sysD = hm.assemble_heat(steady_problem(), m)
+    _, _, pinned = hm.assemble_heat(steady_problem(), m)
     # Dirichlet-theta mode constrains l on left, top, right; p is free
-    constrained = set(sysD.pinned[0].tolist())
+    constrained = set(pinned[0].tolist())
     for node in m.boundary_nodes(RIGHT):
         assert n + node in constrained
         assert node not in constrained
-    sysN = hm.assemble_heat(transient_problem(), m)
-    constrained = set(sysN.pinned[0].tolist())
+    _, _, pinned = hm.assemble_heat(transient_problem(), m)
+    constrained = set(pinned[0].tolist())
     for node in m.boundary_nodes(RIGHT):
         assert node in constrained           # p pinned in neumann_pi mode
         if node not in m.boundary_nodes(TOP):
@@ -140,7 +140,7 @@ def test_heat_pins_each_corner_once(make_problem):
     m = build_space_time_mesh(1.0, 1.1, 3, 3)
     n = m.n_nodes
     problem = make_problem()
-    dofs, values = hm.assemble_heat(problem, m).pinned
+    _, _, (dofs, values) = hm.assemble_heat(problem, m)
     assert np.all(np.diff(dofs) > 0)              # sorted, no dof twice
     top = m.boundary_nodes(TOP)
     neumann = problem.right_mode == hm.NEUMANN_PI

@@ -9,6 +9,9 @@ from dualfem.fem import QUAD_N, assemble_uniform
 from dualfem.mesh import build_space_time_mesh, build_time_mesh
 from dualfem.projection import l2_project, l2_project_time
 
+# the pin set of a projection that prescribes no node
+NO_PINS = (np.zeros(0, dtype=np.int64), 0.0)
+
 
 def sample_function(mesh, f):
     """Evaluate f(x, t) at every element Gauss point, shape (ne, 4)."""
@@ -52,7 +55,7 @@ def test_identity_on_fe_space(rng):
     m = build_space_time_mesh(1.0, 1.0, 6, 5)
     nodal = rng.standard_normal(m.n_nodes)
     samples = nodal[m.elements] @ QUAD_N.T
-    recovered = l2_project(m, samples)
+    recovered = l2_project(m, samples, NO_PINS)
     assert np.abs(recovered - nodal).max() < 1e-10
 
 
@@ -100,7 +103,7 @@ def test_kronecker_solve_matches_assembled_mass_matrix(rng, pins):
         nodes = np.concatenate([m.boundary_nodes("bottom")[1:], m.boundary_nodes("left")])
     values = rng.standard_normal(nodes.size)
     ref = reference_projection(m, samples, nodes, values)
-    out = l2_project(m, samples, None if pins == "none" else (nodes, values))
+    out = l2_project(m, samples, (nodes, values))
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(out[nodes], values)
 
@@ -123,7 +126,7 @@ def test_smooth_field_second_order():
     errs = []
     for nx, nt in ((10, 11), (20, 22), (40, 44)):
         m = build_space_time_mesh(1.0, 1.1, nx, nt)
-        out = l2_project(m, sample_function(m, f))
+        out = l2_project(m, sample_function(m, f), NO_PINS)
         x = m.x_coords()
         exact = np.tile(f(x, 0.0), m.nt + 1)
         errs.append(np.abs(out - exact).max())
@@ -136,7 +139,7 @@ def test_best_approximation_property(rng):
     m = build_space_time_mesh(1.0, 1.0, 5, 4)
     f = lambda x, t: np.cos(2 * x + t) + x * t
     samples = sample_function(m, f)
-    proj = l2_project(m, samples)
+    proj = l2_project(m, samples, NO_PINS)
     wdet = 0.25 * m.hx * m.ht
 
     def dist(nodal):
@@ -152,7 +155,7 @@ def test_best_approximation_property(rng):
 def test_shape_mismatch_rejected():
     m = build_space_time_mesh(1.0, 1.0, 2, 2)
     with pytest.raises(InvalidArgumentError):
-        l2_project(m, np.zeros((3, 4)))
+        l2_project(m, np.zeros((3, 4)), NO_PINS)
 
 
 def test_time_projection_identity(rng):
@@ -163,7 +166,7 @@ def test_time_projection_identity(rng):
     samples = np.empty((m.ne, 2))
     for e in range(m.ne):
         samples[e] = np.interp(pts[e], m.nodes, nodal)
-    out = l2_project_time(m, samples)
+    out = l2_project_time(m, samples, NO_PINS)
     assert np.abs(out - nodal).max() < 1e-10
 
 
