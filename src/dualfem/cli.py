@@ -213,7 +213,16 @@ def build_heat_problem(cfg: dict):
     return problem, mesh
 
 
+#: the heat metrics a config may ask for under ``metrics``
+HEAT_METRICS = ("pct", "err1", "err2")
+
+
 def run_heat(cfg: dict):
+    wanted = _get(cfg, "metrics", ["pct"], list)
+    for name in wanted:
+        if name not in HEAT_METRICS:
+            raise ConfigError(f"config field 'metrics' is not valid: unknown heat "
+                              f"metric {name!r} (known: {', '.join(HEAT_METRICS)})")
     problem, mesh = build_heat_problem(cfg)
     dual, theta = heat_mod.solve_heat_primal(problem, mesh)
     grid = theta.reshape(mesh.nt + 1, mesh.nx + 1)
@@ -227,7 +236,6 @@ def run_heat(cfg: dict):
         reference = make_heat_reference(_get(cfg, "reference"), problem.k,
                                         _get(cfg, "initial"))
         ref_grid = np.vstack([np.asarray(reference(x, tv), dtype=float) for tv in t])
-        wanted = _get(cfg, "metrics", ["pct"], list)
         if "pct" in wanted:
             pct = metrics.pct_error(grid, ref_grid)
             summary["max_pct_error_retained"] = float(np.nanmax(pct[keep]))

@@ -158,9 +158,11 @@ def factor(A):
 def solve_linear(A, b, lu) -> np.ndarray:
     """Direct solve of A x = b by ``lu``, checking the relative residual to 1e-8.
 
-    ``lu`` is a factorization of A (anything with ``solve(b)``, such as the
-    result of :func:`factor`).  The residual is always measured against A
-    itself, so a factorization of a different matrix is caught.
+    ``A`` is anything with ``shape`` and ``@`` (a sparse matrix, or an
+    operator that applies the matrix without assembling it).  ``lu`` is a
+    factorization of A (anything with ``solve(b)``, such as the result of
+    :func:`factor`).  The residual is always measured against A itself, so
+    a factorization of a different matrix is caught.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:

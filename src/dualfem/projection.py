@@ -5,15 +5,17 @@ The mass-matrix right-hand side is integrated with the same 2x2 (or
 nodes and moved to the right-hand side.
 
 On the uniform space-time grid the mass matrix is exactly kron(M_t, M_x),
-the product of the two 1-D (tridiagonal) mass matrices, so on a Cartesian
-free set it is solved by one tridiagonal solve along each axis (Lynch, Rice
-& Thomas, Numer. Math. 6, 1964).
+the product of the two 1-D (tridiagonal) mass matrices.  On a Cartesian
+free set its free block is never assembled: it is applied as M_t V M_x on
+the node grid V, for the residual check of :func:`fem.solve_linear`, and
+solved by one tridiagonal solve along each axis (Lynch, Rice & Thomas,
+Numer. Math. 6, 1964).  The 1-D projection of the rigid-body stages solves
+its tridiagonal mass matrix by one banded solve, without that check.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from .errors import InvalidArgumentError
@@ -52,21 +54,41 @@ def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return y
 
 
-def _band_matrix(ab: np.ndarray) -> sp.dia_matrix:
-    return sp.dia_matrix((ab, [1, 0, -1]), shape=(ab.shape[1], ab.shape[1]))
+def _band_nnz(ab: np.ndarray) -> int:
+    """Nonzeros of M inside the matrix: the storage corners ab[0, 0] and
+    ab[2, -1] lie outside it and are not counted."""
+    return int(np.count_nonzero(ab[1]) + np.count_nonzero(ab[0, 1:])
+               + np.count_nonzero(ab[2, :-1]))
 
 
-class _KronMassFactor:
-    """Solves kron(M_t, M_x) x = b, given the bands of M_t and M_x, by a
-    tridiagonal solve along each axis."""
+class _KronMass:
+    """kron(M_t, M_x), given the bands of M_t and M_x, applied and solved
+    without assembling it.
+
+    A vector is the row-major (t, x) node grid V; ``@`` gives M_t V M_x and
+    :meth:`solve` a tridiagonal solve along each axis.  ``shape`` and
+    ``nnz`` are those of the assembled kron matrix.
+    """
 
     def __init__(self, mt: np.ndarray, mx: np.ndarray):
         self.mt, self.mx = mt, mx
+        n = mt.shape[1] * mx.shape[1]
+        self.shape = (n, n)
+
+    @property
+    def nnz(self) -> int:
+        return _band_nnz(self.mt) * _band_nnz(self.mx)
+
+    def _grid(self, v: np.ndarray) -> np.ndarray:
+        return np.asarray(v).reshape(self.mt.shape[1], self.mx.shape[1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        V = self._grid(v)
+        return _band_matvec(self.mt, _band_matvec(self.mx, V.T).T).ravel()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        B = b.reshape(self.mt.shape[1], self.mx.shape[1])
-        X = solve_banded((1, 1), self.mt, B, check_finite=False)     # M_t^-1 B
-        X = solve_banded((1, 1), self.mx, X.T, check_finite=False).T  # ... M_x^-1
+        X = solve_banded((1, 1), self.mt, self._grid(b), check_finite=False)  # M_t^-1 B
+        X = solve_banded((1, 1), self.mx, X.T, check_finite=False).T           # ... M_x^-1
         return X.ravel()
 
 
@@ -114,15 +136,12 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
                       minlength=mesh.n_nodes).reshape(shape)
 
     mt, mx = _mass_bands(mesh.nt, mesh.ht), _mass_bands(mesh.nx, mesh.hx)
-    U = out.reshape(shape)                       # a view: solved values land in out
-    # kron(M_t, M_x) @ pinned values, as M_t U M_x on the node grid
-    rhs = rhs - _band_matvec(mt, _band_matvec(mx, U.T).T)
+    rhs = rhs - (_KronMass(mt, mx) @ out).reshape(shape)     # move the pins to the rhs
     fr, fc = np.nonzero(~pin_rows)[0], np.nonzero(~pin_cols)[0]
-    mt_f, mx_f = _restrict(mt, fr), _restrict(mx, fc)
+    M_f = _KronMass(_restrict(mt, fr), _restrict(mx, fc))
+    U = out.reshape(shape)                       # a view: solved values land in out
     free = np.ix_(fr, fc)
-    A = sp.kron(_band_matrix(mt_f), _band_matrix(mx_f), format="coo")
-    U[free] = solve_linear(A, rhs[free].ravel(), lu=_KronMassFactor(mt_f, mx_f)
-                           ).reshape(fr.size, fc.size)
+    U[free] = solve_linear(M_f, rhs[free].ravel(), lu=M_f).reshape(fr.size, fc.size)
     return out
 
 

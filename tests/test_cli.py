@@ -151,13 +151,15 @@ FAST_EULER = {
     (FAST_EULER, {"problem": ["euler"]}, "'problem'"),
     (FAST_EULER, {"refinements": "88"}, "'refinements'"),
     (FAST_HEAT, {"metrics": "err1err2"}, "'metrics'"),
+    (FAST_HEAT, {"metrics": ["pct2", "err"]},
+     "'metrics' is not valid: unknown heat metric 'pct2'"),
     (FAST_TRANSPORT, {"initial": {"type": "linear", "slope": 1.0}}, "'initial'"),
 ], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
         "unknown-right-mode", "text-k", "text-ne_per_stage", "fractional-nx",
         "fractional-N_c", "fractional-refinement", "bool-k", "bool-nx",
         "bool-refinement", "bool-nu", "bool-omega0", "null-initial",
         "number-initial", "number-reference", "number-dual_bc", "list-problem",
-        "text-refinements", "text-metrics", "linear-transport-initial"])
+        "text-refinements", "text-metrics", "unknown-metric", "linear-transport-initial"])
 def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
     # out-of-range and non-numeric values are configuration errors, found
     # before any solve, with a message instead of a traceback

@@ -4,10 +4,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from conftest import gauss_points
-from dualfem.errors import InvalidArgumentError
+from dualfem.errors import InvalidArgumentError, SolverError
 from dualfem.fem import QUAD_N, assemble_uniform
 from dualfem.mesh import build_space_time_mesh, build_time_mesh
-from dualfem.projection import l2_project, l2_project_time
+from dualfem.projection import (_KronMass, _mass_bands, _restrict, l2_project,
+                                l2_project_time)
 
 # the pin set of a projection that prescribes no node
 NO_PINS = (np.zeros(0, dtype=np.int64), 0.0)
@@ -106,6 +107,40 @@ def test_kronecker_solve_matches_assembled_mass_matrix(rng, pins):
     out = l2_project(m, samples, (nodes, values))
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(out[nodes], values)
+
+
+def band_matrix(ab):
+    return sp.dia_matrix((ab, [1, 0, -1]), shape=(ab.shape[1], ab.shape[1]))
+
+
+@pytest.mark.parametrize("free_rows, free_cols", [
+    (np.arange(1, 8), np.arange(1, 5)),       # transport: initial row, inflow column
+    (np.arange(8), np.arange(1, 4)),          # heat: the two lateral columns
+    (np.array([1, 2, 5, 6, 7]), np.array([0, 1, 3, 4])),   # interior gaps
+], ids=["transport", "heat", "gaps"])
+def test_kron_mass_operator_matches_assembled_kron(rng, free_rows, free_cols):
+    # the matrix-free free block applies and counts like sp.kron of its bands
+    mt_f = _restrict(_mass_bands(7, 0.15), free_rows)
+    mx_f = _restrict(_mass_bands(4, 0.325), free_cols)
+    op = _KronMass(mt_f, mx_f)
+    K = sp.kron(band_matrix(mt_f), band_matrix(mx_f), format="coo")
+    v = rng.standard_normal(K.shape[0])
+    ref = K @ v
+    assert op.shape == K.shape
+    assert np.abs(op @ v - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert op.nnz == K.nnz
+    assert np.abs(K @ op.solve(ref) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_projection_residual_guard_fires_without_an_assembled_matrix(rng, monkeypatch):
+    # a solve that misses the mass matrix is caught by solve_linear's check
+    m = build_space_time_mesh(1.0, 1.0, 5, 4)
+    samples = rng.standard_normal((m.n_elements, 4))
+    exact_solve = _KronMass.solve
+    monkeypatch.setattr(_KronMass, "solve",
+                        lambda self, b: exact_solve(self, b) * (1 + 1e-6))
+    with pytest.raises(SolverError, match="residual"):
+        l2_project(m, samples, NO_PINS)
 
 
 def test_partial_pin_sets_rejected():
