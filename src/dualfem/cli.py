@@ -6,10 +6,12 @@ Subcommands::
     dualfem preset <name> [--out DIR]
     dualfem list-presets
 
-Field and error data are written as CSV with 17-significant-digit values;
-a machine-readable ``summary.json`` records configuration, diagnostics, and
-metric maxima.  The output directory defaults to ``./dualfem-out`` and can
-be overridden by ``--out`` or the ``DUALFEM_OUT`` environment variable.
+Field and error data are written as CSV with 17-significant-digit values,
+each the bytes of ``"%.17g" % v``; ``_format_g17`` formats a block of up to
+4096 values at once by exact two-product rounding.  A machine-readable
+``summary.json`` records configuration, diagnostics, and metric maxima.
+The output directory defaults to ``./dualfem-out`` and can be overridden
+by ``--out`` or the ``DUALFEM_OUT`` environment variable.
 
 Exit codes: 0 success, 2 configuration error, 3 solver error,
 4 unsupported analytical branch.
@@ -180,16 +182,26 @@ class GridRows:
         return self.values.size
 
     def text(self):
-        """The CSV lines of each time row, every value as %.17g.
+        """The CSV lines of the grid, every value as %.17g, one str per
+        block of time rows.
 
-        Each x is formatted once into a template that every row fills with
-        its formatted t and its values.
+        Each x is formatted once into a row template that every row fills
+        with its t and its values; a block's t and values are formatted in
+        one :func:`_format_g17` call of at most ``_CSV_VALUES`` values.
         """
-        line = "".join("%.17g" % v + ",%s,%.17g\n" for v in self.x.tolist())
-        for tv, row in zip(self.t.tolist(), self.values.tolist()):
-            args = ["%.17g" % tv] * (2 * len(row))
-            args[1::2] = row
-            yield line % tuple(args)
+        nx = self.x.size
+        line = b"".join(xv + b",%s,%s\n" for xv in _format_g17(self.x))
+        per = max(1, _CSV_VALUES // (nx + 1))
+        for start in range(0, self.t.size, per):
+            t = self.t[start:start + per]
+            cells = _format_g17(np.concatenate([t, self.values[start:start + per].ravel()]))
+            values = cells[t.size:]
+            lines = []
+            for i, tv in enumerate(cells[:t.size]):
+                args = [tv] * (2 * nx)
+                args[1::2] = values[i * nx:(i + 1) * nx]
+                lines.append(line % tuple(args))
+            yield b"".join(lines).decode("ascii")
 
 
 def build_heat_problem(cfg: dict):
@@ -213,16 +225,24 @@ def build_heat_problem(cfg: dict):
     return problem, mesh
 
 
-#: the heat metrics a config may ask for under ``metrics``
+#: the metrics a config may ask for under ``metrics``
 HEAT_METRICS = ("pct", "err1", "err2")
+TRANSPORT_METRICS = ("pct", "jump_track")
+
+
+def _wanted_metrics(cfg: dict, known: tuple, problem: str) -> list:
+    """The config's ``metrics`` list (default: the first of ``known``); a
+    name not in ``known`` is a ConfigError naming ``metrics``."""
+    wanted = _get(cfg, "metrics", [known[0]], list)
+    for name in wanted:
+        if name not in known:
+            raise ConfigError(f"config field 'metrics' is not valid: unknown {problem} "
+                              f"metric {name!r} (known: {', '.join(known)})")
+    return wanted
 
 
 def run_heat(cfg: dict):
-    wanted = _get(cfg, "metrics", ["pct"], list)
-    for name in wanted:
-        if name not in HEAT_METRICS:
-            raise ConfigError(f"config field 'metrics' is not valid: unknown heat "
-                              f"metric {name!r} (known: {', '.join(HEAT_METRICS)})")
+    wanted = _wanted_metrics(cfg, HEAT_METRICS, "heat")
     problem, mesh = build_heat_problem(cfg)
     dual, theta = heat_mod.solve_heat_primal(problem, mesh)
     grid = theta.reshape(mesh.nt + 1, mesh.nx + 1)
@@ -252,6 +272,8 @@ def run_heat(cfg: dict):
 
 
 def run_transport(cfg: dict):
+    # every transport metric is always written; the list is only checked
+    _wanted_metrics(cfg, TRANSPORT_METRICS, "transport")
     initial_spec = _get(cfg, "initial")
     # the reference, the jump tracking and both error masks assume a step
     if _get(initial_spec, "type", kind=str) != "step":
@@ -414,15 +436,117 @@ RUNNERS = {
 # artifact output
 
 
-_CSV_CHUNK_ROWS = 4096
+#: the most values one :func:`_format_g17` call formats, which bounds the
+#: working set of the CSV writers
+_CSV_VALUES = 4096
+
+_SPLIT = 134217729.0                    # 2**27 + 1, Veltkamp's splitter
+_POW10 = 10.0 ** np.arange(21)          # exact: 5**20 < 2**53
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_QUAD = np.arange(10_000)
+#: the four ASCII digits of 0000 .. 9999, each as one uint32
+_DIGITS4 = (np.stack([_QUAD // 1000, _QUAD // 100 % 10, _QUAD // 10 % 10, _QUAD % 10], axis=1)
+            + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+#: the trailing zeros of 0000 .. 9999 (4 for 0000)
+_TZ4 = sum((_QUAD % 10 ** j == 0).astype(np.intp) for j in range(1, 5))
+_KEEP = np.tri(25, 24, -1, dtype=np.uint8)   # row m keeps m leading bytes
+_K_MIN, _K_MAX = -4, 16                 # the decimal exponents %.17g prints fixed
+#: below this many values an array is written by one ``%`` of a %.17g
+#: template, which costs less than :func:`_format_g17`'s fixed overhead
+_G17_ARRAY_MIN = 1024
+
+
+def _times_pow10(a, p):
+    """(hi, lo) with hi + lo == a * 10**p exactly: Dekker's two-product
+    (*Numer. Math.* 18, 1971), splitting a by Veltkamp's 2**27 + 1."""
+    hi = a * _POW10[p]
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _format_g17(values) -> list:
+    """``[b"%.17g" % v for v in values]``, byte for byte, vectorized.
+
+    In the band where %.17g prints fixed notation, 1e-4 <= |v| < 1e17,
+    k = floor(log10 |v|) and the exact product |v| 10**(16 - k) = hi + lo
+    (:func:`_times_pow10`; 10**p is exact for p <= 20) give the correctly
+    rounded 17-digit integer D = hi + rint(lo): hi >= 1e16 > 2**53 is an
+    even integer, and rint rounds half to even as %.17g does.  (The band is
+    exact on doubles: none below 1e-4 or 1e17 rounds up to it at 17 digits,
+    as the doubles nearest below 10**k lie more than 5e-17 of it away,
+    relative.)  D's digits come from a 4-digit table, its significant
+    digits from its trailing zeros.
+    The text is laid out in one (n, 24) byte array, by slices for each k
+    present, negative rows shifted right for their '-'.  Zeros, NaN,
+    infinities and values outside the band are formatted by ``%`` itself.
+    """
+    v = np.asarray(values, dtype=float).ravel()
+    n = v.size
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fast, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)), _K_MIN, _K_MAX).astype(np.intp)
+    hi, lo = _times_pow10(a, 16 - k)
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # k is right where 1e16 <= hi + lo and D < 1e17; within an ulp of 10**k,
+    # log10 may be one off, and those values take the per-value path
+    fast &= (d < 10 ** 17) & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
+
+    # D as five 4-digit groups, the first zero-padded: 3 '0's and 17 digits
+    top = d // 10 ** 8
+    groups = [top // 10 ** 8, top // 10 ** 4, top, d // 10 ** 4, d]
+    for j in range(1, 5):
+        groups[j] = groups[j] - groups[j] // 10 ** 4 * 10 ** 4
+    quads = np.empty((n, 5), np.uint32)
+    for j, g in enumerate(groups):
+        quads[:, j] = _DIGITS4[g]
+    digits = quads.view(np.uint8)[:, 3:]
+    tz = _TZ4[groups[4]] + (groups[4] == 0) * (_TZ4[groups[3]] + (groups[3] == 0) * (
+        _TZ4[groups[2]] + (groups[2] == 0) * _TZ4[groups[1]]))
+    nd = 17 - tz                            # significant digits
+
+    text = np.zeros((n, 24), np.uint8)
+    present = np.flatnonzero(np.bincount(k - _K_MIN)) + _K_MIN
+    for e in present.tolist():
+        rows = slice(None) if present.size == 1 else np.flatnonzero(k == e)
+        if e >= 0:                          # e + 1 digits, '.', the rest
+            text[rows, :e + 1] = digits[rows, :e + 1]
+            text[rows, e + 1] = ord(".")
+            text[rows, e + 2:18] = digits[rows, e + 1:]
+        else:                               # '0.', -e - 1 zeros, the digits
+            text[rows, :1 - e] = ord("0")
+            text[rows, 1] = ord(".")
+            text[rows, 1 - e:18 - e] = digits[rows]
+    neg = v < 0
+    minus = np.flatnonzero(neg)
+    if minus.size:
+        text[minus, 1:] = text[minus, :-1]
+        text[minus, 0] = ord("-")
+    # cut the trailing zeros, and the '.' with them if no fraction is left
+    end = neg + np.where(k >= 0, np.where(nd > k + 1, nd + 1, k + 1), 1 - k + nd)
+    text *= np.take(_KEEP, end, axis=0)
+    out = text.view("S24").ravel().tolist()     # the S dtype drops trailing NULs
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = b"%.17g" % v[i]
+    return out
 
 
 def _array_text(rows: np.ndarray):
-    """CSV lines of a 2-D array of rows, every value as %.17g, in chunks."""
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    for start in range(0, len(rows), _CSV_CHUNK_ROWS):
-        chunk = rows[start:start + _CSV_CHUNK_ROWS]
-        yield line * len(chunk) % tuple(chunk.ravel().tolist())
+    """CSV lines of a 2-D array of rows, every value as %.17g, one str per
+    block of at most ``_CSV_VALUES`` values."""
+    if rows.size < _G17_ARRAY_MIN:
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        yield line * len(rows) % tuple(rows.ravel().tolist())
+        return
+    line = b",".join([b"%s"] * rows.shape[1]) + b"\n"
+    per = max(1, _CSV_VALUES // rows.shape[1])
+    for start in range(0, len(rows), per):
+        chunk = rows[start:start + per]
+        yield (line * len(chunk) % tuple(_format_g17(chunk))).decode("ascii")
 
 
 def _write_csv(path: str, header, rows) -> None:

@@ -1,8 +1,11 @@
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualfem import cli
 from dualfem.cli import (EXIT_BRANCH, EXIT_CONFIG, EXIT_OK, ConfigError,
@@ -154,12 +157,16 @@ FAST_EULER = {
     (FAST_HEAT, {"metrics": ["pct2", "err"]},
      "'metrics' is not valid: unknown heat metric 'pct2'"),
     (FAST_TRANSPORT, {"initial": {"type": "linear", "slope": 1.0}}, "'initial'"),
+    (FAST_TRANSPORT, {"metrics": ["pct", "bogus"]},
+     "'metrics' is not valid: unknown transport metric 'bogus'"),
+    (FAST_TRANSPORT, {"metrics": "pct"}, "'metrics'"),
 ], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
         "unknown-right-mode", "text-k", "text-ne_per_stage", "fractional-nx",
         "fractional-N_c", "fractional-refinement", "bool-k", "bool-nx",
         "bool-refinement", "bool-nu", "bool-omega0", "null-initial",
         "number-initial", "number-reference", "number-dual_bc", "list-problem",
-        "text-refinements", "text-metrics", "unknown-metric", "linear-transport-initial"])
+        "text-refinements", "text-metrics", "unknown-metric", "linear-transport-initial",
+        "unknown-transport-metric", "text-transport-metrics"])
 def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
     # out-of-range and non-numeric values are configuration errors, found
     # before any solve, with a message instead of a traceback
@@ -259,7 +266,8 @@ def test_summary_config_matches_input(tmp_path):
 
 def test_csv_writer_matches_per_value_format(tmp_path, rng):
     # the array writer's bytes equal per-value formatting, f"{v:.17g}" for
-    # floats and str(v) for integer columns, across more than one chunk
+    # floats and str(v) for integer columns, for a short array and across
+    # more than one block
     tiny = np.nextafter(0.0, 1.0)
     special = [(1, 1, 0.1 + 0.2), (1, 2, float("nan")), (2, 1, float("inf")),
                (2, 2, float("-inf")), (3, 1, -0.0), (3, 2, tiny),
@@ -267,32 +275,86 @@ def test_csv_writer_matches_per_value_format(tmp_path, rng):
     random = [(int(i), int(j), float(v)) for i, j, v in
               zip(rng.integers(0, 10_000, 9000), rng.integers(1, 60, 9000),
                   rng.standard_normal(9000) * 10.0 ** rng.integers(-30, 30, 9000))]
-    rows = special + random
     path = tmp_path / "new.csv"
-    _write_csv(str(path), ["stage", "iteration", "value"], np.array(rows, dtype=float))
-    expected = "stage,iteration,value\n" + "".join(
-        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
-        for row in rows)
-    assert path.read_bytes() == expected.encode()
+    for rows in (special, special + random):
+        _write_csv(str(path), ["stage", "iteration", "value"], np.array(rows, dtype=float))
+        expected = "stage,iteration,value\n" + "".join(
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows)
+        assert path.read_bytes() == expected.encode()
+
+
+def _per_value(values):
+    return [b"%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(1e-4, 1e17), st.floats(-1e17, -1e-4)),
+                max_size=60))
+def test_format_g17_matches_per_value_format(values):
+    # any float64, NaN, infinities, zeros and subnormals included
+    assert cli._format_g17(np.array(values, dtype=float)) == _per_value(values)
+
+
+def test_format_g17_adversarial_families():
+    families = []
+    # exact ties: m / 2**(p + 1) with m odd and 5**p | 2 D + 1 is D + 1/2 at
+    # scale 10**p, which %.17g rounds half to even; with their 1-ulp neighbours
+    for p in range(1, 22):
+        lo_m, hi_m = -(-2 * 10 ** 16 // 5 ** p), min(2 * 10 ** 17 // 5 ** p, 2 ** 53)
+        m = np.unique(np.linspace(lo_m, hi_m - 1, 40).astype(np.int64) | 1)
+        ties = np.ldexp(m.astype(float), -(p + 1))
+        assert all((Fraction(v) * 10 ** p).denominator == 2 for v in ties.tolist())
+        families += [ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)]
+    # the nearest doubles to half-way points (D + 1/2) / 10**(16 - k), +-1 ulp
+    D = np.linspace(10 ** 16, 10 ** 17 - 1, 50).astype(np.int64)
+    for k in range(-5, 18):
+        mid = (D + 0.5) / 10.0 ** (16 - k)
+        families += [mid, np.nextafter(mid, 0), np.nextafter(mid, np.inf)]
+    # 10**k and its neighbours across the fixed-notation band and its edges
+    for k in range(-5, 18):
+        p10 = np.array([10.0 ** k])
+        families += [p10, np.nextafter(p10, 0), np.nextafter(p10, np.inf),
+                     np.nextafter(np.nextafter(p10, 0), 0)]
+    # values that round up to the next power of ten at 17 digits: no double
+    # in the fixed band does, so these are doubles just below 10**k that
+    # print as 1e..., and 17-digit strings of 9s that round up on parsing
+    families += [np.array([1e-14, 1e98, 1e153, 1e-305, 9.99999999999999999e16,
+                           9.99999999999999999e-5, 0.099999999999999999,
+                           99999999999999999.0, 9999999999999999.5])]
+    # integers, short decimals, and the extremes
+    families += [np.arange(0.0, 40.0), np.arange(40) / 8, np.arange(40) * 0.1,
+                 np.array([0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308,
+                           1.7976931348623157e308, 2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 57])]
+    values = np.concatenate(families)
+    values = np.concatenate([values, -values])
+    assert cli._format_g17(values) == _per_value(values)
 
 
 def test_grid_writer_matches_row_array_writer(tmp_path, rng):
-    # a grid writes the bytes of its (x, t, value) rows written as an array
+    # a grid writes the bytes of its (x, t, value) rows written as an array,
+    # and both match per-value formatting
     tiny = np.nextafter(0.0, 1.0)
     x = np.concatenate([[-0.0, 0.0, tiny, 0.1 + 0.2, 1 / 3, 2.2250738585072014e-308 / 3],
                         rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)])
     t = np.concatenate([[0.0, -0.0, 0.1 + 0.7, 2 / 3, 1e-310],
                         rng.random(95) * 10.0 ** rng.integers(-5, 5, 95)])
-    values = rng.standard_normal((t.size, x.size)) * 10.0 ** rng.integers(-300, 300, (t.size, x.size))
+    shape = (t.size, x.size)       # half the values in %.17g's fixed-notation band
+    values = rng.standard_normal(shape) * 10.0 ** np.where(
+        rng.random(shape) < 0.5, rng.integers(-300, 300, shape), rng.integers(-8, 20, shape))
     values[0, :6] = [float("nan"), float("inf"), float("-inf"), -0.0, tiny, 1e-320]
     grid = GridRows(x, t, values)
     assert len(grid) == t.size * x.size
     rows = np.column_stack([np.tile(x, t.size), np.repeat(t, x.size), values.ravel()])
-    assert len(rows) > 4096                  # the array writer uses more than one chunk
+    assert values.size > cli._CSV_VALUES        # both writers use several blocks
     _write_csv(str(tmp_path / "grid.csv"), ["x", "t", "v"], grid)
     _write_csv(str(tmp_path / "rows.csv"), ["x", "t", "v"], rows)
     data = (tmp_path / "grid.csv").read_bytes()
     assert data == (tmp_path / "rows.csv").read_bytes()
+    expected = "x,t,v\n" + "".join(f"{xv:.17g},{tv:.17g},{v:.17g}\n"
+                                   for tv, row in zip(t.tolist(), values.tolist())
+                                   for xv, v in zip(x.tolist(), row))
+    assert data == expected.encode()
     assert data.count(b"\n") - 1 == len(grid)
     with pytest.raises(ValueError):
         GridRows(x, t, values.T)
