@@ -244,11 +244,15 @@ def _wanted_metrics(cfg: dict, known: tuple, problem: str) -> list:
 def run_heat(cfg: dict):
     wanted = _wanted_metrics(cfg, HEAT_METRICS, "heat")
     problem, mesh = build_heat_problem(cfg)
+    T_keep = _number(cfg, "T_keep", np.inf)
+    if not T_keep >= 0:
+        raise ConfigError(f"config field 'T_keep' is not valid: need T_keep >= 0, "
+                          f"got {T_keep}")
     dual, theta = heat_mod.solve_heat_primal(problem, mesh)
     grid = theta.reshape(mesh.nt + 1, mesh.nx + 1)
     x, t = mesh.x_coords(), mesh.t_coords()
 
-    keep = t <= _number(cfg, "T_keep", np.inf) + 1e-12
+    keep = t <= T_keep + 1e-12
 
     summary: dict = {}
     artifacts = {"theta.csv": (["x", "t", "theta"], GridRows(x, t, grid))}

@@ -51,6 +51,10 @@ class EulerConfig:
             raise InvalidArgumentError(f"damping must be non-negative, got {self.nu}")
         if self.a <= 0:
             raise InvalidArgumentError(f"potential stiffness must be positive, got {self.a}")
+        if not self.T_total > 0:
+            raise InvalidArgumentError(f"need T_total > 0, got T_total={self.T_total}")
+        if not self.tol > 0:
+            raise InvalidArgumentError(f"Newton tolerance must be positive, got tol={self.tol}")
         if not 0 <= self.N_c < self.ne_per_stage:
             raise InvalidArgumentError(
                 f"need 0 <= N_c < ne_per_stage, got {self.N_c}, {self.ne_per_stage}")

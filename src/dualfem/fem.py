@@ -1,10 +1,11 @@
 """Shared finite element machinery.
 
 One reference-element table of linear (interval) and bilinear (space-time)
-shape functions at the 2-point and 2x2 Gauss points, the uniform-mesh
-scatter of one shared element matrix, boundary loads, prescribed dofs as
-sorted ``(dofs, values)`` arrays (:func:`pin`), their symmetric elimination,
-and a residual-checked linear solve by a factorization that serves every
+shape functions at the 2-point and 2x2 Gauss points, the dual element
+matrix of a dual-to-primal (DtP) table, the uniform-mesh scatter of one
+shared element matrix, boundary loads, prescribed dofs as sorted
+``(dofs, values)`` arrays (:func:`pin`), their symmetric elimination, and
+a residual-checked linear solve by a factorization that serves every
 right-hand side.
 
 Global degrees of freedom are blocked by field: dof = field * n_nodes + node.
@@ -69,17 +70,23 @@ def pin(*pairs):
     return dofs[last], values[last]
 
 
-def assemble_uniform(mesh: SpaceTimeMesh, local_matrix: np.ndarray,
-                     n_fields: int) -> sp.csr_matrix:
+def gram_matrix(mesh: SpaceTimeMesh, table: np.ndarray) -> np.ndarray:
+    """The dual element matrix, -(hx ht / 4) sum_{component, q} B^T B: the
+    negative Gram matrix of a DtP table B, ``[component, q, local dof]``."""
+    B = table.reshape(-1, table.shape[-1])
+    return -0.25 * mesh.hx * mesh.ht * (B.T @ B)
+
+
+def assemble_uniform(mesh: SpaceTimeMesh, local_matrix: np.ndarray) -> sp.csr_matrix:
     """Fast scatter of one shared local matrix over every element.
 
     Valid for constant-coefficient kernels on uniform meshes, where all
-    element matrices coincide.
+    element matrices coincide.  The local matrix has four dofs per field.
     """
-    n_nodes = mesh.n_nodes
-    ndof_e = 4 * n_fields
     local_matrix = np.asarray(local_matrix, dtype=float)
-    if local_matrix.shape != (ndof_e, ndof_e):
+    n_nodes, n_fields = mesh.n_nodes, len(local_matrix) // 4
+    ndof_e = 4 * n_fields
+    if n_fields == 0 or local_matrix.shape != (ndof_e, ndof_e):
         raise AssemblyError(f"local matrix shape {local_matrix.shape}")
     if not np.all(np.isfinite(local_matrix)):
         raise AssemblyError("non-finite local matrix entries")

@@ -6,6 +6,7 @@ problem; the primal temperature and flux are recovered pointwise via
     theta = d_x p + d_t l,      pi = p - k d_x l,
 
 evaluated at the Gauss points and then L2-projected onto the nodal basis.
+The dual element matrix is the negative Gram matrix of the same map.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fem import assemble_uniform, boundary_load, gradient_tables, pin, solve_system
+from .fem import (assemble_uniform, boundary_load, gradient_tables, gram_matrix, pin,
+                  solve_system)
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh
 from .projection import l2_project
 
@@ -73,19 +75,18 @@ def _check_mesh(problem: HeatProblem, mesh: SpaceTimeMesh) -> None:
             f"({problem.L}, {problem.T})")
 
 
-def heat_local_matrix(mesh: SpaceTimeMesh, k: float) -> np.ndarray:
-    """The shared 8x8 element matrix; local dofs [p0..p3, l0..l3]."""
+def dtp_table(mesh: SpaceTimeMesh, k: float) -> np.ndarray:
+    """[component, q, local dof] table, (2, 4, 8), of theta = d_x p + d_t l and
+    pi = p - k d_x l at the Gauss points; local dofs [p0..p3, l0..l3]."""
     N, gx, gt = gradient_tables(mesh)
-    return 0.25 * mesh.hx * mesh.ht * np.block([
-        [-gx.T @ gx - N.T @ N, -gx.T @ gt + k * N.T @ gx],
-        [-gt.T @ gx + k * gx.T @ N, -gt.T @ gt - k ** 2 * gx.T @ gx]])
+    return np.array([np.hstack([gx, gt]), np.hstack([N, -k * gx])])
 
 
 def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh):
     """Assemble the two-field dual system including boundary data terms;
     returns ``(matrix, rhs, pinned)``, ``pinned`` a :func:`pin` set."""
     _check_mesh(problem, mesh)
-    matrix = assemble_uniform(mesh, heat_local_matrix(mesh, problem.k), n_fields=2)
+    matrix = assemble_uniform(mesh, gram_matrix(mesh, dtp_table(mesh, problem.k)))
     n = mesh.n_nodes
 
     # dof = field * n + node, field 0 = p, field 1 = l
@@ -114,38 +115,29 @@ def solve_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> HeatDualSolution:
 
 
 def dtp_heat(dual: HeatDualSolution, k: float):
-    """Evaluate theta and pi at every Gauss point, shape (n_elems, 4)."""
+    """Evaluate theta and pi at every Gauss point, each of shape (n_elems, 4)."""
     mesh = dual.mesh
-    N, gx, gt = gradient_tables(mesh)
-    pe = dual.p[mesh.elements]                    # (ne, 4a)
-    le = dual.l[mesh.elements]
-    theta = pe @ gx.T + le @ gt.T
-    pi = pe @ N.T - k * (le @ gx.T)
+    dofs = np.hstack([dual.p[mesh.elements], dual.l[mesh.elements]])   # (ne, 8)
+    theta, pi = dofs @ dtp_table(mesh, k).transpose(0, 2, 1)
     return theta, pi
 
 
-def project_theta(problem: HeatProblem, dual: HeatDualSolution) -> np.ndarray:
-    """Continuous nodal temperature with Dirichlet boundary data pinned.
+def solve_heat_primal(problem: HeatProblem, mesh: SpaceTimeMesh):
+    """Dual solve, DtP, then projection of theta onto a continuous nodal field
+    with its Dirichlet boundary data pinned; returns ``(dual, theta)``.
 
     The initial condition enters the dual solve weakly (it is a natural
     condition of the dual problem) and is left free in the recovery, so the
     reported initial-row values reflect the scheme's actual resolution of
     the initial data rather than an exact re-imposition.
     """
-    mesh = dual.mesh
+    dual = solve_heat(problem, mesh)
     theta_q, _ = dtp_heat(dual, problem.k)
     t = mesh.t_coords()
     pins = [(mesh.boundary_nodes(LEFT), problem.theta_left(t))]
     if problem.right_mode == DIRICHLET_THETA:
         pins.append((mesh.boundary_nodes(RIGHT), problem.theta_right(t)))
-    return l2_project(mesh, theta_q, pin(*pins))
-
-
-def solve_heat_primal(problem: HeatProblem, mesh: SpaceTimeMesh):
-    """Convenience driver: dual solve, DtP evaluation, projection."""
-    dual = solve_heat(problem, mesh)
-    theta = project_theta(problem, dual)
-    return dual, theta
+    return dual, l2_project(mesh, theta_q, pin(*pins))
 
 
 def steady_dual_family(k: float = 1.0, C: float = 0.0, D: float = 0.0):

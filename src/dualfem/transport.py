@@ -2,9 +2,10 @@
 
 A single scalar dual field lambda is solved per stage on a space-time mesh;
 the primal field is recovered as u = d_t lambda + c d_x lambda at Gauss
-points and projected.  Long-time runs chain stages: each stage is solved
-past the outflow boundary, keeps only an initial sub-interval of (0, L) and
-feeds its last retained row to the next stage.
+points and projected, and the stage matrix is the negative Gram matrix of
+that map.  Long-time runs chain stages: each stage is solved past the
+outflow boundary, keeps only an initial sub-interval of (0, L) and feeds
+its last retained row to the next stage.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, SolverError
-from .fem import FactoredSystem, assemble_uniform, boundary_load, gradient_tables, pin
+from .fem import (FactoredSystem, assemble_uniform, boundary_load, gradient_tables,
+                  gram_matrix, pin)
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
 
@@ -47,6 +49,8 @@ class StagePlan:
         if not 0 < T_keep < T_stage:
             raise InvalidArgumentError(
                 f"need 0 < T_keep < T_stage, got {T_keep}, {T_stage}")
+        if not T_total > 0:
+            raise InvalidArgumentError(f"need T_total > 0, got T_total={T_total}")
         n = int(np.ceil(T_total / T_keep - 1e-12))
         return cls(T_stage=float(T_stage), T_keep=float(T_keep), n_stages=n)
 
@@ -61,11 +65,10 @@ class StitchedField:
     lambda_stages: list    # per-stage nodal dual fields on the widened stage mesh
 
 
-def transport_local_matrix(mesh: SpaceTimeMesh, c: float) -> np.ndarray:
-    """Negative Gram matrix of the characteristic derivatives d_t N + c d_x N."""
+def dtp_table(mesh: SpaceTimeMesh, c: float) -> np.ndarray:
+    """[component, q, local dof] table, (1, 4, 4), of u = d_t lambda + c d_x lambda."""
     _, gx, gt = gradient_tables(mesh)
-    d = gt + c * gx
-    return -0.25 * mesh.hx * mesh.ht * (d.T @ d)
+    return (gt + c * gx)[None]
 
 
 def transport_load(problem: TransportProblem, mesh: SpaceTimeMesh,
@@ -92,16 +95,14 @@ def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh):
     if not np.isclose(mesh.L, problem.L):
         raise InvalidArgumentError(
             f"mesh length {mesh.L} does not match problem length {problem.L}")
-    matrix = assemble_uniform(mesh, transport_local_matrix(mesh, problem.c), n_fields=1)
+    matrix = assemble_uniform(mesh, gram_matrix(mesh, dtp_table(mesh, problem.c)))
     pinned = pin((mesh.boundary_nodes(TOP), 0.0), (mesh.boundary_nodes(RIGHT), 0.0))
     return matrix, pinned
 
 
 def dtp_transport(mesh: SpaceTimeMesh, lam: np.ndarray, c: float) -> np.ndarray:
-    """u = d_t lambda + c d_x lambda at the Gauss points, shape (n_elems, 4)."""
-    _, gx, gt = gradient_tables(mesh)
-    le = lam[mesh.elements]
-    return le @ gt.T + c * (le @ gx.T)
+    """u at the Gauss points (:func:`dtp_table`), shape (n_elems, 4)."""
+    return lam[mesh.elements] @ dtp_table(mesh, c)[0].T
 
 
 def solve_transport_stage(problem: TransportProblem, mesh: SpaceTimeMesh,

@@ -160,13 +160,22 @@ FAST_EULER = {
     (FAST_TRANSPORT, {"metrics": ["pct", "bogus"]},
      "'metrics' is not valid: unknown transport metric 'bogus'"),
     (FAST_TRANSPORT, {"metrics": "pct"}, "'metrics'"),
+    (FAST_TRANSPORT, {"T_total": 0.0}, "T_total=0.0"),
+    (FAST_TRANSPORT, {"T_total": -1.0}, "T_total=-1.0"),
+    (FAST_EULER, {"T_total": 0.0}, "T_total=0.0"),
+    (FAST_EULER, {"T_total": -1.0}, "T_total=-1.0"),
+    (FAST_EULER, {"tol": 0.0}, "tol=0.0"),
+    (FAST_EULER, {"tol": -1e-10}, "tol=-1e-10"),
+    (FAST_HEAT, {"T_keep": -0.1}, "'T_keep'"),
 ], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
         "unknown-right-mode", "text-k", "text-ne_per_stage", "fractional-nx",
         "fractional-N_c", "fractional-refinement", "bool-k", "bool-nx",
         "bool-refinement", "bool-nu", "bool-omega0", "null-initial",
         "number-initial", "number-reference", "number-dual_bc", "list-problem",
         "text-refinements", "text-metrics", "unknown-metric", "linear-transport-initial",
-        "unknown-transport-metric", "text-transport-metrics"])
+        "unknown-transport-metric", "text-transport-metrics", "zero-transport-T_total",
+        "negative-transport-T_total", "zero-euler-T_total", "negative-euler-T_total",
+        "zero-euler-tol", "negative-euler-tol", "negative-heat-T_keep"])
 def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
     # out-of-range and non-numeric values are configuration errors, found
     # before any solve, with a message instead of a traceback

@@ -11,9 +11,9 @@ from conftest import gauss_points
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
 from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, FactoredSystem,
                          apply_dirichlet, assemble_uniform, boundary_load,
-                         factor, gradient_tables, pin, q_dual_heat, q_dual_wave,
-                         solve_linear, solve_system)
-from dualfem.heat import heat_local_matrix
+                         factor, gradient_tables, gram_matrix, pin, q_dual_heat,
+                         q_dual_wave, solve_linear, solve_system)
+from dualfem.heat import dtp_table as heat_dtp_table
 from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
 from dualfem.transport import TransportProblem, assemble_transport
 
@@ -71,22 +71,22 @@ def test_element_dofs_field_major():
     one = build_space_time_mesh(1.0, 1.0, 1, 1)
     assert np.array_equal(one.elements[0], [0, 1, 3, 2])
     local = np.arange(64.0).reshape(8, 8) + 1.0     # every entry distinct
-    A = assemble_uniform(one, local, n_fields=2).toarray()
+    A = assemble_uniform(one, local).toarray()
     dofs = [0, 1, 3, 2, 4, 5, 7, 6]
     assert np.array_equal(A[np.ix_(dofs, dofs)], local)
     # on four elements in a row (10 nodes) the right edge, local corners 1
     # and 2 of the last element, is nodes 4 and 9, dofs 4, 9, 14, 19
     m = build_space_time_mesh(1.0, 1.0, 4, 1)
     assert np.array_equal(m.elements[3], [3, 4, 9, 8])
-    A = assemble_uniform(m, local, n_fields=2).toarray()
+    A = assemble_uniform(m, local).toarray()
     edge = [1, 2, 5, 6]
     assert np.array_equal(A[np.ix_([4, 9, 14, 19], [4, 9, 14, 19])],
                           local[np.ix_(edge, edge)])
 
 
-def element_loop(mesh, local_matrix, n_fields):
+def element_loop(mesh, local_matrix):
     """Dense element-by-element assembly with field-major local dofs."""
-    n = mesh.n_nodes
+    n, n_fields = mesh.n_nodes, len(local_matrix) // 4
     A = np.zeros((n_fields * n, n_fields * n))
     for conn in mesh.elements:
         dofs = np.concatenate([f * n + conn for f in range(n_fields)])
@@ -101,7 +101,7 @@ def mass_local(mesh):
 def test_assembled_mass_matrix_row_sums():
     # sum over all entries of the mass matrix equals the domain area
     m = build_space_time_mesh(2.0, 1.0, 5, 4)
-    M = assemble_uniform(m, mass_local(m), n_fields=1)
+    M = assemble_uniform(m, mass_local(m))
     ones = np.ones(m.n_nodes)
     assert ones @ (M @ ones) == pytest.approx(2.0, rel=1e-13)
 
@@ -110,18 +110,19 @@ def test_assemble_uniform_matches_generic():
     # one field (mass) and two fields (heat, whose p and l blocks differ,
     # so the field-major dof layout is checked too)
     m = build_space_time_mesh(1.0, 1.0, 4, 3)
-    for n_fields, local in ((1, mass_local(m)), (2, heat_local_matrix(m, 0.7))):
-        fast = assemble_uniform(m, local, n_fields).toarray()
-        ref = element_loop(m, local, n_fields)
+    for local in (mass_local(m), gram_matrix(m, heat_dtp_table(m, 0.7))):
+        fast = assemble_uniform(m, local).toarray()
+        ref = element_loop(m, local)
         assert np.abs(fast - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_assembly_rejects_bad_kernel_output():
     m = build_space_time_mesh(1.0, 1.0, 2, 2)
-    with pytest.raises(AssemblyError):
-        assemble_uniform(m, np.zeros((5, 5)), n_fields=1)
-    with pytest.raises(AssemblyError):
-        assemble_uniform(m, np.full((4, 4), np.nan), n_fields=1)
+    # the side must be four dofs per field
+    for bad in (np.zeros((5, 5)), np.zeros((6, 6)), np.zeros((4, 8)),
+                np.full((4, 4), np.nan)):
+        with pytest.raises(AssemblyError):
+            assemble_uniform(m, bad)
 
 
 def test_boundary_load_constant():

@@ -4,6 +4,7 @@ import pytest
 from conftest import gauss_legendre_integrate_2d, gauss_points
 from dualfem import heat as hm
 from dualfem.errors import InvalidArgumentError
+from dualfem.fem import gram_matrix
 from dualfem.mesh import LEFT, RIGHT, TOP, build_space_time_mesh
 from dualfem.projection import l2_project
 from dualfem.oracles import heat_steady, heat_transient
@@ -52,11 +53,12 @@ def shape_interp(coords, nodal):
 
 
 def test_local_matrix_against_independent_integration():
-    # all four blocks checked against high-order quadrature of the printed
-    # integrands on a single stretched element
+    # all four blocks of the DtP table's negative Gram matrix checked
+    # against high-order quadrature of the printed integrands on a single
+    # stretched element
     m = build_space_time_mesh(0.4, 0.6, 1, 1)
     k = 0.7
-    K = hm.heat_local_matrix(m, k)
+    K = gram_matrix(m, hm.dtp_table(m, k))
     coords = m.nodes[m.elements[0]]
     eps = 1e-6
 
@@ -88,6 +90,20 @@ def test_local_matrix_against_independent_integration():
             assert K[a, 4 + b] == pytest.approx(k12, abs=2e-9)
             assert K[4 + a, b] == pytest.approx(k21, abs=2e-9)
             assert K[4 + a, 4 + b] == pytest.approx(k22, abs=2e-9)
+
+
+def test_dual_matrix_is_the_negative_gram_matrix_of_the_recovery(rng):
+    # u^T K v = -(hx ht / 4) sum over Gauss points of DtP(u) . DtP(v) for
+    # independent dual vectors: assembly and recovery are one map
+    m = build_space_time_mesh(1.3, 0.6, 5, 4)      # hx = 0.26, ht = 0.15
+    prob = hm.HeatProblem(k=0.7, L=1.3, T=0.6, theta0=ZERO, theta_left=ZERO)
+    K, _, _ = hm.assemble_heat(prob, m)
+    n = m.n_nodes
+    u, v = rng.standard_normal((2, 2 * n))
+    du = np.array(hm.dtp_heat(hm.HeatDualSolution(mesh=m, p=u[:n], l=u[n:]), prob.k))
+    dv = np.array(hm.dtp_heat(hm.HeatDualSolution(mesh=m, p=v[:n], l=v[n:]), prob.k))
+    products = 0.25 * m.hx * m.ht * du * dv
+    assert u @ (K @ v) == pytest.approx(-products.sum(), abs=1e-14 * np.abs(products).sum())
 
 
 def test_zero_data_gives_zero_rhs():

@@ -81,7 +81,7 @@ def test_pinned_values_exact():
 def reference_projection(mesh, samples, nodes, values):
     """Assembled 2-D mass matrix, pinned values moved to the right-hand
     side, and a sparse direct solve on the free nodes."""
-    M = assemble_uniform(mesh, mass_local(mesh), n_fields=1)
+    M = assemble_uniform(mesh, mass_local(mesh))
     rhs = np.zeros(mesh.n_nodes)
     np.add.at(rhs, mesh.elements.ravel(), (0.25 * mesh.hx * mesh.ht * samples @ QUAD_N).ravel())
     out = np.zeros(mesh.n_nodes)

@@ -6,13 +6,13 @@ import pytest
 from conftest import gauss_legendre_integrate_2d
 from dualfem import fem, transport
 from dualfem.errors import InvalidArgumentError
-from dualfem.fem import FactoredSystem, gradient_tables
+from dualfem.fem import FactoredSystem, gradient_tables, gram_matrix
 from dualfem.mesh import BOTTOM, LEFT, RIGHT, TOP, build_space_time_mesh
 from dualfem.oracles import transport_exact
 from dualfem.transport import (StagePlan, TransportProblem, assemble_transport,
-                               dtp_transport, initial_nodal_values,
+                               dtp_table, dtp_transport, initial_nodal_values,
                                run_time_sliced, solve_transport_stage,
-                               track_jump, transport_load, transport_local_matrix)
+                               track_jump, transport_load)
 
 ZERO = lambda s: np.zeros_like(np.asarray(s, dtype=float))
 const = lambda v: (lambda s: np.full_like(np.asarray(s, dtype=float), v))
@@ -50,7 +50,7 @@ def bilinear_interp(coords, nodal):
 def test_local_matrix_against_independent_integration():
     c = 0.7
     m = build_space_time_mesh(1.5, 0.9, 5, 4)
-    K = transport_local_matrix(m, c)
+    K = gram_matrix(m, dtp_table(m, c))
     coords = m.nodes[m.elements[0]]
     x0, t0 = coords[0]
     x1, t1 = coords[2]
@@ -74,6 +74,18 @@ def test_local_matrix_against_independent_integration():
     # the matrix is a negative Gram matrix: symmetric, negative semidefinite
     assert np.allclose(K, K.T)
     assert np.all(np.linalg.eigvalsh(K) < 1e-14)
+
+
+def test_stage_matrix_is_the_negative_gram_matrix_of_the_recovery(rng):
+    # u^T K v = -(hx ht / 4) sum over Gauss points of DtP(u) DtP(v) for
+    # independent dual vectors: assembly and recovery are one map
+    c = 0.7
+    m = build_space_time_mesh(1.3, 0.6, 5, 4)      # hx = 0.26, ht = 0.15
+    K, _ = assemble_transport(TransportProblem(c=c, L=1.3, T_total=0.6, u0=ZERO,
+                                               u_left=ZERO), m)
+    u, v = rng.standard_normal((2, m.n_nodes))
+    products = 0.25 * m.hx * m.ht * dtp_transport(m, u, c) * dtp_transport(m, v, c)
+    assert u @ (K @ v) == pytest.approx(-products.sum(), abs=1e-14 * np.abs(products).sum())
 
 
 def test_zero_data_gives_zero_rhs():
