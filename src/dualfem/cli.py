@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,60 +44,123 @@ EXIT_BRANCH = 4
 
 
 class ConfigError(InvalidArgumentError):
-    pass
+    """A config key is missing, invalid or unknown."""
 
 
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+#: marks a key that has no default
+REQUIRED = object()
+
+_BETA = (float, 10.0)
+_N_TERMS = (int, 100_000)
+_STEP = {"x_jump": (float, 0.2), "lo": (float, 2.0), "hi": (float, 4.0)}
+_INITIAL = {"linear": {"slope": (float, 0.0), "intercept": (float, 0.0)}, "sine_plus_one": {},
+            "jump": {"beta": _BETA}, "smoothed_jump": {"beta": _BETA, "eps": (float, REQUIRED)},
+            "step": _STEP}
+_EULER = euler_mod.EulerConfig
+
+#: Each problem kind's keys as ``key: (kind, default)``, a None default making
+#: a key optional.  A kind is ``float`` (a finite real), ``int`` (a whole count
+#: >= 0; a boolean is neither), a tuple of names, a one-kind list such as
+#: ``[float]``, or a family: each ``type`` name mapped to its own keys.
+KEYS = {
+    "heat": {
+        "k": (float, REQUIRED), "L": (float, REQUIRED), "T": (float, REQUIRED),
+        "nx": (int, REQUIRED), "nt": (int, REQUIRED),
+        "T_keep": (float, np.inf),
+        "right_mode": ((heat_mod.NEUMANN_PI, heat_mod.DIRICHLET_THETA), heat_mod.NEUMANN_PI),
+        **dict.fromkeys(("theta_left", "pi_right", "theta_right"), (float, 0.0)),
+        "initial": (_INITIAL, REQUIRED),
+        "dual_bc": ({"zero": {}, "steady_family": {}}, {"type": "zero"}),
+        "reference": ({"steady": {}, "transient": {}, "fourier_smoothed": {"n_terms": _N_TERMS},
+                       "fourier_discontinuous": {"n_terms": _N_TERMS}}, None),
+        "metrics": ([("pct", "err1", "err2")], ["pct"]),
+    },
+    "transport": {
+        **dict.fromkeys(("c", "L", "T_total", "T_stage", "T_keep"), (float, REQUIRED)),
+        "nx": (int, REQUIRED), "nt": (int, REQUIRED),
+        "u_left": (float, 2.0),
+        # the reference, the jump tracking and both error masks assume a step
+        "initial": ({"step": _STEP}, REQUIRED),
+        # every transport metric is always written; the list is only checked
+        "metrics": ([("pct", "jump_track")], ["pct"]),
+    },
+    "euler": {
+        "I": ([float], REQUIRED), "omega0": ([float], REQUIRED),
+        "nu": (float, _EULER.nu), "a": (float, _EULER.a),
+        "T_total": (float, REQUIRED), "T_stage": (float, REQUIRED),
+        "ne_per_stage": (int, REQUIRED), "N_c": (int, _EULER.N_c), "tol": (float, _EULER.tol),
+        "reference": (("elliptic", "rk45"), "rk45"),
+        "refinements": ([int], []),
+    },
+    "algebraic-demo": {"n_cases": (int, 100), "rows": (int, 4), "cols": (int, 6),
+                       "seed": (int, 0)},
+}
 
 
-def _get(cfg: dict, key: str, default=None, kind=dict):
-    """``cfg[key]``, or ``default`` if the key is absent or null (without one
-    the key is required); a value that is not of JSON type ``kind`` (dict,
-    list, str, or object for any) is a ConfigError naming the key."""
-    value = default if cfg.get(key) is None else cfg[key]
-    if value is None:
-        raise ConfigError(f"config field {key!r} is missing")
-    if not isinstance(value, kind):
-        raise ConfigError(f"config field {key!r} is not valid: "
-                          f"{value!r} is not {_JSON_TYPES[kind]}")
-    return value
+def _read(cfg: dict, keys: dict, label: str, at: str = "") -> dict:
+    """Every key of the table ``keys`` read from ``cfg`` by its kind, a null or
+    absent one at its default; a missing, invalid or unknown key (``problem``
+    and ``preset`` are known at the top level) is a ConfigError naming it."""
+    unknown = sorted(set(cfg) - set(keys) - (set() if at else {"problem", "preset"}))
+    if unknown:
+        raise ConfigError(f"config field {at + unknown[0]!r} is unknown "
+                          f"(known: {', '.join(keys) or 'none'})")
+    out = {}
+    for key, (kind, default) in keys.items():
+        if cfg.get(key) is not None:
+            out[key] = _value(kind, cfg[key], at + key, f"{label} {key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"config field {at + key!r} is missing")
+        else:
+            out[key] = default
+    return out
 
 
-def _whole(value) -> int:
-    """``value`` as an int; a fractional part is a ValueError, not truncated."""
-    number = float(value)
-    if not number.is_integer():
-        raise ValueError(f"{value!r} has a fractional part")
-    return int(number)
-
-
-def _number(cfg: dict, key: str, default=None, kind=float):
-    """``kind`` of ``cfg[key]``, or of ``default`` if the key is absent or null
-    (without one the key is required); a ConfigError names a bad value.
-    ``int`` means :func:`_whole`: a count with a fractional part is an error.
-    A boolean, alone or in a list, is not a number (``float(True)`` is 1.0)."""
-    value = _get(cfg, key, default, object)
-    if any(isinstance(v, bool) for v in (value if isinstance(value, (list, tuple)) else [value])):
-        raise ConfigError(f"config field {key!r} is not valid: {value!r} is a boolean")
+def _value(kind, value, name: str, label: str):
+    """``value`` of the key ``name`` read as ``kind`` (see ``KEYS``); ``label``
+    names what a name of a tuple kind is, e.g. "heat metrics"."""
+    def bad(detail):
+        return ConfigError(f"config field {name!r} is not valid: {detail}")
+    if isinstance(kind, tuple):
+        if not isinstance(value, str) or value not in kind:
+            raise bad(f"unknown {label} {value!r} (known: {', '.join(kind)})")
+        return value
+    if isinstance(kind, list):             # a string would read letter by letter
+        if not isinstance(value, list):
+            raise bad(f"{value!r} is not a list")
+        return [_value(kind[0], v, name, label.removesuffix("s")) for v in value]
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise bad(f"{value!r} is not an object")
+        rest = dict(value)
+        family = _value(tuple(kind), rest.pop("type", None), name, f"{label} type")
+        return {"type": family, **_read(rest, kind[family], label, f"{name}.")}
+    if isinstance(value, bool):            # float(True) would be 1.0
+        raise bad(f"{value!r} is a boolean")
     try:
-        return (_whole if kind is int else kind)(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field {key!r} is not valid: {exc}") from None
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise bad(exc) from None
+    if not np.isfinite(number):
+        raise bad(f"{value!r} is not finite")
+    if kind is int and not (number.is_integer() and number >= 0):
+        raise bad(f"{value!r} is not a whole count")
+    return int(number) if kind is int else number
 
 
 # ---------------------------------------------------------------------------
-# named function families
+# named function families; each takes its spec as read by ``_read``
 
 
 def make_initial(spec: dict):
-    kind = _get(spec, "type", kind=str)
+    kind = spec["type"]
     if kind == "linear":
-        a, b = _number(spec, "slope", 0.0), _number(spec, "intercept", 0.0)
+        a, b = spec["slope"], spec["intercept"]
         return lambda x: a * np.asarray(x, dtype=float) + b
     if kind == "sine_plus_one":
         return lambda x: np.sin(0.5 * np.pi * np.asarray(x, dtype=float)) + 1.0
     if kind == "jump":
-        beta = _number(spec, "beta", 10.0)
+        beta = spec["beta"]
 
         def jump(x):
             x = np.asarray(x, dtype=float)
@@ -105,7 +168,10 @@ def make_initial(spec: dict):
                             np.where(x > 0.5, beta - 2 + 2 * x, beta))
         return jump
     if kind == "smoothed_jump":
-        beta, eps = _number(spec, "beta", 10.0), _number(spec, "eps")
+        beta, eps = spec["beta"], spec["eps"]
+        if not 0 < eps < 0.5:
+            raise ConfigError(f"config field 'initial.eps' is not valid: "
+                              f"need 0 < eps < 0.5, got {eps}")
         ks = (2 * eps - 1) / eps
         cs = beta - (2 * eps - 1) / (2 * eps)
         lo, hi = 0.5 - eps, 0.5 + eps
@@ -115,47 +181,38 @@ def make_initial(spec: dict):
             return np.where(x < lo, beta + 2 * x,
                             np.where(x > hi, beta - 2 + 2 * x, ks * x + cs))
         return smoothed
-    if kind == "step":
-        xj = _number(spec, "x_jump", 0.2)
-        lo, hi = _number(spec, "lo", 2.0), _number(spec, "hi", 4.0)
+    xj, lo, hi = spec["x_jump"], spec["lo"], spec["hi"]
 
-        def step(x):
-            x = np.asarray(x, dtype=float)
-            return np.where(x < xj, lo, np.where(x > xj, hi, 0.5 * (lo + hi)))
-        return step
-    raise ConfigError(f"unknown initial-condition type {kind!r}")
+    def step(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < xj, lo, np.where(x > xj, hi, 0.5 * (lo + hi)))
+    return step
 
 
-def make_dual_bc(spec: dict, k: float):
-    kind = _get(spec, "type", kind=str)
-    zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    if kind == "zero":
-        return {"l_left": zero, "l_top": zero, "p_right": zero, "l_right": zero}
-    if kind == "steady_family":
-        _, l_exact = heat_mod.steady_dual_family(k=k)
-        return {"l_left": zero,
-                "l_top": l_exact,
-                "p_right": zero,
-                "l_right": lambda t: np.full_like(np.asarray(t, dtype=float),
-                                                  float(l_exact(1.0)))}
-    raise ConfigError(f"unknown dual boundary family {kind!r}")
+def make_dual_bc(spec: dict, k: float) -> dict:
+    """The dual traces of a family; a trace it leaves out is zero."""
+    if spec["type"] == "zero":
+        return {}
+    _, l_exact = heat_mod.steady_dual_family(k=k)
+    return {"l_top": l_exact,
+            "l_right": lambda t: np.full_like(np.asarray(t, dtype=float), float(l_exact(1.0)))}
 
 
-def make_heat_reference(spec: dict, k: float, initial_spec: dict):
-    kind = _get(spec, "type", kind=str)
+def make_heat_reference(spec: dict, k: float, initial: dict):
+    kind = spec["type"]
     if kind == "steady":
         return lambda x, t: oracles.heat_steady(x)
     if kind == "transient":
         return lambda x, t: oracles.heat_transient(x, t, k)
+    family = "smoothed_jump" if kind == "fourier_smoothed" else "jump"
+    if initial["type"] != family:
+        raise ConfigError(f"config field 'reference' is not valid: {kind!r} needs "
+                          f"the {family!r} initial, got {initial['type']!r}")
     if kind == "fourier_smoothed":
         return oracles.FourierHeatSolution.smoothed_jump(
-            beta=_number(initial_spec, "beta", 10.0), eps=_number(initial_spec, "eps"),
-            k=k, n_terms=_number(spec, "n_terms", 100_000, int))
-    if kind == "fourier_discontinuous":
-        return oracles.FourierHeatSolution.discontinuous(
-            beta=_number(initial_spec, "beta", 10.0), k=k,
-            n_terms=_number(spec, "n_terms", 100_000, int))
-    raise ConfigError(f"unknown reference type {kind!r}")
+            beta=initial["beta"], eps=initial["eps"], k=k, n_terms=spec["n_terms"])
+    return oracles.FourierHeatSolution.discontinuous(
+        beta=initial["beta"], k=k, n_terms=spec["n_terms"])
 
 
 # ---------------------------------------------------------------------------
@@ -205,49 +262,28 @@ class GridRows:
 
 
 def build_heat_problem(cfg: dict):
-    k = _number(cfg, "k")
-    L, T = _number(cfg, "L"), _number(cfg, "T")
-    initial = make_initial(_get(cfg, "initial"))
-    dual = make_dual_bc(_get(cfg, "dual_bc", {"type": "zero"}), k)
-    mode = _get(cfg, "right_mode", heat_mod.NEUMANN_PI, str)
-    const = lambda key: (lambda s, v=_number(cfg, key, 0.0):
-                         np.full_like(np.asarray(s, dtype=float), v))
+    """The problem and mesh of a heat config read by ``_read``."""
+    k, L, T = cfg["k"], cfg["L"], cfg["T"]
+    const = lambda key: (lambda s, v=cfg[key]: np.full_like(np.asarray(s, dtype=float), v))
     problem = heat_mod.HeatProblem(
         k=k, L=L, T=T,
-        theta0=initial,
+        theta0=make_initial(cfg["initial"]),
         theta_left=const("theta_left"),
-        right_mode=mode,
+        right_mode=cfg["right_mode"],
         pi_right=const("pi_right"), theta_right=const("theta_right"),
-        l_left=dual["l_left"], l_top=dual["l_top"],
-        p_right=dual["p_right"], l_right=dual["l_right"])
-    mesh = build_space_time_mesh(L, T, _number(cfg, "nx", kind=int),
-                                 _number(cfg, "nt", kind=int))
+        **make_dual_bc(cfg["dual_bc"], k))
+    mesh = build_space_time_mesh(L, T, cfg["nx"], cfg["nt"])
     return problem, mesh
 
 
-#: the metrics a config may ask for under ``metrics``
-HEAT_METRICS = ("pct", "err1", "err2")
-TRANSPORT_METRICS = ("pct", "jump_track")
-
-
-def _wanted_metrics(cfg: dict, known: tuple, problem: str) -> list:
-    """The config's ``metrics`` list (default: the first of ``known``); a
-    name not in ``known`` is a ConfigError naming ``metrics``."""
-    wanted = _get(cfg, "metrics", [known[0]], list)
-    for name in wanted:
-        if name not in known:
-            raise ConfigError(f"config field 'metrics' is not valid: unknown {problem} "
-                              f"metric {name!r} (known: {', '.join(known)})")
-    return wanted
-
-
 def run_heat(cfg: dict):
-    wanted = _wanted_metrics(cfg, HEAT_METRICS, "heat")
-    problem, mesh = build_heat_problem(cfg)
-    T_keep = _number(cfg, "T_keep", np.inf)
+    cfg = _read(cfg, KEYS["heat"], "heat")
+    T_keep, wanted, spec = cfg["T_keep"], cfg["metrics"], cfg["reference"]
     if not T_keep >= 0:
         raise ConfigError(f"config field 'T_keep' is not valid: need T_keep >= 0, "
                           f"got {T_keep}")
+    problem, mesh = build_heat_problem(cfg)
+    reference = make_heat_reference(spec, problem.k, cfg["initial"]) if spec else None
     dual, theta = heat_mod.solve_heat_primal(problem, mesh)
     grid = theta.reshape(mesh.nt + 1, mesh.nx + 1)
     x, t = mesh.x_coords(), mesh.t_coords()
@@ -256,9 +292,7 @@ def run_heat(cfg: dict):
 
     summary: dict = {}
     artifacts = {"theta.csv": (["x", "t", "theta"], GridRows(x, t, grid))}
-    if cfg.get("reference") is not None:
-        reference = make_heat_reference(_get(cfg, "reference"), problem.k,
-                                        _get(cfg, "initial"))
+    if reference is not None:
         ref_grid = np.vstack([np.asarray(reference(x, tv), dtype=float) for tv in t])
         if "pct" in wanted:
             pct = metrics.pct_error(grid, ref_grid)
@@ -276,26 +310,15 @@ def run_heat(cfg: dict):
 
 
 def run_transport(cfg: dict):
-    # every transport metric is always written; the list is only checked
-    _wanted_metrics(cfg, TRANSPORT_METRICS, "transport")
-    initial_spec = _get(cfg, "initial")
-    # the reference, the jump tracking and both error masks assume a step
-    if _get(initial_spec, "type", kind=str) != "step":
-        raise ConfigError(f"config field 'initial' is not valid: transport takes "
-                          f"the 'step' family only, got {initial_spec['type']!r}")
-    u0 = make_initial(initial_spec)
-    c = _number(cfg, "c")
-    u_left_val = _number(cfg, "u_left", 2.0)
+    cfg = _read(cfg, KEYS["transport"], "transport")
+    step, c = cfg["initial"], cfg["c"]
+    xj, lo, hi = step["x_jump"], step["lo"], step["hi"]
     problem = transport.TransportProblem(
-        c=c, L=_number(cfg, "L"), T_total=_number(cfg, "T_total"),
-        u0=u0,
-        u_left=lambda t: np.full_like(np.asarray(t, dtype=float), u_left_val))
-    plan = transport.StagePlan.cover(_number(cfg, "T_stage"), _number(cfg, "T_keep"),
-                                     problem.T_total)
-    xj = _number(initial_spec, "x_jump", 0.2)
-    lo, hi = _number(initial_spec, "lo", 2.0), _number(initial_spec, "hi", 4.0)
-    field = transport.run_time_sliced(problem, plan, _number(cfg, "nx", kind=int),
-                                      _number(cfg, "nt", kind=int),
+        c=c, L=cfg["L"], T_total=cfg["T_total"],
+        u0=make_initial(step),
+        u_left=lambda t, v=cfg["u_left"]: np.full_like(np.asarray(t, dtype=float), v))
+    plan = transport.StagePlan.cover(cfg["T_stage"], cfg["T_keep"], problem.T_total)
+    field = transport.run_time_sliced(problem, plan, cfg["nx"], cfg["nt"],
                                       jump_x=xj, jump_avg=0.5 * (lo + hi))
     locus = lambda t: xj + c * t
     ht, hb = transport.track_jump(field, locus, lo=lo, hi=hi)
@@ -326,38 +349,22 @@ def run_transport(cfg: dict):
     return summary, artifacts, {"field": field, "ht": ht, "hb": hb, "pct_masked": masked}
 
 
-def _euler_config(cfg: dict, ne=None) -> euler_mod.EulerConfig:
-    vector = partial(np.asarray, dtype=float)
-    return euler_mod.EulerConfig(
-        I=_number(cfg, "I", kind=vector), omega0=_number(cfg, "omega0", kind=vector),
-        nu=_number(cfg, "nu", 0.0),
-        a=_number(cfg, "a", 1.0),
-        T_total=_number(cfg, "T_total"),
-        T_stage=_number(cfg, "T_stage"),
-        ne_per_stage=_number(cfg, "ne_per_stage", kind=int) if ne is None else ne,
-        N_c=_number(cfg, "N_c", 5, int),
-        tol=_number(cfg, "tol", 1e-10))
-
-
-def _euler_reference(cfg: dict, config: euler_mod.EulerConfig, t: np.ndarray):
-    kind = _get(cfg, "reference", "rk45", str)
+def _euler_reference(kind: str, config: euler_mod.EulerConfig, t: np.ndarray):
     if kind == "elliptic":
         return oracles.euler_free_exact(t, config.I, config.omega0)
-    if kind == "rk45":
-        dense = oracles.rk45_reference(config.I, config.omega0, config.nu,
-                                       T=float(t[-1]))
-        return dense(t)
-    raise ConfigError(f"unknown rigid-body reference {kind!r}")
+    dense = oracles.rk45_reference(config.I, config.omega0, config.nu, T=float(t[-1]))
+    return dense(t)
 
 
 def run_euler_cfg(cfg: dict):
-    config = _euler_config(cfg)
-    _get(cfg, "refinements", [], list)      # a string would read digit by digit
-    refinements = _number(cfg, "refinements", [], kind=lambda v: [_whole(n) for n in v])
+    cfg = _read(cfg, KEYS["euler"], "euler")
+    kind, refinements = cfg.pop("reference"), cfg.pop("refinements")
+    config = euler_mod.EulerConfig(**cfg)
+    refined = [replace(config, ne_per_stage=ne) for ne in refinements]
     run = euler_mod.run_euler(config)
     E = euler_mod.kinetic_energy(config.I, run.omega)
     L = euler_mod.momentum_magnitude(config.I, run.omega)
-    ref = _euler_reference(cfg, config, run.t)
+    ref = _euler_reference(kind, config, run.t)
     err = metrics.err_omega(run.omega, ref)
 
     summary = {
@@ -372,11 +379,8 @@ def run_euler_cfg(cfg: dict):
         summary["momentum_decay_err_rel"] = float(np.max(np.abs(L - L_exact) / L_exact))
 
     if refinements:
-        errs = []
-        for ne in refinements:
-            sub = euler_mod.run_euler(_euler_config(cfg, ne=ne))
-            sub_ref = _euler_reference(cfg, config, sub.t)
-            errs.append(float(metrics.err_omega(sub.omega, sub_ref).max()))
+        errs = [float(metrics.err_omega(sub.omega, _euler_reference(kind, config, sub.t)).max())
+                for sub in map(euler_mod.run_euler, refined)]
         summary["refinement_ne"] = refinements
         summary["refinement_max_err"] = errs
         summary["refinement_ratios"] = [errs[i] / errs[i + 1]
@@ -397,9 +401,13 @@ def run_euler_cfg(cfg: dict):
 
 
 def run_algebraic_demo(cfg: dict):
-    rng = np.random.default_rng(_number(cfg, "seed", 0, int))
-    n_cases = _number(cfg, "n_cases", 100, int)
-    rows, cols = _number(cfg, "rows", 4, int), _number(cfg, "cols", 6, int)
+    cfg = _read(cfg, KEYS["algebraic-demo"], "algebraic-demo")
+    for key in ("n_cases", "rows", "cols"):
+        if cfg[key] < 1:
+            raise ConfigError(f"config field {key!r} is not valid: need {key} >= 1, "
+                              f"got {cfg[key]}")
+    rng = np.random.default_rng(cfg["seed"])
+    n_cases, rows, cols = cfg["n_cases"], cfg["rows"], cfg["cols"]
     solved = reported_no_solution = false_positive = 0
     for _ in range(n_cases):
         A = rng.standard_normal((rows, cols))
@@ -571,9 +579,7 @@ def _write_csv(path: str, header, rows) -> None:
 def run_config(cfg: dict, outdir: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("the config is not a JSON object")
-    problem = _get(cfg, "problem", kind=str)
-    if problem not in RUNNERS:
-        raise ConfigError(f"unknown problem kind {problem!r}")
+    problem = _value(tuple(RUNNERS), cfg.get("problem"), "problem", "problem")
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
     summary_metrics, artifacts, _ = RUNNERS[problem](cfg)
@@ -594,12 +600,6 @@ def run_config(cfg: dict, outdir: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-
-def _default_outdir(args) -> str:
-    if args.out:
-        return args.out
-    return os.environ.get("DUALFEM_OUT", "dualfem-out")
 
 
 def main(argv=None) -> int:
@@ -641,7 +641,7 @@ def main(argv=None) -> int:
             except (OSError, json.JSONDecodeError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-        summary = run_config(cfg, _default_outdir(args))
+        summary = run_config(cfg, args.out or os.environ.get("DUALFEM_OUT", "dualfem-out"))
     except InvalidArgumentError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

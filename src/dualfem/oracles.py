@@ -41,7 +41,7 @@ def fourier_jump_coefficients(beta: float, eps: float, n_terms: int) -> np.ndarr
     if not 0 < eps < 0.5:
         raise InvalidArgumentError(f"smoothing half-width must be in (0, 0.5), got {eps}")
     if n_terms < 1:
-        raise InvalidArgumentError("need at least one series term")
+        raise InvalidArgumentError(f"need at least one series term, got n_terms={n_terms}")
     l, r = 0.5 - eps, 0.5 + eps
     ks = (2 * eps - 1) / eps
     cs = beta - (2 * eps - 1) / (2 * eps)
@@ -61,6 +61,8 @@ def fourier_jump_coefficients(beta: float, eps: float, n_terms: int) -> np.ndarr
 
 def fourier_discontinuous_coefficients(n_terms: int) -> np.ndarray:
     """Coefficients for the sharp jump profile: a_m = 2 (-1)^{m+1} / (pi m)."""
+    if n_terms < 1:
+        raise InvalidArgumentError(f"need at least one series term, got n_terms={n_terms}")
     m = np.arange(1, n_terms + 1, dtype=float)
     return 2.0 * (-1.0) ** (m + 1) / (np.pi * m)
 

@@ -149,6 +149,8 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     stage starts from the whole retained row, band included, and the
     stitched field keeps the nx + 1 columns of (0, L).
     """
+    if not (problem.L > 0 and nx >= 1):
+        raise InvalidArgumentError(f"need L > 0 and nx >= 1, got L={problem.L}, nx={nx}")
     # the layer reaches back to the characteristic through the stage's
     # top-right corner, c * T_stage; two more elements cover its smearing
     h = problem.L / nx

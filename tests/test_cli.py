@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import sys
+import tempfile
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualfem import cli
-from dualfem.cli import (EXIT_BRANCH, EXIT_CONFIG, EXIT_OK, ConfigError,
+from dualfem.cli import (EXIT_BRANCH, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError,
                          GridRows, _write_csv, main, make_initial, run_config)
 from dualfem.presets import PRESETS, get_preset, list_presets
 
@@ -129,6 +134,9 @@ FAST_EULER = {
     "problem": "euler", "I": [1.0, 2.0, 3.0], "omega0": [1.0, 0.0, 3.0],
     "T_total": 0.375, "T_stage": 0.5, "ne_per_stage": 10, "N_c": 2,
 }
+FAST_DEMO = {"problem": "algebraic-demo", "n_cases": 2}
+HEAT_JUMP = {**FAST_HEAT, "k": 0.1, "T": 0.1, "initial": {"type": "jump"},
+             "theta_left": 10.0, "theta_right": 10.0}
 
 
 @pytest.mark.parametrize("base, override, named", [
@@ -167,6 +175,25 @@ FAST_EULER = {
     (FAST_EULER, {"tol": 0.0}, "tol=0.0"),
     (FAST_EULER, {"tol": -1e-10}, "tol=-1e-10"),
     (FAST_HEAT, {"T_keep": -0.1}, "'T_keep'"),
+    (FAST_HEAT, {"theta_rigth": 4.0}, "'theta_rigth' is unknown"),
+    (FAST_EULER, {"lambda_T": 0.0}, "'lambda_T' is unknown"),
+    (FAST_HEAT, {"initial": {"type": "linear", "slop": 3.0}}, "'initial.slop' is unknown"),
+    (FAST_HEAT, {"dual_bc": {"type": "zero", "k": 1.0}}, "'dual_bc.k' is unknown"),
+    (FAST_HEAT, {"reference": {"type": "steady", "n_terms": 10}},
+     "'reference.n_terms' is unknown"),
+    (FAST_HEAT, {"initial": {"slope": 3.0}}, "'initial'"),
+    (FAST_HEAT, {"initial": {"type": "smoothed_jump", "eps": 0.0}}, "'initial.eps'"),
+    (FAST_HEAT, {"reference": {"type": "fourier_discontinuous"}}, "'reference'"),
+    (HEAT_JUMP, {"reference": {"type": "fourier_discontinuous", "n_terms": 0}}, "n_terms=0"),
+    (FAST_TRANSPORT, {"c": float("nan")}, "'c'"),
+    (FAST_TRANSPORT, {"c": float("inf")}, "'c'"),
+    (FAST_EULER, {"nu": float("-inf")}, "'nu'"),
+    (FAST_HEAT, {"nx": -1}, "'nx'"),
+    (FAST_DEMO, {"rows": 0}, "'rows'"),
+    (FAST_DEMO, {"cols": 0}, "'cols'"),
+    (FAST_DEMO, {"n_cases": -1}, "'n_cases'"),
+    (FAST_DEMO, {"n_cases": 0}, "'n_cases'"),
+    (FAST_DEMO, {"seed": -1}, "'seed'"),
 ], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
         "unknown-right-mode", "text-k", "text-ne_per_stage", "fractional-nx",
         "fractional-N_c", "fractional-refinement", "bool-k", "bool-nx",
@@ -175,7 +202,12 @@ FAST_EULER = {
         "text-refinements", "text-metrics", "unknown-metric", "linear-transport-initial",
         "unknown-transport-metric", "text-transport-metrics", "zero-transport-T_total",
         "negative-transport-T_total", "zero-euler-T_total", "negative-euler-T_total",
-        "zero-euler-tol", "negative-euler-tol", "negative-heat-T_keep"])
+        "zero-euler-tol", "negative-euler-tol", "negative-heat-T_keep",
+        "misspelled-key", "removed-lambda_T", "unknown-initial-key", "unknown-dual_bc-key",
+        "unknown-reference-key", "initial-without-type", "zero-eps",
+        "reference-initial-mismatch", "zero-series-terms", "nan-c", "infinite-c",
+        "infinite-nu", "negative-nx", "zero-demo-rows", "zero-demo-cols",
+        "negative-demo-n_cases", "zero-demo-n_cases", "negative-demo-seed"])
 def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
     # out-of-range and non-numeric values are configuration errors, found
     # before any solve, with a message instead of a traceback
@@ -211,9 +243,11 @@ def test_null_key_reads_as_absent(tmp_path, capsys, base, key):
     assert metrics["null"] == metrics["absent"]
 
 
-def test_integral_float_counts_are_accepted():
-    assert cli._number({"nx": 10.0}, "nx", kind=int) == 10
-    assert cli._number({"nx": "12"}, "nx", kind=int) == 12
+def test_integral_float_counts_are_accepted(tmp_path):
+    for nx, n in ((10.0, 10), ("12", 12)):
+        out = tmp_path / str(n)
+        run_config({**FAST_HEAT, "nx": nx}, str(out))
+        assert len((out / "theta.csv").read_text().splitlines()) == 1 + (n + 1) * 12
 
 
 def test_null_refinements_read_as_absent(tmp_path, capsys):
@@ -250,17 +284,73 @@ def test_outdir_environment_variable(tmp_path, monkeypatch, capsys):
     assert (target / "summary.json").exists()
 
 
-def test_make_initial_families():
+def test_make_initial_families(tmp_path):
     lin = make_initial({"type": "linear", "slope": 2.0, "intercept": 1.0})
     assert np.allclose(lin(np.array([0.0, 0.5])), [1.0, 2.0])
     step = make_initial({"type": "step", "x_jump": 0.2, "lo": 2.0, "hi": 4.0})
     assert np.allclose(step(np.array([0.0, 0.2, 0.3])), [2.0, 3.0, 4.0])
     jump = make_initial({"type": "jump", "beta": 10.0})
     assert np.allclose(jump(np.array([0.25, 0.5, 0.75])), [10.5, 10.0, 9.5])
-    with pytest.raises(ConfigError):
-        make_initial({"type": "sawtooth"})
-    with pytest.raises(ConfigError):
-        make_initial({})
+    for initial in ({"type": "sawtooth"}, {}):
+        with pytest.raises(ConfigError):
+            run_config({**FAST_HEAT, "initial": initial}, str(tmp_path / "o"))
+
+
+def test_presets_and_benchmark_configs_read():
+    # a slip in the key tables fails here rather than in the benchmark
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench"))
+    from workloads import WORKLOADS, make_config
+    configs = [get_preset(name) for name in list_presets()] + [
+        make_config(w, 0, rep) for w in WORKLOADS for rep in (0, 3)]
+    for cfg in configs:
+        assert cli._read(cfg, cli.KEYS[cfg["problem"]], cfg["problem"])
+
+
+#: values a fuzzed key takes: wrong types, non-finite and out-of-range
+#: numbers, and small counts (no tiny lengths, so every run stays fast)
+ADVERSARIAL = st.one_of(
+    st.sampled_from([None, True, False, "", "x", "12", [], {}, float("nan"),
+                     float("inf"), float("-inf"), -1, 0, 0.5, 2.5]),
+    st.integers(1, 40))
+FUZZED = {"heat": FAST_HEAT, "transport": FAST_TRANSPORT, "euler": FAST_EULER}
+
+
+def _misspelled(key):
+    return key[:-2] + key[-1] + key[-2] if len(key) > 1 else key + key
+
+
+@st.composite
+def fuzz_cases(draw):
+    problem = draw(st.sampled_from(sorted(FUZZED)))
+    keys = st.sampled_from(sorted(FUZZED[problem]))
+    return (problem, draw(st.dictionaries(keys, ADVERSARIAL, min_size=1, max_size=2)),
+            draw(st.none() | keys))
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=("transport", {"c": float("nan")}, None))
+@example(case=("heat", {}, "theta_right"))
+@given(case=fuzz_cases())
+def test_fuzzed_configs_exit_with_a_documented_code(case):
+    # one or two keys set to adversarial values, and maybe one misspelled
+    # key added: every run exits 0, 2, 3 or 4 with a message, never a traceback
+    problem, edits, typo = case
+    base = FUZZED[problem]
+    cfg = {**base, **edits}
+    if typo is not None:
+        cfg[_misspelled(typo)] = base[typo]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", path, "--out", os.path.join(tmp, "o")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_BRANCH)
+    assert "Traceback" not in err.getvalue()
+    if typo is not None:
+        assert code == EXIT_CONFIG
 
 
 def test_run_config_rejects_unknown_problem(tmp_path):
