@@ -68,7 +68,9 @@ KEYS = {
         "nx": (int, REQUIRED), "nt": (int, REQUIRED),
         "T_keep": (float, np.inf),
         "right_mode": ((heat_mod.NEUMANN_PI, heat_mod.DIRICHLET_THETA), heat_mod.NEUMANN_PI),
-        **dict.fromkeys(("theta_left", "pi_right", "theta_right"), (float, 0.0)),
+        "theta_left": (float, 0.0),
+        # each valid only in its own right_mode (``_RIGHT_KEY``), 0.0 there when absent
+        **dict.fromkeys(("pi_right", "theta_right"), (float, None)),
         "initial": (_INITIAL, REQUIRED),
         "dual_bc": ({"zero": {}, "steady_family": {}}, {"type": "zero"}),
         "reference": ({"steady": {}, "transient": {}, "fourier_smoothed": {"n_terms": _N_TERMS},
@@ -261,16 +263,26 @@ class GridRows:
             yield b"".join(lines).decode("ascii")
 
 
+#: the right-boundary key each heat right_mode reads
+_RIGHT_KEY = {heat_mod.NEUMANN_PI: "pi_right", heat_mod.DIRICHLET_THETA: "theta_right"}
+
+
 def build_heat_problem(cfg: dict):
-    """The problem and mesh of a heat config read by ``_read``."""
-    k, L, T = cfg["k"], cfg["L"], cfg["T"]
-    const = lambda key: (lambda s, v=cfg[key]: np.full_like(np.asarray(s, dtype=float), v))
+    """The problem and mesh of a heat config read by ``_read``; the boundary
+    key of the other right_mode is a ConfigError naming it."""
+    k, L, T, mode = cfg["k"], cfg["L"], cfg["T"], cfg["right_mode"]
+    right = _RIGHT_KEY[mode]
+    for key in _RIGHT_KEY.values():
+        if key != right and cfg[key] is not None:
+            raise ConfigError(f"config field {key!r} is not valid: right_mode {mode!r} "
+                              f"reads {right!r}")
+    values = {"theta_left": cfg["theta_left"], right: 0.0 if cfg[right] is None else cfg[right]}
     problem = heat_mod.HeatProblem(
         k=k, L=L, T=T,
         theta0=make_initial(cfg["initial"]),
-        theta_left=const("theta_left"),
-        right_mode=cfg["right_mode"],
-        pi_right=const("pi_right"), theta_right=const("theta_right"),
+        right_mode=mode,
+        **{key: lambda s, v=v: np.full_like(np.asarray(s, dtype=float), v)
+           for key, v in values.items()},
         **make_dual_bc(cfg["dual_bc"], k))
     mesh = build_space_time_mesh(L, T, cfg["nx"], cfg["nt"])
     return problem, mesh
@@ -309,6 +321,24 @@ def run_heat(cfg: dict):
     return summary, artifacts, {"theta": grid, "mesh": mesh, "dual": dual}
 
 
+def _transport_masks(x, t, locus, L: float):
+    """The (t, x) nodes each transport error maximum leaves out: the jump
+    band of six elements and the sqrt(h) jump layer, each with the 10h
+    outflow layer.  A mask that leaves no node is a ConfigError."""
+    h = x[1] - x[0]
+    jump_dist = np.abs(x[None, :] - locus(t)[:, None])
+    right_layer = x[None, :] > x[-1] - 10 * h - 1e-12
+    # the layer around the jump widens like sqrt(h); criterion 4a masks it
+    # at 1.5 sqrt(h L), the measured 1% width plus a third
+    masks = ((jump_dist <= 6 * h + 1e-12) | right_layer,
+             (jump_dist <= 1.5 * np.sqrt(h * L) + 1e-12) | right_layer)
+    if any(mask.all() for mask in masks):
+        raise ConfigError(f"config fields 'L' and 'nx' are not valid: the jump and "
+                          f"outflow masks leave no node of (0, L) at L={L}, "
+                          f"nx={x.size - 1}")
+    return masks
+
+
 def run_transport(cfg: dict):
     cfg = _read(cfg, KEYS["transport"], "transport")
     step, c = cfg["initial"], cfg["c"]
@@ -318,22 +348,18 @@ def run_transport(cfg: dict):
         u0=make_initial(step),
         u_left=lambda t, v=cfg["u_left"]: np.full_like(np.asarray(t, dtype=float), v))
     plan = transport.StagePlan.cover(cfg["T_stage"], cfg["T_keep"], problem.T_total)
+    locus = lambda t: xj + c * t
+    x, t = transport.retained_grid(problem, plan, cfg["nx"], cfg["nt"])
+    near_jump, in_layer = _transport_masks(x, t, locus, problem.L)
     field = transport.run_time_sliced(problem, plan, cfg["nx"], cfg["nt"],
                                       jump_x=xj, jump_avg=0.5 * (lo + hi))
-    locus = lambda t: xj + c * t
     ht, hb = transport.track_jump(field, locus, lo=lo, hi=hi)
 
     ref = oracles.transport_exact(field.x[None, :], field.t[:, None],
                                   c=c, x0=xj, lo=lo, hi=hi)
     pct = metrics.pct_error(field.u, ref)
-    h = field.x[1] - field.x[0]
-    jump_dist = np.abs(field.x[None, :] - locus(field.t)[:, None])
-    right_layer = field.x[None, :] > field.x[-1] - 10 * h - 1e-12
-    masked = np.where((jump_dist <= 6 * h + 1e-12) | right_layer, np.nan, pct)
-    # the layer around the jump widens like sqrt(h); criterion 4a masks it
-    # at 1.5 sqrt(h L), the measured 1% width plus a third
-    layer = jump_dist <= 1.5 * np.sqrt(h * problem.L) + 1e-12
-    outside_layer = np.where(layer | right_layer, np.nan, pct)
+    masked = np.where(near_jump, np.nan, pct)
+    outside_layer = np.where(in_layer, np.nan, pct)
 
     summary = {
         "n_stages": plan.n_stages,
@@ -359,6 +385,9 @@ def _euler_reference(kind: str, config: euler_mod.EulerConfig, t: np.ndarray):
 def run_euler_cfg(cfg: dict):
     cfg = _read(cfg, KEYS["euler"], "euler")
     kind, refinements = cfg.pop("reference"), cfg.pop("refinements")
+    if kind == "elliptic" and cfg["nu"] > 0:
+        raise ConfigError(f"config field 'reference' is not valid: the 'elliptic' "
+                          f"reference is undamped and needs nu = 0, got nu={cfg['nu']}")
     config = euler_mod.EulerConfig(**cfg)
     refined = [replace(config, ne_per_stage=ne) for ne in refinements]
     run = euler_mod.run_euler(config)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from scipy import sparse
+from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbsv
 
 from .errors import (DualFemError, InvalidArgumentError, NonconvergenceError,
@@ -75,9 +75,8 @@ class StageResult:
 _SYM = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
 _OTHER = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
 _OFFDIAG = 1.0 - np.eye(3)
-# diagonal offsets of the node-major Jacobian band, in LAPACK band row order;
-# element entry [a, b, i, j] lies in column 3 (e + b) + j, band row 5 + row - column
-_OFFSETS = np.arange(5, -6, -1)
+# element entry [a, b, i, j] of the node-major Jacobian lies in column
+# 3 (e + b) + j, band row 5 + row - column (LAPACK band storage)
 _A, _B, _I, _J = np.ix_(range(2), range(2), range(3), range(3))
 _ELEM_COL, _ELEM_BAND = (3 * _B + _J)[..., None], (5 + 3 * (_A - _B) + _I - _J)[..., None]
 
@@ -171,12 +170,13 @@ def residual(gauss: tuple, config: EulerConfig, mesh: TimeMesh,
     return R
 
 
-def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> sparse.dia_matrix:
-    """Discrete Jacobian over all dofs, a (3*n_nodes, 3*n_nodes) DIA matrix.
+def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> np.ndarray:
+    """Discrete Jacobian over all dofs, in LAPACK band storage.
 
     ``gauss`` is the Gauss-point state returned by :func:`_dtp_at_gauss`.
-    Dofs are node-major, 3 A + i, the order of ``R.T.ravel()``.  Its data is
-    the block-tridiagonal band, offsets 5 .. -5, in LAPACK band storage.
+    Dofs are node-major, 3 A + i, the order of ``R.T.ravel()``.  Returns the
+    (11, 3 n_nodes) band of the block-tridiagonal matrix: entry (row, col)
+    sits at [5 + row - col, col], offsets 5 .. -5 from the top row down.
     """
     I, c, nu, n, ne = config.I, config.c, config.nu, mesh.n_nodes, mesh.ne
     omega, dwl, dwld, _ = gauss
@@ -192,36 +192,35 @@ def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> sparse.dia_ma
                   -I[:, None, None] * trial.transpose(0, 3, 1, 2, 4)])
     ke = 0.5 * mesh.h * (W @ M.reshape(8, -1))                    # [a b, i j e]
 
-    ab = np.bincount(band, ke.ravel(), minlength=11 * 3 * n)
-    return sparse.dia_matrix((ab.reshape(11, 3 * n), _OFFSETS), shape=(3 * n, 3 * n))
+    return np.bincount(band, ke.ravel(), minlength=11 * 3 * n).reshape(11, 3 * n)
 
 
-def _newton_step(J: sparse.dia_matrix, R: np.ndarray) -> np.ndarray:
+def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Newton step of shape (3, n_nodes), zero at lambda(T), checked against J.
 
-    J is the node-major (dof 3 A + i) band of :func:`jacobian`, offsets
-    5 .. -5 in LAPACK band storage.  Its first m = 3 (n - 1) rows and
-    columns, the free block, go to one LAPACK ``dgbsv``: the first m band
-    columns, placed in rows 5 .. 15 of a zeroed (16, m) array (the five
-    extra rows hold the LU fill-in).  Band entries of the lambda(T) rows
-    fall below that m x m matrix, where LAPACK never reads.
+    J is the node-major (dof 3 A + i) band of :func:`jacobian`.  Its first
+    m = 3 (n - 1) rows and columns, the free block, go to one LAPACK
+    ``dgbsv``: the first m band columns, placed in rows 5 .. 15 of a zeroed
+    (16, m) array (the five extra rows hold the LU fill-in).  One BLAS
+    ``dgbmv`` on the same m band columns checks the step.  Band entries of
+    the lambda(T) rows fall below the m x m block, where LAPACK never reads;
+    the BLAS wrapper asks for at least 11 rows, so for m < 11 (under four
+    elements) it also forms rows m .. 10 of the product, which are dropped.
     """
-    n = R.shape[1]
-    m = 3 * (n - 1)
+    m = R.size - 3
     ab = np.zeros((16, m), order="F")
-    ab[5:] = J.data[:, :m]
+    ab[5:] = J[:, :m]
     rhs = R.T.ravel()
     _, _, step, info = dgbsv(5, 5, ab, -rhs[:m], overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise SolverError(f"Newton matrix is singular: zero pivot at free dof "
                           f"{info - 1} of {m}")
-    dlam = np.concatenate([step, np.zeros(3)])
-    lin_res = np.linalg.norm((J @ dlam)[:m] + rhs[:m])
+    lin_res = np.linalg.norm(dgbmv(max(m, 11), m, 5, 5, 1.0, J[:, :m], step)[:m] + rhs[:m])
     bound = 1e-8 * np.linalg.norm(rhs[:m])
     if not lin_res <= bound:                    # a non-finite step fails too
         raise SolverError(
             f"Newton step residual {lin_res:.3e} exceeds 1e-8 |R| = {bound:.3e}")
-    return dlam.reshape(n, 3).T
+    return np.concatenate([step, np.zeros(3)]).reshape(-1, 3).T
 
 
 def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,

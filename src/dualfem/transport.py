@@ -135,6 +135,23 @@ def initial_nodal_values(problem: TransportProblem, x: np.ndarray,
     return vals
 
 
+def retained_grid(problem: TransportProblem, plan: StagePlan, nx: int, nt: int):
+    """(x, t) of the field :func:`run_time_sliced` returns, known before any
+    solve: the nx + 1 nodes of (0, L) and the global times of the retained
+    rows, 0 and then each stage's rows past its start up to T_keep.  Stage
+    s starts at the time of the last row stage s - 1 keeps."""
+    if not (problem.L > 0 and nx >= 1 and nt >= 1):
+        raise InvalidArgumentError(f"need L > 0, nx >= 1 and nt >= 1, got L={problem.L}, "
+                                   f"nx={nx}, nt={nt}")
+    t_rows = np.linspace(0.0, plan.T_stage, nt + 1)
+    keep = int(np.sum(t_rows <= plan.T_keep + 1e-12)) - 1       # retained element rows
+    if keep < 1:
+        raise InvalidArgumentError("T_keep shorter than one element row")
+    starts = np.cumsum(np.r_[0.0, np.full(plan.n_stages - 1, t_rows[keep])])
+    t = np.concatenate([[0.0], (starts[:, None] + t_rows[1:keep + 1]).ravel()])
+    return np.linspace(0.0, problem.L, nx + 1), t
+
+
 def run_time_sliced(problem: TransportProblem, plan: StagePlan,
                     nx: int, nt: int,
                     jump_x: float | None = None,
@@ -147,20 +164,17 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     delta = (ceil(c * T_stage / h) + 2) * h, so that the layer the dual
     condition at the right edge leaves behind lies outside (0, L); the next
     stage starts from the whole retained row, band included, and the
-    stitched field keeps the nx + 1 columns of (0, L).
+    stitched field keeps the nx + 1 columns of (0, L), on the grid of
+    :func:`retained_grid`.
     """
-    if not (problem.L > 0 and nx >= 1):
-        raise InvalidArgumentError(f"need L > 0 and nx >= 1, got L={problem.L}, nx={nx}")
+    x_out, t_out = retained_grid(problem, plan, nx, nt)
+    keep_rows = (t_out.size - 1) // plan.n_stages               # retained element rows
     # the layer reaches back to the characteristic through the stage's
     # top-right corner, c * T_stage; two more elements cover its smearing
     h = problem.L / nx
     pad = int(np.ceil(problem.c * plan.T_stage / h - 1e-9)) + 2
     stage_problem = replace(problem, L=problem.L + pad * h)
     mesh = build_space_time_mesh(stage_problem.L, plan.T_stage, nx + pad, nt)
-    t_rows = mesh.t_coords()
-    keep_rows = int(np.sum(t_rows <= plan.T_keep + 1e-12)) - 1   # retained element rows
-    if keep_rows < 1:
-        raise InvalidArgumentError("T_keep shorter than one element row")
 
     x = mesh.x_coords()
     u_init = initial_nodal_values(problem, x, jump_x, jump_avg)
@@ -168,30 +182,25 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     # eliminate and factor once, then each stage only builds its load
     dual = FactoredSystem(*assemble_transport(stage_problem, mesh))
 
-    rows_t = [np.array([0.0])]
     rows_u = [u_init[None, :nx + 1].copy()]
     lambdas = []
-    t_offset = 0.0
     # the first stage's weak term takes the exact (possibly discontinuous)
     # datum and its projection pins the jump-averaged nodal values; each
     # later stage starts from the interpolant of the last retained row
     u0 = problem.u0
     for s in range(plan.n_stages):
-        # the inflow datum is read at global time: stage time t is t_offset + t
-        stage = replace(stage_problem, u_left=lambda t, t0=t_offset: problem.u_left(t0 + t))
+        # the inflow datum is read at global time: stage time t is t0 + t
+        t0 = t_out[s * keep_rows]
+        stage = replace(stage_problem, u_left=lambda t, t0=t0: problem.u_left(t0 + t))
         try:
             lam, u = solve_transport_stage(stage, mesh, dual, u0, u_init)
         except SolverError as exc:
             raise SolverError(f"stage {s + 1} failed: {exc}") from exc
         lambdas.append(lam)
-        rows_t.append(t_offset + t_rows[1:keep_rows + 1])
         rows_u.append(u[1:keep_rows + 1, :nx + 1])
         u_init = u[keep_rows].copy()
         u0 = partial(np.interp, xp=x, fp=u_init)
-        t_offset += t_rows[keep_rows]
-    return StitchedField(x=np.linspace(0.0, problem.L, nx + 1),
-                         t=np.concatenate(rows_t),
-                         u=np.vstack(rows_u), lambda_stages=lambdas)
+    return StitchedField(x=x_out, t=t_out, u=np.vstack(rows_u), lambda_stages=lambdas)
 
 
 def track_jump(field: StitchedField, x_jump: Callable,

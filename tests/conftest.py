@@ -40,3 +40,15 @@ def gauss_points(mesh):
         return mesh.nodes[:-1, None] + 0.5 * (1 + _GAUSS_2D[:2, 0]) * mesh.h
     lower_left = mesh.nodes[mesh.elements[:, 0]]
     return lower_left[:, None, :] + 0.5 * (1 + _GAUSS_2D) * [mesh.hx, mesh.ht]
+
+
+def dense_band(band):
+    """The square matrix of a LAPACK band with equal upper and lower
+    bandwidth u: entry (i, j) is band[u + i - j, j], zero off the band."""
+    u, n = band.shape[0] // 2, band.shape[1]
+    r, j = np.indices(band.shape)
+    i = j + r - u
+    inside = (i >= 0) & (i < n)
+    A = np.zeros((n, n))
+    A[i[inside], j[inside]] = band[inside]
+    return A

@@ -11,6 +11,7 @@ import copy
 import numpy as np
 import pytest
 
+from conftest import dense_band
 from dualfem import euler
 from dualfem.cli import run_euler_cfg, run_heat, run_transport
 from dualfem.euler import EulerConfig, jacobian, residual
@@ -264,7 +265,7 @@ def test_criterion_8_jacobian_finite_difference():
     worst = 0.0
     for _ in range(20):
         lam = rng.standard_normal((3, n)) * 0.05
-        J = jacobian(gauss(lam), cfg, mesh).toarray()[np.ix_(p, p)]
+        J = dense_band(jacobian(gauss(lam), cfg, mesh))[np.ix_(p, p)]
         scale = max(1.0, np.abs(J).max())
         eps = 1e-7
         for dof in rng.choice(3 * n, size=4, replace=False):

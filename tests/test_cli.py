@@ -5,6 +5,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,10 @@ FAST_HEAT = {
     "reference": {"type": "steady"},
     "metrics": ["pct"],
 }
+
+#: FAST_HEAT in the default right_mode, which reads pi_right, not theta_right
+NEUMANN_HEAT = {**{k: v for k, v in FAST_HEAT.items() if k != "theta_right"},
+                "right_mode": "neumann_pi", "pi_right": 0.0}
 
 
 def test_list_presets_names():
@@ -194,6 +199,11 @@ HEAT_JUMP = {**FAST_HEAT, "k": 0.1, "T": 0.1, "initial": {"type": "jump"},
     (FAST_DEMO, {"n_cases": -1}, "'n_cases'"),
     (FAST_DEMO, {"n_cases": 0}, "'n_cases'"),
     (FAST_DEMO, {"seed": -1}, "'seed'"),
+    (FAST_EULER, {"reference": "elliptic", "nu": 0.4}, "'reference'"),
+    (FAST_HEAT, {"pi_right": 0.0}, "'pi_right'"),
+    (NEUMANN_HEAT, {"theta_right": 4.0}, "'theta_right'"),
+    (FAST_TRANSPORT, {"L": 1}, "'L' and 'nx'"),
+    (FAST_TRANSPORT, {"nx": 5}, "'L' and 'nx'"),
 ], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
         "unknown-right-mode", "text-k", "text-ne_per_stage", "fractional-nx",
         "fractional-N_c", "fractional-refinement", "bool-k", "bool-nx",
@@ -207,15 +217,34 @@ HEAT_JUMP = {**FAST_HEAT, "k": 0.1, "T": 0.1, "initial": {"type": "jump"},
         "unknown-reference-key", "initial-without-type", "zero-eps",
         "reference-initial-mismatch", "zero-series-terms", "nan-c", "infinite-c",
         "infinite-nu", "negative-nx", "zero-demo-rows", "zero-demo-cols",
-        "negative-demo-n_cases", "zero-demo-n_cases", "negative-demo-seed"])
-def test_bad_values_exit_config(tmp_path, capsys, base, override, named):
+        "negative-demo-n_cases", "zero-demo-n_cases", "negative-demo-seed",
+        "damped-elliptic-reference", "pi_right-in-dirichlet_theta",
+        "theta_right-in-neumann_pi", "short-transport-L", "coarse-transport-nx"])
+def test_bad_values_exit_config(tmp_path, capsys, monkeypatch, base, override, named):
     # out-of-range and non-numeric values are configuration errors, found
     # before any solve, with a message instead of a traceback
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve reached")
+    for module, name in ((cli.euler_mod, "run_euler"), (cli.heat_mod, "solve_heat_primal"),
+                         (cli.transport, "run_time_sliced")):
+        monkeypatch.setattr(module, name, no_solve)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**base, **override}))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+def test_transport_masks_that_leave_no_node_warn_nothing(tmp_path, capsys):
+    # nanmax over a mask that covers every node used to warn "All-NaN slice"
+    # and write NaN metrics
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**FAST_TRANSPORT, "L": 1}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not caught
+    assert not (tmp_path / "o" / "summary.json").exists()
 
 
 def test_non_object_config_exits_config(tmp_path, capsys):
@@ -227,7 +256,7 @@ def test_non_object_config_exits_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("base, key", [
-    (FAST_HEAT, "dual_bc"), (FAST_HEAT, "metrics"), (FAST_HEAT, "right_mode"),
+    (FAST_HEAT, "dual_bc"), (FAST_HEAT, "metrics"), (NEUMANN_HEAT, "right_mode"),
     (FAST_HEAT, "reference"), (FAST_EULER, "reference"),
 ], ids=["dual_bc", "metrics", "right_mode", "heat-reference", "euler-reference"])
 def test_null_key_reads_as_absent(tmp_path, capsys, base, key):

@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from scipy import sparse
 
+from conftest import dense_band
 from dualfem import euler
 from dualfem.cli import run_euler_cfg
 from dualfem.errors import (InvalidArgumentError, NonconvergenceError,
@@ -139,7 +139,9 @@ def test_jacobian_matches_finite_difference_residual(rng):
     # J is node-major (3 A + i); p reads it in the residual's order i n + A
     p = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()
     gauss = lambda lam: euler._dtp_at_gauss(mesh, lam, base, cfg)
-    J = jacobian(gauss(lam), cfg, mesh).toarray()[np.ix_(p, p)]
+    J = jacobian(gauss(lam), cfg, mesh)
+    assert type(J) is np.ndarray and J.shape == (11, 3 * n)
+    J = dense_band(J)[np.ix_(p, p)]
     eps = 1e-7
     for dof in range(3 * n):
         d = np.zeros(3 * n)
@@ -161,14 +163,14 @@ def test_banded_newton_step_matches_dense_solve(rng):
     J = jacobian(gauss, cfg, mesh)
     p = (3 * np.arange(n) + np.arange(3)[:, None]).ravel()
     free = np.concatenate([i * n + np.arange(n - 1) for i in range(3)])
-    dense = np.linalg.solve(J.toarray()[np.ix_(p, p)][np.ix_(free, free)],
+    dense = np.linalg.solve(dense_band(J)[np.ix_(p, p)][np.ix_(free, free)],
                             -R.ravel()[free])
     step = euler._newton_step(J, R)
     assert np.all(step[:, -1] == 0.0)
     assert np.abs(step.ravel()[free] - dense).max() <= 1e-12 * np.abs(dense).max()
     # the direct dgbsv call is the LU of solve_banded on the same band, bitwise
     m = 3 * (n - 1)
-    ref = scipy.linalg.solve_banded((5, 5), J.data[:, :m], -R.T.ravel()[:m])
+    ref = scipy.linalg.solve_banded((5, 5), J[:, :m], -R.T.ravel()[:m])
     assert np.array_equal(step.T.ravel()[:m], ref)
 
 
@@ -185,13 +187,35 @@ def test_newton_step_ignores_the_final_node_band(rng):
     gauss = euler._dtp_at_gauss(mesh, lam, base, cfg)
     R = residual(gauss, cfg, mesh, base)
     J = jacobian(gauss, cfg, mesh)
-    dense = np.linalg.solve(J.toarray()[:m, :m], -R.T.ravel()[:m])
+    dense = np.linalg.solve(dense_band(J)[:m, :m], -R.T.ravel()[:m])
     col = np.arange(3 * n)
-    J.data[(col >= m) | (col - J.offsets[:, None] >= m)] = 1e6
-    assert np.abs(J.toarray()[m:]).max() == 1e6 and np.abs(J.toarray()[:, m:]).max() == 1e6
+    row = col + np.arange(11)[:, None] - 5          # band entry [5 + row - col, col]
+    J[(col >= m) | (row >= m)] = 1e6
+    filled = dense_band(J)
+    assert np.abs(filled[m:]).max() == 1e6 and np.abs(filled[:, m:]).max() == 1e6
     step = euler._newton_step(J, R)
     assert np.all(step[:, -1] == 0.0)
     assert np.abs(step.T.ravel()[:m] - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("ne", [1, 2, 3])
+def test_newton_step_on_stages_narrower_than_the_band(rng, ne):
+    # under four elements the free block has fewer than 11 rows, the least
+    # the BLAS band product takes; the step still matches a dense solve
+    cfg = EulerConfig(I=(1.0, 2.0, 5.0), omega0=(0.3, 1.0, 0.2), nu=0.2,
+                      T_stage=0.3, ne_per_stage=ne, N_c=0)
+    mesh = build_time_mesh(cfg.T_stage, ne)
+    m = 3 * ne
+    lam = rng.standard_normal((3, mesh.n_nodes)) * 0.05
+    base = np.asarray(cfg.omega0)
+    gauss = euler._dtp_at_gauss(mesh, lam, base, cfg)
+    R = residual(gauss, cfg, mesh, base)
+    J = jacobian(gauss, cfg, mesh)
+    dense = np.linalg.solve(dense_band(J)[:m, :m], -R.T.ravel()[:m])
+    step = euler._newton_step(J, R)
+    assert np.abs(step.T.ravel()[:m] - dense).max() <= 1e-12 * np.abs(dense).max()
+    res = newton_stage(cfg, cfg.omega0, mesh)
+    assert res.increments[-1] < cfg.tol
 
 
 def test_newton_stage_builds_one_residual_and_jacobian_per_iteration(monkeypatch):
@@ -219,8 +243,7 @@ def test_newton_stage_builds_one_residual_and_jacobian_per_iteration(monkeypatch
 def test_singular_newton_matrix_is_a_solver_error(monkeypatch):
     cfg = free_config(ne_per_stage=10, N_c=2)
     n = 3 * (cfg.ne_per_stage + 1)
-    band = sparse.dia_matrix((np.zeros((11, n)), np.arange(5, -6, -1)), shape=(n, n))
-    monkeypatch.setattr(euler, "jacobian", lambda *args: band)
+    monkeypatch.setattr(euler, "jacobian", lambda *args: np.zeros((11, n)))
     with pytest.raises(SolverError, match="singular") as info:
         newton_stage(cfg, cfg.omega0, stage_mesh(cfg))
     assert type(info.value) is SolverError
