@@ -390,6 +390,8 @@ def run_euler_cfg(cfg: dict):
                           f"reference is undamped and needs nu = 0, got nu={cfg['nu']}")
     config = euler_mod.EulerConfig(**cfg)
     refined = [replace(config, ne_per_stage=ne) for ne in refinements]
+    if kind == "elliptic":          # an unsupported branch is exit 4 before any solve
+        oracles.elliptic_branch(config.I, config.omega0)
     run = euler_mod.run_euler(config)
     E = euler_mod.kinetic_energy(config.I, run.omega)
     L = euler_mod.momentum_magnitude(config.I, run.omega)

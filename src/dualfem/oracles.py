@@ -8,7 +8,9 @@ finite-dimensional algebraic dual demonstration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -189,11 +191,11 @@ def elliptic_params(I, omega0) -> EllipticParams:
     return EllipticParams(E=E, L2=L2, tau_scale=float(tau_scale), k2=float(k2), amp=amp)
 
 
-def euler_free_exact(t, I, omega0) -> np.ndarray:
-    """Analytical free rotation, shape (3, len(t)).
-
-    Supports the branch with omega_2(0) = 0, omega_1(0), omega_3(0) > 0 and
-    ordered distinct inertias; other sign regimes raise.
+def elliptic_branch(I, omega0) -> EllipticParams:
+    """:func:`elliptic_params` of a state on the branch that
+    :func:`euler_free_exact` covers: ordered distinct inertias, k^2 < 1,
+    omega_2(0) = 0 and omega_1(0), omega_3(0) > 0.  Any other state raises
+    :class:`UnsupportedBranchError`.
     """
     omega0 = np.asarray(omega0, dtype=float)
     par = elliptic_params(I, omega0)
@@ -203,6 +205,13 @@ def euler_free_exact(t, I, omega0) -> np.ndarray:
                        rtol=1e-10, atol=1e-12):
         raise UnsupportedBranchError(
             "initial state inconsistent with the positive cn/dn branch")
+    return par
+
+
+def euler_free_exact(t, I, omega0) -> np.ndarray:
+    """Analytical free rotation, shape (3, len(t)), on the branch that
+    :func:`elliptic_branch` checks."""
+    par = elliptic_branch(I, omega0)
     tau = np.asarray(t, dtype=float) * par.tau_scale
     sn, cn, dn = jacobi_sn_cn_dn(tau, par.k2)
     return np.stack([par.amp[0] * cn, par.amp[1] * sn, par.amp[2] * dn])
@@ -210,32 +219,45 @@ def euler_free_exact(t, I, omega0) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # adaptive embedded Runge-Kutta 4(5), Dormand-Prince coefficients
+#
+# The integrator works on lists of Python floats: on the three components
+# of the rigid-body system a NumPy call costs far more than its arithmetic.
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
-_DP_DENSE = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-                      -10690763975 / 1880347072, 701980252875 / 199316789632,
-                      -1453857185 / 822651844, 69997945 / 29380423])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    # the fifth-order weights: this stage's state is y5 (first same as last)
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
+_DP_DENSE = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+             -10690763975 / 1880347072, 701980252875 / 199316789632,
+             -1453857185 / 822651844, 69997945 / 29380423)
+
+
+def _advance(y, h, weights, k):
+    """y_i + h sum_s weights[s] k_i[s] for each component i; ``k[i]`` holds
+    component i of every stage, and only the first len(weights) are read."""
+    return [yi + h * sum(map(mul, weights, ki)) for yi, ki in zip(y, k)]
 
 
 def euler_rhs(I, nu):
-    """Right-hand side of the angular-velocity system."""
-    I = np.asarray(I, dtype=float)
-    c = np.array([I[(i + 2) % 3] - I[(i + 1) % 3] for i in range(3)])
+    """Right-hand side of the angular-velocity system, on float sequences."""
+    I0, I1, I2 = (float(v) for v in I)
+    c0, c1, c2 = I2 - I1, I0 - I2, I1 - I0
+    nu = float(nu)
 
     def rhs(t, w):
-        return -(c * w[[1, 2, 0]] * w[[2, 0, 1]]) / I - nu * w
+        w0, w1, w2 = w
+        return (-(c0 * w1 * w2) / I0 - nu * w0,
+                -(c1 * w2 * w0) / I1 - nu * w1,
+                -(c2 * w0 * w1) / I2 - nu * w2)
 
     return rhs
 
@@ -260,15 +282,18 @@ class DenseOutput:
 
 def rk45_integrate(rhs, t_span, y0, rtol: float = 1e-10, atol: float = 1e-12,
                    max_steps: int = 1_000_000) -> DenseOutput:
-    """Adaptive Dormand-Prince 4(5) integration with dense output."""
+    """Adaptive Dormand-Prince 4(5) integration with dense output.
+
+    ``rhs(t, y)`` takes the state as a list of floats and returns a float
+    sequence of the same length.
+    """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).tolist()
     t = t0
     h = (t1 - t0) * 1e-3
     t_grid = [t0]
     rcont = []
-    k = np.empty((7, y.size))
-    k[0] = rhs(t, y)
+    k = [[d] + [0.0] * 6 for d in rhs(t, y)]      # k[i][s]: component i of stage s
     for _ in range(max_steps):
         if t >= t1:
             break
@@ -276,22 +301,25 @@ def rk45_integrate(rhs, t_span, y0, rtol: float = 1e-10, atol: float = 1e-12,
         if h < 1e-14 * max(1.0, abs(t)):
             raise SolverError("step size underflow in RK45 (stiffness?)")
         for s in range(1, 7):
-            ys = y + h * (_DP_A[s] @ k[:s])
-            k[s] = rhs(t + _DP_C[s] * h, ys)
-        y5 = y + h * (_DP_B5 @ k)
-        y4 = y + h * (_DP_B4 @ k)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean(((y5 - y4) / scale) ** 2))
+            ys = _advance(y, h, _DP_A[s], k)
+            for ki, d in zip(k, rhs(t + _DP_C[s] * h, ys)):
+                ki[s] = d
+        y5 = ys
+        y4 = _advance(y, h, _DP_B4, k)
+        err = math.sqrt(sum(
+            ((b - c) / (atol + rtol * max(abs(a), abs(b)))) ** 2
+            for a, b, c in zip(y, y5, y4)) / len(y))
         if err <= 1.0:
-            dy = y5 - y
-            r3 = h * k[0] - dy
-            r4 = dy - h * k[6] - r3
-            r5 = h * (_DP_DENSE @ k)
-            rcont.append(np.stack([y, dy, r3, r4, r5]))
+            dy = [b - a for a, b in zip(y, y5)]
+            r3 = [h * ki[0] - d for ki, d in zip(k, dy)]
+            r4 = [d - h * ki[6] - r for d, ki, r in zip(dy, k, r3)]
+            r5 = [h * sum(map(mul, _DP_DENSE, ki)) for ki in k]
+            rcont.append((y, dy, r3, r4, r5))
             t += h
             t_grid.append(t)
             y = y5
-            k[0] = k[6]          # first-same-as-last
+            for ki in k:         # first-same-as-last
+                ki[0] = ki[6]
         factor = 0.9 * (err + 1e-300) ** -0.2
         h *= min(5.0, max(0.2, factor))
     else:

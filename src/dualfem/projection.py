@@ -9,14 +9,18 @@ the product of the two 1-D (tridiagonal) mass matrices.  On a Cartesian
 free set its free block is never assembled: it is applied as M_t V M_x on
 the node grid V, for the residual check of :func:`fem.solve_linear`, and
 solved by one tridiagonal solve along each axis (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964).  The 1-D projection of the rigid-body stages solves
-its tridiagonal mass matrix by one banded solve, without that check.
+Numer. Math. 6, 1964).  The 1-D projection of the rigid-body stages
+factors the free block of its tridiagonal mass matrix once per mesh and
+pin set, and each call solves with that factor, without the check.  Every
+tridiagonal solve is one LAPACK ``dgbtrf`` / ``dgbtrs`` pair.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import InvalidArgumentError
 # solve_system stays importable from here for existing callers
@@ -27,7 +31,8 @@ from .mesh import SpaceTimeMesh, TimeMesh
 def _mass_bands(ne: int, h: float) -> np.ndarray:
     """Tridiagonal mass matrix of ne linear elements of length h, stored by
     diagonals aligned on columns: rows super, main, sub (M[j-1, j], M[j, j],
-    M[j+1, j]), the layout of both ``solve_banded`` and the DIA format."""
+    M[j+1, j]), LAPACK's band layout (below the fill row that
+    :func:`_band_factor` adds) and the DIA format's."""
     edge = h * 2.0 / 6.0
     ab = np.full((3, ne + 1), h * 1.0 / 6.0)
     ab[1] = 2 * edge
@@ -52,6 +57,22 @@ def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     y[:-1] += ab[0, 1:, None] * v[1:]
     y[1:] += ab[2, :-1, None] * v[:-1]
     return y
+
+
+def _band_factor(ab: np.ndarray):
+    """LU factor of the tridiagonal matrix with bands ``ab`` (LAPACK
+    ``dgbtrf``, kl = ku = 1, with a zero row on top for the fill)."""
+    lu, piv, _ = dgbtrf(np.vstack([np.zeros((1, ab.shape[1])), ab]), 1, 1,
+                        overwrite_ab=True)
+    return lu, piv
+
+
+def _band_solve(factor, b: np.ndarray) -> np.ndarray:
+    """Solve with a :func:`_band_factor` factor for each column of b (n, k)."""
+    if b.size == 0:                  # LAPACK's wrapper rejects empty arrays
+        return b.copy()
+    lu, piv = factor
+    return dgbtrs(lu, 1, 1, b, piv)[0]
 
 
 def _band_nnz(ab: np.ndarray) -> int:
@@ -87,25 +108,28 @@ class _KronMass:
         return _band_matvec(self.mt, _band_matvec(self.mx, V.T).T).ravel()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        X = solve_banded((1, 1), self.mt, self._grid(b), check_finite=False)  # M_t^-1 B
-        X = solve_banded((1, 1), self.mx, X.T, check_finite=False).T           # ... M_x^-1
+        X = _band_solve(_band_factor(self.mt), self._grid(b))     # M_t^-1 B
+        X = _band_solve(_band_factor(self.mx), X.T).T             # ... M_x^-1
         return X.ravel()
 
 
-def _pin_values(pinned, n: int, lead: tuple = ()):
-    """Mask (n,) and nodal values (*lead, n) of a ``(nodes, values)`` pin
-    set; the values broadcast to (*lead, n_pins)."""
-    mask = np.zeros(n, dtype=bool)
-    out = np.zeros(lead + (n,))
-    nodes, values = pinned
-    nodes = np.asarray(nodes, dtype=np.int64)
+def _pin_mask(nodes: np.ndarray, n: int) -> np.ndarray:
+    """Mask (n,) of the pinned node ids, each in range and pinned once."""
     if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
         raise InvalidArgumentError("pinned node out of range")
     if np.unique(nodes).size != nodes.size:
         raise InvalidArgumentError("a node is pinned more than once")
+    mask = np.zeros(n, dtype=bool)
     mask[nodes] = True
+    return mask
+
+
+def _pin_values(nodes: np.ndarray, values, n: int, lead: tuple = ()) -> np.ndarray:
+    """Nodal values (*lead, n), zero but at the pinned nodes; the values
+    broadcast to (*lead, n_pins)."""
+    out = np.zeros(lead + (n,))
     out[..., nodes] = np.broadcast_to(np.asarray(values, dtype=float), lead + nodes.shape)
-    return mask, out
+    return out
 
 
 def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
@@ -123,7 +147,10 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
         raise InvalidArgumentError(
             f"samples shape {samples.shape}, expected {(mesh.n_elements, 4)}")
     shape = (mesh.nt + 1, mesh.nx + 1)
-    mask, out = _pin_values(pinned, mesh.n_nodes)
+    nodes, values = pinned
+    nodes = np.asarray(nodes, dtype=np.int64)
+    mask = _pin_mask(nodes, mesh.n_nodes)
+    out = _pin_values(nodes, values, mesh.n_nodes)
     pin_rows = mask.reshape(shape).all(axis=1)
     pin_cols = mask.reshape(shape).all(axis=0)
     if not np.array_equal(mask.reshape(shape), pin_rows[:, None] | pin_cols[None, :]):
@@ -143,6 +170,19 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
     free = np.ix_(fr, fc)
     U[free] = solve_linear(M_f, rhs[free].ravel(), lu=M_f).reshape(fr.size, fc.size)
     return out
+
+
+@lru_cache(maxsize=8)
+def _time_mass(ne: int, h: float, nodes: tuple):
+    """Per-mesh constants of :func:`l2_project_time`, built once per (ne, h,
+    pinned node ids): the mass bands, the free node ids and the factor of
+    the free block."""
+    ab = _mass_bands(ne, h)
+    free = np.nonzero(~_pin_mask(np.array(nodes, dtype=np.int64), ne + 1))[0]
+    lu, piv = _band_factor(_restrict(ab, free))
+    for table in (ab, free, lu, piv):
+        table.flags.writeable = False
+    return ab, free, (lu, piv)
 
 
 def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
@@ -166,10 +206,10 @@ def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
     rhs[:, :-1] += contrib[..., 0]
     rhs[:, 1:] += contrib[..., 1]
 
-    ab = _mass_bands(mesh.ne, h)
-    mask, out = _pin_values(pinned, n, (S.shape[0],))
+    nodes, values = pinned
+    nodes = np.asarray(nodes, dtype=np.int64)
+    ab, free, factor = _time_mass(mesh.ne, h, tuple(nodes.ravel().tolist()))
+    out = _pin_values(nodes, values, n, (S.shape[0],))
     rhs = rhs - _band_matvec(ab, out.T).T
-    idx = np.nonzero(~mask)[0]
-    out[:, idx] = solve_banded((1, 1), _restrict(ab, idx), rhs[:, idx].T,
-                               check_finite=False).T
+    out[:, free] = _band_solve(factor, rhs[:, free].T).T
     return out[0] if samples.ndim == 2 else out

@@ -117,17 +117,28 @@ def test_run_missing_and_invalid_config(tmp_path, capsys):
     assert main(["run", str(missing)]) == EXIT_CONFIG
 
 
-def test_unsupported_branch_exit_code(tmp_path, capsys):
+def count_euler_solves(monkeypatch):
+    """Wrap euler.run_euler as the CLI calls it; returns its call list."""
+    calls, run_euler = [], cli.euler_mod.run_euler
+    monkeypatch.setattr(cli.euler_mod, "run_euler",
+                        lambda config: calls.append(config) or run_euler(config))
+    return calls
+
+
+def test_unsupported_branch_exit_code(tmp_path, capsys, monkeypatch):
+    # rotation about the intermediate axis (k^2 = 1) is exit 4 before any solve
     cfg = {
         "problem": "euler",
         "I": [1.0, 2.0, 3.0], "omega0": [0.0, 1.0, 0.0], "nu": 0.0,
         "T_total": 0.375, "T_stage": 0.5, "ne_per_stage": 10, "N_c": 2,
         "reference": "elliptic",
     }
+    calls = count_euler_solves(monkeypatch)
     path = tmp_path / "branch.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_BRANCH
     assert "unsupported branch" in capsys.readouterr().err
+    assert calls == []
 
 
 FAST_TRANSPORT = {
@@ -233,6 +244,26 @@ def test_bad_values_exit_config(tmp_path, capsys, monkeypatch, base, override, n
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"omega0": [1.0, 0.5, 3.0]}, "omega_2(0) = 0"),
+    ({"omega0": [1.0, 0.0, -3.0]}, "positive cn/dn branch"),
+    ({"I": [3.0, 2.0, 1.0]}, "I1 < I2 < I3"),
+], ids=["omega2-nonzero", "negative-omega3", "unordered-inertias"])
+def test_elliptic_branch_checked_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                  override, message):
+    # every check of the elliptic reference runs before run_euler; the same
+    # configs with the rk45 reference solve
+    calls = count_euler_solves(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**FAST_EULER, **override, "reference": "elliptic"}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_BRANCH
+    assert message in capsys.readouterr().err
+    assert calls == []
+    path.write_text(json.dumps({**FAST_EULER, **override, "reference": "rk45"}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_transport_masks_that_leave_no_node_warn_nothing(tmp_path, capsys):

@@ -197,7 +197,7 @@ def test_rk45_on_linear_oscillator():
 
 
 def test_rk45_step_budget_guard():
-    rhs = lambda t, y: -y
+    rhs = lambda t, y: [-v for v in y]
     with pytest.raises(SolverError):
         rk45_integrate(rhs, (0.0, 1.0), np.array([1.0]), max_steps=2)
 
@@ -209,6 +209,19 @@ def test_rk45_agrees_with_elliptic_solution():
     t = np.linspace(0.0, 3.0, 61)
     num = rk45_reference(I, omega0, 0.0, 3.0)(t)
     exact = euler_free_exact(t, I, omega0)
+    assert np.abs(num - exact).max() < 1e-8
+
+
+def test_rk45_agrees_with_damped_elliptic_solution():
+    # isotropic damping rescales free rotation exactly:
+    # omega(t) = e^{-nu t} omega_free((1 - e^{-nu t}) / nu)
+    I, nu = (1.0, 2.0, 3.0), 0.4
+    par = elliptic_params(I, (1.0, 0.0, 1.0))
+    omega0 = np.array([par.amp[0], 0.0, par.amp[2]])
+    t = np.linspace(0.0, 3.0, 61)
+    num = rk45_reference(I, omega0, nu, 3.0)(t)
+    decay = np.exp(-nu * t)
+    exact = decay * euler_free_exact((1.0 - decay) / nu, I, omega0)
     assert np.abs(num - exact).max() < 1e-8
 
 

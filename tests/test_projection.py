@@ -5,10 +5,10 @@ from scipy.sparse.linalg import spsolve
 
 from conftest import gauss_points
 from dualfem.errors import InvalidArgumentError, SolverError
-from dualfem.fem import QUAD_N, assemble_uniform
+from dualfem.fem import LINE_N, QUAD_N, assemble_uniform
 from dualfem.mesh import build_space_time_mesh, build_time_mesh
-from dualfem.projection import (_KronMass, _mass_bands, _restrict, l2_project,
-                                l2_project_time)
+from dualfem.projection import (_KronMass, _mass_bands, _restrict, _time_mass,
+                                l2_project, l2_project_time)
 
 # the pin set of a projection that prescribes no node
 NO_PINS = (np.zeros(0, dtype=np.int64), 0.0)
@@ -238,3 +238,38 @@ def test_time_projection_matches_dense_solve(rng):
         ref[1:] = np.linalg.solve(M[1:, 1:], rhs[1:] - M[1:, 0] * pin_values[i])
         assert np.abs(out[i] - ref).max() <= 1e-13 * np.abs(ref).max()
         assert out[i, 0] == pin_values[i]
+
+
+def dense_time_projection(m, samples, nodes, values):
+    """Per-component dense solve of the 1-D projection, pins eliminated."""
+    n = m.n_nodes
+    M = np.zeros((n, n))
+    rhs = np.zeros((samples.shape[0], n))
+    for e in range(m.ne):
+        M[e:e + 2, e:e + 2] += m.h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+        rhs[:, e:e + 2] += 0.5 * m.h * samples[:, e] @ LINE_N
+    free = np.setdiff1d(np.arange(n), nodes)
+    out = np.zeros((samples.shape[0], n))
+    out[:, nodes] = values
+    rhs -= out @ M
+    out[:, free] = np.linalg.solve(M[np.ix_(free, free)], rhs[:, free].T).T
+    return out
+
+
+@pytest.mark.parametrize("ne", [1, 2, 9])
+def test_time_projection_factor_is_kept_per_mesh_and_pin_set(rng, ne):
+    # one factor per (ne, h, pinned nodes): alternating pin sets on one mesh
+    # each solve with their own, and a repeated call builds nothing new
+    m = build_time_mesh(0.7, ne)
+    _time_mass.cache_clear()
+    seen = set()
+    for nodes in ([0], [], [0, ne], [0], []):
+        samples = rng.standard_normal((3, ne, 2))
+        values = rng.standard_normal((3, len(nodes)))
+        hits = _time_mass.cache_info().hits
+        out = l2_project_time(m, samples, pinned=(np.array(nodes, dtype=np.int64), values))
+        ref = dense_time_projection(m, samples, nodes, values)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(out[:, nodes], values)
+        assert _time_mass.cache_info().hits == hits + (tuple(nodes) in seen)
+        seen.add(tuple(nodes))
