@@ -65,7 +65,6 @@ class EulerConfig:
 class StageResult:
     t_nodes: np.ndarray           # retained node times, stage-local
     omega_nodes: np.ndarray       # (3, n_retained)
-    lam: np.ndarray               # converged dual field, (3, n_nodes)
     newton_iters: int
     increments: list = field(default_factory=list)
 
@@ -259,7 +258,6 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
     n_keep = mesh.ne - config.N_c
     return StageResult(t_nodes=mesh.nodes[:n_keep + 1],
                        omega_nodes=omega_nodes[:, :n_keep + 1],
-                       lam=lam,
                        newton_iters=len(increments),
                        increments=increments)
 

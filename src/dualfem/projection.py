@@ -4,19 +4,21 @@ The mass-matrix right-hand side is integrated with the same 2x2 (or
 2-point) rule that produced the samples; known primal data is pinned at
 nodes and moved to the right-hand side.
 
-On the uniform space-time grid the mass matrix is exactly kron(M_t, M_x),
-the product of the two 1-D (tridiagonal) mass matrices.  On a Cartesian
-free set its free block is never assembled: it is applied as M_t V M_x on
-the node grid V, for the residual check of :func:`fem.solve_linear`, and
-solved by one tridiagonal solve along each axis (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964).  The 1-D projection of the rigid-body stages
-factors the free block of its tridiagonal mass matrix once per mesh and
-pin set, and each call solves with that factor, without the check.  Every
-tridiagonal solve is one LAPACK ``dgbtrf`` / ``dgbtrs`` pair.
+Both projections rest on one per-axis table, :func:`_axis`, built once per
+(ne, h, pinned node ids): the tridiagonal mass matrix of the axis, its free
+nodes and the LAPACK ``dgbtrf`` factor of its free block.  The 1-D
+projection of the rigid-body stages solves with that factor directly,
+without a residual check.  On the uniform space-time grid the mass matrix
+is exactly kron(M_t, M_x); on a Cartesian free set its free block is never
+assembled: it is applied as M_t V M_x on the node grid V, for the residual
+check of :func:`fem.solve_linear`, and solved by one ``dgbtrs`` solve
+along each axis with the axis's cached factor (Lynch, Rice & Thomas,
+Numer. Math. 6, 1964).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -32,23 +34,13 @@ def _mass_bands(ne: int, h: float) -> np.ndarray:
     """Tridiagonal mass matrix of ne linear elements of length h, stored by
     diagonals aligned on columns: rows super, main, sub (M[j-1, j], M[j, j],
     M[j+1, j]), LAPACK's band layout (below the fill row that
-    :func:`_band_factor` adds) and the DIA format's."""
+    :func:`_axis` adds) and the DIA format's."""
     edge = h * 2.0 / 6.0
     ab = np.full((3, ne + 1), h * 1.0 / 6.0)
     ab[1] = 2 * edge
     ab[1, [0, -1]] = edge
     ab[0, 0] = ab[2, -1] = 0.0
     return ab
-
-
-def _restrict(ab: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Bands of M[idx][:, idx] for increasing idx: a coupling survives only
-    between neighbours that stay adjacent."""
-    sub = ab[:, idx]
-    gap = np.diff(idx) != 1
-    sub[0, 1:][gap] = 0.0
-    sub[2, :-1][gap] = 0.0
-    return sub
 
 
 def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -59,58 +51,71 @@ def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return y
 
 
-def _band_factor(ab: np.ndarray):
-    """LU factor of the tridiagonal matrix with bands ``ab`` (LAPACK
-    ``dgbtrf``, kl = ku = 1, with a zero row on top for the fill)."""
-    lu, piv, _ = dgbtrf(np.vstack([np.zeros((1, ab.shape[1])), ab]), 1, 1,
-                        overwrite_ab=True)
-    return lu, piv
-
-
 def _band_solve(factor, b: np.ndarray) -> np.ndarray:
-    """Solve with a :func:`_band_factor` factor for each column of b (n, k)."""
+    """Solve with an :func:`_axis` factor for each column of b (n, k)."""
     if b.size == 0:                  # LAPACK's wrapper rejects empty arrays
         return b.copy()
     lu, piv = factor
     return dgbtrs(lu, 1, 1, b, piv)[0]
 
 
-def _band_nnz(ab: np.ndarray) -> int:
-    """Nonzeros of M inside the matrix: the storage corners ab[0, 0] and
-    ab[2, -1] lie outside it and are not counted."""
-    return int(np.count_nonzero(ab[1]) + np.count_nonzero(ab[0, 1:])
-               + np.count_nonzero(ab[2, :-1]))
+_Axis = namedtuple("_Axis", "bands free free_bands factor")
+
+
+@lru_cache(maxsize=8)
+def _axis(ne: int, h: float, pinned: tuple) -> _Axis:
+    """Read-only constants of an axis of ne elements of length h with the
+    node ids ``pinned``, built once per (ne, h, pinned) for both projections:
+    the mass bands of the whole axis, the free node ids (increasing), the
+    bands of the free block M[free][:, free] and their LAPACK ``dgbtrf``
+    factor (lu, piv), taken with kl = ku = 1 and a zero row on top for the
+    fill."""
+    ab = _mass_bands(ne, h)
+    free = np.nonzero(~_pin_mask(np.array(pinned, dtype=np.int64), ne + 1))[0]
+    # couplings survive only between free neighbours that stay adjacent; the
+    # ends count as gaps, so the storage corners outside the block are zero
+    ab_f = ab[:, free]
+    gap = np.diff(free, prepend=-2, append=ne + 3) != 1
+    ab_f[0][gap[:-1]] = ab_f[2][gap[1:]] = 0.0
+    lu, piv, _ = dgbtrf(np.vstack([np.zeros((1, free.size)), ab_f]), 1, 1,
+                        overwrite_ab=True)
+    for table in (ab, free, ab_f, lu, piv):
+        table.flags.writeable = False
+    return _Axis(ab, free, ab_f, (lu, piv))
+
+
+def _kron_matvec(mt: np.ndarray, mx: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M_t V M_x for the bands of M_t and M_x and a (t, x) node grid V."""
+    return _band_matvec(mt, _band_matvec(mx, V.T).T)
 
 
 class _KronMass:
-    """kron(M_t, M_x), given the bands of M_t and M_x, applied and solved
-    without assembling it.
+    """The free block kron(M_t[fr, fr], M_x[fc, fc]) of two :func:`_axis`
+    tables, applied and solved without assembling it.
 
-    A vector is the row-major (t, x) node grid V; ``@`` gives M_t V M_x and
-    :meth:`solve` a tridiagonal solve along each axis.  ``shape`` and
-    ``nnz`` are those of the assembled kron matrix.
+    A vector is the row-major (t, x) grid V of the free nodes; ``@`` gives
+    M_t V M_x and :meth:`solve` a solve along each axis with its cached
+    factor.  ``shape`` and ``nnz`` are those of the assembled kron matrix.
     """
 
-    def __init__(self, mt: np.ndarray, mx: np.ndarray):
-        self.mt, self.mx = mt, mx
-        n = mt.shape[1] * mx.shape[1]
+    def __init__(self, t: _Axis, x: _Axis):
+        self.t, self.x = t, x
+        n = t.free.size * x.free.size
         self.shape = (n, n)
 
     @property
     def nnz(self) -> int:
-        return _band_nnz(self.mt) * _band_nnz(self.mx)
+        return np.count_nonzero(self.t.free_bands) * np.count_nonzero(self.x.free_bands)
 
     def _grid(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v).reshape(self.mt.shape[1], self.mx.shape[1])
+        return np.asarray(v).reshape(self.t.free.size, self.x.free.size)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        V = self._grid(v)
-        return _band_matvec(self.mt, _band_matvec(self.mx, V.T).T).ravel()
+        return _kron_matvec(self.t.free_bands, self.x.free_bands, self._grid(v)).ravel()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        X = _band_solve(_band_factor(self.mt), self._grid(b))     # M_t^-1 B
-        X = _band_solve(_band_factor(self.mx), X.T).T             # ... M_x^-1
-        return X.ravel()
+        X = _band_solve(self.t.factor, self._grid(b))          # M_t^-1 B
+        return _band_solve(self.x.factor, X.T).T.ravel()       # ... M_x^-1
 
 
 def _pin_mask(nodes: np.ndarray, n: int) -> np.ndarray:
@@ -162,27 +167,14 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
     rhs = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
                       minlength=mesh.n_nodes).reshape(shape)
 
-    mt, mx = _mass_bands(mesh.nt, mesh.ht), _mass_bands(mesh.nx, mesh.hx)
-    rhs = rhs - (_KronMass(mt, mx) @ out).reshape(shape)     # move the pins to the rhs
-    fr, fc = np.nonzero(~pin_rows)[0], np.nonzero(~pin_cols)[0]
-    M_f = _KronMass(_restrict(mt, fr), _restrict(mx, fc))
+    t = _axis(mesh.nt, mesh.ht, tuple(np.flatnonzero(pin_rows).tolist()))
+    x = _axis(mesh.nx, mesh.hx, tuple(np.flatnonzero(pin_cols).tolist()))
     U = out.reshape(shape)                       # a view: solved values land in out
-    free = np.ix_(fr, fc)
-    U[free] = solve_linear(M_f, rhs[free].ravel(), lu=M_f).reshape(fr.size, fc.size)
+    rhs = rhs - _kron_matvec(t.bands, x.bands, U)            # move the pins to the rhs
+    M_f = _KronMass(t, x)
+    free = np.ix_(t.free, x.free)
+    U[free] = solve_linear(M_f, rhs[free].ravel(), lu=M_f).reshape(t.free.size, x.free.size)
     return out
-
-
-@lru_cache(maxsize=8)
-def _time_mass(ne: int, h: float, nodes: tuple):
-    """Per-mesh constants of :func:`l2_project_time`, built once per (ne, h,
-    pinned node ids): the mass bands, the free node ids and the factor of
-    the free block."""
-    ab = _mass_bands(ne, h)
-    free = np.nonzero(~_pin_mask(np.array(nodes, dtype=np.int64), ne + 1))[0]
-    lu, piv = _band_factor(_restrict(ab, free))
-    for table in (ab, free, lu, piv):
-        table.flags.writeable = False
-    return ab, free, (lu, piv)
 
 
 def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
@@ -208,8 +200,8 @@ def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
 
     nodes, values = pinned
     nodes = np.asarray(nodes, dtype=np.int64)
-    ab, free, factor = _time_mass(mesh.ne, h, tuple(nodes.ravel().tolist()))
+    axis = _axis(mesh.ne, h, tuple(nodes.ravel().tolist()))
     out = _pin_values(nodes, values, n, (S.shape[0],))
-    rhs = rhs - _band_matvec(ab, out.T).T
-    out[:, free] = _band_solve(factor, rhs[:, free].T).T
+    rhs = rhs - _band_matvec(axis.bands, out.T).T
+    out[:, axis.free] = _band_solve(axis.factor, rhs[:, axis.free].T).T
     return out[0] if samples.ndim == 2 else out

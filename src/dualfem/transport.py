@@ -28,7 +28,7 @@ class TransportProblem:
     c: float
     L: float
     T_total: float
-    u0: Callable             # initial datum, may be discontinuous
+    u0: Callable             # initial datum, may be discontinuous; its nodal values are pinned
     u_left: Callable         # inflow datum u(0, t)
 
     def __post_init__(self):
@@ -124,17 +124,6 @@ def solve_transport_stage(problem: TransportProblem, mesh: SpaceTimeMesh,
     return lam, u
 
 
-def initial_nodal_values(problem: TransportProblem, x: np.ndarray,
-                         jump_x: float | None = None,
-                         jump_avg: float | None = None) -> np.ndarray:
-    """Nodal initial data; a node coinciding with a jump takes the average."""
-    vals = np.asarray(problem.u0(x), dtype=float)
-    if jump_x is not None and jump_avg is not None:
-        hit = np.isclose(x, jump_x, rtol=0, atol=1e-12)
-        vals[hit] = jump_avg
-    return vals
-
-
 def retained_grid(problem: TransportProblem, plan: StagePlan, nx: int, nt: int):
     """(x, t) of the field :func:`run_time_sliced` returns, known before any
     solve: the nx + 1 nodes of (0, L) and the global times of the retained
@@ -153,9 +142,7 @@ def retained_grid(problem: TransportProblem, plan: StagePlan, nx: int, nt: int):
 
 
 def run_time_sliced(problem: TransportProblem, plan: StagePlan,
-                    nx: int, nt: int,
-                    jump_x: float | None = None,
-                    jump_avg: float | None = None) -> StitchedField:
+                    nx: int, nt: int) -> StitchedField:
     """Chain stage solves and stitch retained rows into a global field.
 
     Each stage discards a band in time and one in space.  Rows past
@@ -177,7 +164,7 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     mesh = build_space_time_mesh(stage_problem.L, plan.T_stage, nx + pad, nt)
 
     x = mesh.x_coords()
-    u_init = initial_nodal_values(problem, x, jump_x, jump_avg)
+    u_init = np.asarray(problem.u0(x), dtype=float)
     # the stage matrix and its dual conditions do not change between stages:
     # eliminate and factor once, then each stage only builds its load
     dual = FactoredSystem(*assemble_transport(stage_problem, mesh))
@@ -185,8 +172,8 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     rows_u = [u_init[None, :nx + 1].copy()]
     lambdas = []
     # the first stage's weak term takes the exact (possibly discontinuous)
-    # datum and its projection pins the jump-averaged nodal values; each
-    # later stage starts from the interpolant of the last retained row
+    # datum and its projection pins that datum's nodal values; each later
+    # stage starts from the interpolant of the last retained row
     u0 = problem.u0
     for s in range(plan.n_stages):
         # the inflow datum is read at global time: stage time t is t0 + t

@@ -349,11 +349,38 @@ def test_make_initial_families(tmp_path):
     assert np.allclose(lin(np.array([0.0, 0.5])), [1.0, 2.0])
     step = make_initial({"type": "step", "x_jump": 0.2, "lo": 2.0, "hi": 4.0})
     assert np.allclose(step(np.array([0.0, 0.2, 0.3])), [2.0, 3.0, 4.0])
+    # a node meant to lie on the jump takes the mean despite round-off in its
+    # coordinate; beyond 1e-12 the step is lo or hi
+    near = np.array([np.nextafter(0.2, -np.inf), np.nextafter(0.2, np.inf),
+                     0.2 - 0.9e-12, 0.2 + 0.9e-12, 0.2 - 1.1e-12, 0.2 + 1.1e-12])
+    assert np.array_equal(step(near), [3.0, 3.0, 3.0, 3.0, 2.0, 4.0])
     jump = make_initial({"type": "jump", "beta": 10.0})
     assert np.allclose(jump(np.array([0.25, 0.5, 0.75])), [10.5, 10.0, 9.5])
     for initial in ({"type": "sawtooth"}, {}):
         with pytest.raises(ConfigError):
             run_config({**FAST_HEAT, "initial": initial}, str(tmp_path / "o"))
+
+
+def test_euler_refinements_share_one_reference_and_the_main_run(tmp_path, monkeypatch):
+    # one RK45 integration, to the end of the longest run, serves every run,
+    # and the refinement at the main run's ne_per_stage reuses that run
+    meshes, runs, run_euler = [], [], cli.euler_mod.run_euler
+    monkeypatch.setattr(cli.euler_mod, "run_euler", lambda config: meshes.append(
+        config.ne_per_stage) or runs.append(run_euler(config)) or runs[-1])
+    ends, rk45_reference = [], cli.oracles.rk45_reference
+    monkeypatch.setattr(cli.oracles, "rk45_reference",
+                        lambda *args, T: ends.append(T) or rk45_reference(*args, T=T))
+    cfg = {**get_preset("euler-free-convergence"), "reference": "rk45"}
+    summary = run_config(cfg, str(tmp_path / "o"))
+    assert meshes == [20, 40, 80]
+    assert ends == [max(float(r.t[-1]) for r in runs)]
+    # each error agrees with that against the run's own reference to its end
+    errs = summary["metrics"]["refinement_max_err"]
+    assert errs[0] == summary["metrics"]["max_err_omega"]
+    for run, err in zip(runs, errs):
+        own = rk45_reference(cfg["I"], cfg["omega0"], cfg["nu"], T=float(run.t[-1]))
+        assert abs(float(cli.metrics.err_omega(run.omega, own(run.t)).max()) - err) \
+            <= 1e-9 + 1e-8 * err
 
 
 def test_presets_and_benchmark_configs_read():

@@ -7,7 +7,7 @@ from conftest import gauss_points
 from dualfem.errors import InvalidArgumentError, SolverError
 from dualfem.fem import LINE_N, QUAD_N, assemble_uniform
 from dualfem.mesh import build_space_time_mesh, build_time_mesh
-from dualfem.projection import (_KronMass, _mass_bands, _restrict, _time_mass,
+from dualfem.projection import (_KronMass, _axis,
                                 l2_project, l2_project_time)
 
 # the pin set of a projection that prescribes no node
@@ -120,10 +120,11 @@ def band_matrix(ab):
 ], ids=["transport", "heat", "gaps"])
 def test_kron_mass_operator_matches_assembled_kron(rng, free_rows, free_cols):
     # the matrix-free free block applies and counts like sp.kron of its bands
-    mt_f = _restrict(_mass_bands(7, 0.15), free_rows)
-    mx_f = _restrict(_mass_bands(4, 0.325), free_cols)
-    op = _KronMass(mt_f, mx_f)
-    K = sp.kron(band_matrix(mt_f), band_matrix(mx_f), format="coo")
+    t = _axis(7, 0.15, tuple(np.setdiff1d(np.arange(8), free_rows).tolist()))
+    x = _axis(4, 0.325, tuple(np.setdiff1d(np.arange(5), free_cols).tolist()))
+    assert np.array_equal(t.free, free_rows) and np.array_equal(x.free, free_cols)
+    op = _KronMass(t, x)
+    K = sp.kron(band_matrix(t.free_bands), band_matrix(x.free_bands), format="coo")
     v = rng.standard_normal(K.shape[0])
     ref = K @ v
     assert op.shape == K.shape
@@ -261,15 +262,15 @@ def test_time_projection_factor_is_kept_per_mesh_and_pin_set(rng, ne):
     # one factor per (ne, h, pinned nodes): alternating pin sets on one mesh
     # each solve with their own, and a repeated call builds nothing new
     m = build_time_mesh(0.7, ne)
-    _time_mass.cache_clear()
+    _axis.cache_clear()
     seen = set()
     for nodes in ([0], [], [0, ne], [0], []):
         samples = rng.standard_normal((3, ne, 2))
         values = rng.standard_normal((3, len(nodes)))
-        hits = _time_mass.cache_info().hits
+        hits = _axis.cache_info().hits
         out = l2_project_time(m, samples, pinned=(np.array(nodes, dtype=np.int64), values))
         ref = dense_time_projection(m, samples, nodes, values)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(out[:, nodes], values)
-        assert _time_mass.cache_info().hits == hits + (tuple(nodes) in seen)
+        assert _axis.cache_info().hits == hits + (tuple(nodes) in seen)
         seen.add(tuple(nodes))

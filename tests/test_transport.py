@@ -5,12 +5,14 @@ import pytest
 
 from conftest import gauss_legendre_integrate_2d
 from dualfem import fem, transport
+from dualfem.cli import make_initial
 from dualfem.errors import InvalidArgumentError
 from dualfem.fem import FactoredSystem, gradient_tables, gram_matrix
 from dualfem.mesh import BOTTOM, LEFT, RIGHT, TOP, build_space_time_mesh
 from dualfem.oracles import transport_exact
+from dualfem.projection import _axis
 from dualfem.transport import (StagePlan, TransportProblem, assemble_transport,
-                               dtp_table, dtp_transport, initial_nodal_values,
+                               dtp_table, dtp_transport,
                                run_time_sliced, solve_transport_stage,
                                track_jump, transport_load)
 
@@ -19,9 +21,10 @@ const = lambda v: (lambda s: np.full_like(np.asarray(s, dtype=float), v))
 
 
 def step_problem(c=0.25, L=2.0, T_total=1.0):
+    """The step 2 | 4 at x = 0.2, the mean 3 at the jump (the CLI's step)."""
     return TransportProblem(
         c=c, L=L, T_total=T_total,
-        u0=lambda x: np.where(np.asarray(x, dtype=float) < 0.2, 2.0, 4.0),
+        u0=make_initial({"type": "step", "x_jump": 0.2, "lo": 2.0, "hi": 4.0}),
         u_left=const(2.0))
 
 
@@ -233,10 +236,10 @@ def test_stage_plan_cover():
         StagePlan.cover(0.5, 0.0, 1.0)
 
 
-def test_initial_nodal_values_jump_average():
+def test_step_problem_takes_the_mean_at_the_jump_node():
     prob = step_problem()
     x = np.linspace(0.0, 2.0, 11)            # node at exactly x = 0.2
-    vals = initial_nodal_values(prob, x, jump_x=0.2, jump_avg=3.0)
+    vals = prob.u0(x)
     assert vals[1] == 3.0
     assert vals[0] == 2.0 and vals[2] == 4.0
 
@@ -244,7 +247,7 @@ def test_initial_nodal_values_jump_average():
 def test_time_sliced_grid_and_continuity():
     prob = step_problem(T_total=1.0)
     plan = StagePlan.cover(T_stage=0.55, T_keep=0.5, T_total=1.0)
-    field = run_time_sliced(prob, plan, nx=40, nt=22, jump_x=0.2, jump_avg=3.0)
+    field = run_time_sliced(prob, plan, nx=40, nt=22)
     # rows: initial row plus keep_rows per stage, global times strictly increase
     assert plan.n_stages == 2
     assert field.u.shape == (1 + 2 * 20, 41)
@@ -261,7 +264,7 @@ def test_time_sliced_grid_and_continuity():
 def test_step_accuracy_away_from_jump_and_outflow():
     prob = step_problem(T_total=0.5)
     plan = StagePlan.cover(T_stage=0.55, T_keep=0.5, T_total=0.5)
-    field = run_time_sliced(prob, plan, nx=80, nt=22, jump_x=0.2, jump_avg=3.0)
+    field = run_time_sliced(prob, plan, nx=80, nt=22)
     h = field.x[1] - field.x[0]
     worst = 0.0
     for i, t in enumerate(field.t):
@@ -308,7 +311,7 @@ def track_jump_by_row(field, x_jump, lo, hi, window_elems=10):
 def test_track_jump_matches_per_row_loop(rng):
     prob = step_problem(T_total=0.6)
     plan = StagePlan.cover(T_stage=0.15, T_keep=0.1, T_total=0.6)
-    field = run_time_sliced(prob, plan, nx=40, nt=6, jump_x=0.2, jump_avg=3.0)
+    field = run_time_sliced(prob, plan, nx=40, nt=6)
     locus = lambda t: 0.2 + 0.25 * t
     ht, hb = track_jump(field, locus, lo=2.0, hi=4.0)
     assert ht.max() > 0 and hb.max() > 0
@@ -344,7 +347,7 @@ def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
     prob = step_problem(T_total=T_total)
     plan = StagePlan.cover(T_stage=0.15, T_keep=0.1, T_total=T_total)
     nx, nt = 40, 6
-    field = run_time_sliced(prob, plan, nx=nx, nt=nt, jump_x=0.2, jump_avg=3.0)
+    field = run_time_sliced(prob, plan, nx=nx, nt=nt)
     assert plan.n_stages in (3, 6)
     assert calls == {"factor": 1, "assemble": 1}
     monkeypatch.undo()
@@ -357,7 +360,7 @@ def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
     mesh = build_space_time_mesh(stage_prob.L, plan.T_stage, nx + pad, nt)
     keep = 4                                  # rows with t <= T_keep
     x = mesh.x_coords()
-    u_init = initial_nodal_values(prob, x, 0.2, 3.0)
+    u_init = prob.u0(x)
     u0 = prob.u0
     rows = [u_init[None, :nx + 1]]
     for s in range(plan.n_stages):
@@ -368,3 +371,15 @@ def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
         u_init = u[keep].copy()
         u0 = lambda s, u_prev=u_init: np.interp(s, x, u_prev)
     assert np.abs(np.vstack(rows) - field.u).max() <= 1e-11 * np.abs(field.u).max()
+
+
+def test_time_sliced_builds_the_projection_axes_once():
+    # every stage projects on one mesh with one pin set: the first stage
+    # builds the time and the space axis, and every later stage reuses both
+    prob = step_problem(T_total=0.6)
+    plan = StagePlan.cover(T_stage=0.15, T_keep=0.1, T_total=0.6)
+    _axis.cache_clear()
+    run_time_sliced(prob, plan, nx=40, nt=6)
+    info = _axis.cache_info()
+    assert plan.n_stages == 6
+    assert (info.misses, info.hits, info.currsize) == (2, 2 * (plan.n_stages - 1), 2)
