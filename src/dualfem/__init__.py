@@ -13,10 +13,10 @@ from .errors import (AssemblyError, DualFemError, InvalidArgumentError,
 from .euler import EulerConfig, EulerRun, kinetic_energy, momentum_magnitude, run_euler
 from .heat import (DIRICHLET_THETA, NEUMANN_PI, HeatDualSolution, HeatProblem,
                    dtp_heat, solve_heat, solve_heat_primal)
-from .mesh import SpaceTimeMesh, TimeMesh, build_space_time_mesh, build_time_mesh
+from .mesh import (NodalGrid, SpaceTimeMesh, TimeMesh, build_space_time_mesh,
+                   build_time_mesh)
 from .presets import PRESETS, get_preset, list_presets
-from .transport import (StagePlan, StitchedField, TransportProblem,
-                        run_time_sliced, track_jump)
+from .transport import StagePlan, TransportProblem, run_time_sliced, track_jump
 
 __version__ = "0.1.0"
 
@@ -28,9 +28,9 @@ __all__ = [
     "run_euler",
     "DIRICHLET_THETA", "NEUMANN_PI", "HeatDualSolution", "HeatProblem",
     "dtp_heat", "solve_heat", "solve_heat_primal",
-    "SpaceTimeMesh", "TimeMesh", "build_space_time_mesh", "build_time_mesh",
+    "NodalGrid", "SpaceTimeMesh", "TimeMesh", "build_space_time_mesh",
+    "build_time_mesh",
     "PRESETS", "get_preset", "list_presets",
-    "StagePlan", "StitchedField", "TransportProblem", "run_time_sliced",
-    "track_jump",
+    "StagePlan", "TransportProblem", "run_time_sliced", "track_jump",
     "__version__",
 ]

@@ -32,7 +32,7 @@ from . import euler as euler_mod
 from . import heat as heat_mod
 from . import metrics, oracles, transport
 from .errors import DualFemError, InvalidArgumentError, UnsupportedBranchError
-from .mesh import build_space_time_mesh
+from .mesh import NodalGrid, build_space_time_mesh
 from .presets import get_preset, list_presets
 
 SCHEMA_VERSION = 1
@@ -220,49 +220,9 @@ def make_heat_reference(spec: dict, k: float, initial: dict):
 
 
 # ---------------------------------------------------------------------------
-# run drivers; each returns (summary_metrics, artifacts, extras) where
-# artifacts maps filename -> (header, rows) and rows is a 2-D float array of
-# rows or a GridRows
-
-
-class GridRows:
-    """(x, t, value) rows of a (t, x) nodal grid, x varying fastest.
-
-    ``len()`` is the number of rows; :meth:`text` gives their CSV lines.
-    """
-
-    def __init__(self, x, t, values):
-        self.x = np.asarray(x, dtype=float)
-        self.t = np.asarray(t, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != (self.t.size, self.x.size):
-            raise ValueError(f"grid values of shape {self.values.shape} for "
-                             f"{self.t.size} times and {self.x.size} points")
-
-    def __len__(self) -> int:
-        return self.values.size
-
-    def text(self):
-        """The CSV lines of the grid, every value as %.17g, one str per
-        block of time rows.
-
-        Each x is formatted once into a row template that every row fills
-        with its t and its values; a block's t and values are formatted in
-        one :func:`_format_g17` call of at most ``_CSV_VALUES`` values.
-        """
-        nx = self.x.size
-        line = b"".join(xv + b",%s,%s\n" for xv in _format_g17(self.x))
-        per = max(1, _CSV_VALUES // (nx + 1))
-        for start in range(0, self.t.size, per):
-            t = self.t[start:start + per]
-            cells = _format_g17(np.concatenate([t, self.values[start:start + per].ravel()]))
-            values = cells[t.size:]
-            lines = []
-            for i, tv in enumerate(cells[:t.size]):
-                args = [tv] * (2 * nx)
-                args[1::2] = values[i * nx:(i + 1) * nx]
-                lines.append(line % tuple(args))
-            yield b"".join(lines).decode("ascii")
+# run drivers; each returns (summary_metrics, artifacts) where artifacts maps
+# filename -> (header, rows), the CSVs a run writes, and rows is a 2-D float
+# array of rows or a NodalGrid
 
 
 #: the right-boundary key each heat right_mode reads
@@ -298,21 +258,21 @@ def run_heat(cfg: dict):
                           f"got {T_keep}")
     problem, mesh = build_heat_problem(cfg)
     reference = make_heat_reference(spec, problem.k, cfg["initial"]) if spec else None
-    dual, theta = heat_mod.solve_heat_primal(problem, mesh)
+    _, theta = heat_mod.solve_heat_primal(problem, mesh)
     grid = theta.reshape(mesh.nt + 1, mesh.nx + 1)
     x, t = mesh.x_coords(), mesh.t_coords()
 
     keep = t <= T_keep + 1e-12
 
     summary: dict = {}
-    artifacts = {"theta.csv": (["x", "t", "theta"], GridRows(x, t, grid))}
+    artifacts = {"theta.csv": (["x", "t", "theta"], NodalGrid(x, t, grid))}
     if reference is not None:
         ref_grid = np.vstack([np.asarray(reference(x, tv), dtype=float) for tv in t])
         if "pct" in wanted:
             pct = metrics.pct_error(grid, ref_grid)
             summary["max_pct_error_retained"] = float(np.nanmax(pct[keep]))
             artifacts["error.csv"] = (["x", "t", "pct_error"],
-                                      GridRows(x, t[keep], pct[keep]))
+                                      NodalGrid(x, t[keep], pct[keep]))
         if "err1" in wanted:
             e1 = metrics.err1(grid, ref_grid, mesh.hx)
             summary["max_err1_retained"] = float(np.max(e1[keep]))
@@ -320,7 +280,7 @@ def run_heat(cfg: dict):
             e2 = metrics.err2(grid, ref_grid, mesh.hx)
             summary["max_err2_retained"] = float(np.max(e2[keep]))
             artifacts["err2.csv"] = (["t", "err2"], np.column_stack([t[keep], e2[keep]]))
-    return summary, artifacts, {"theta": grid, "mesh": mesh, "dual": dual}
+    return summary, artifacts
 
 
 def _transport_masks(x, t, locus, L: float):
@@ -358,22 +318,20 @@ def run_transport(cfg: dict):
 
     ref = oracles.transport_exact(field.x[None, :], field.t[:, None],
                                   c=c, x0=xj, lo=lo, hi=hi)
-    pct = metrics.pct_error(field.u, ref)
-    masked = np.where(near_jump, np.nan, pct)
-    outside_layer = np.where(in_layer, np.nan, pct)
+    pct = metrics.pct_error(field.values, ref)
 
     summary = {
         "n_stages": plan.n_stages,
-        "max_pct_error_interior": float(np.nanmax(masked)),
-        "max_pct_error_outside_layer": float(np.nanmax(outside_layer)),
+        "max_pct_error_interior": float(np.nanmax(np.where(near_jump, np.nan, pct))),
+        "max_pct_error_outside_layer": float(np.nanmax(np.where(in_layer, np.nan, pct))),
         "max_overshoot": float(ht.max()),
         "max_undershoot": float(hb.max()),
     }
     artifacts = {
-        "u.csv": (["x", "t", "u"], GridRows(field.x, field.t, field.u)),
+        "u.csv": (["x", "t", "u"], field),
         "jump.csv": (["t", "h_t", "h_b"], np.column_stack([field.t, ht, hb])),
     }
-    return summary, artifacts, {"field": field, "ht": ht, "hb": hb, "pct_masked": masked}
+    return summary, artifacts
 
 
 def _euler_reference(kind: str, config: euler_mod.EulerConfig, T: float):
@@ -401,11 +359,10 @@ def run_euler_cfg(cfg: dict):
     run = runs[config.ne_per_stage]
     E = euler_mod.kinetic_energy(config.I, run.omega)
     L = euler_mod.momentum_magnitude(config.I, run.omega)
-    err = metrics.err_omega(run.omega, reference(run.t))
 
     summary = {
         "n_stages": len(run.stages),
-        "max_err_omega": float(err.max()),
+        "max_err_omega": float(metrics.err_omega(run.omega, reference(run.t)).max()),
         "energy_drift_rel": float(np.max(np.abs(E - E[0])) / E[0]),
         "momentum_drift_rel": float(np.max(np.abs(L - L[0])) / L[0]),
         "newton_iters": [s.newton_iters for s in run.stages],
@@ -433,7 +390,7 @@ def run_euler_cfg(cfg: dict):
                            np.concatenate([np.arange(1, len(inc) + 1) for inc in increments]),
                            np.concatenate(increments)])),
     }
-    return summary, artifacts, {"run": run, "E": E, "L": L, "err": err}
+    return summary, artifacts
 
 
 def run_algebraic_demo(cfg: dict):
@@ -469,7 +426,7 @@ def run_algebraic_demo(cfg: dict):
         "false_positives": false_positive,
         "n_cases": n_cases,
     }
-    return summary, {}, {}
+    return summary, {}
 
 
 RUNNERS = {
@@ -580,6 +537,29 @@ def _format_g17(values) -> list:
     return out
 
 
+def _grid_text(grid: NodalGrid):
+    """The CSV lines of a grid's (x, t, value) rows, every value as %.17g,
+    one str per block of time rows.
+
+    Each x is formatted once into a row template that every row fills with
+    its t and its values; a block's t and values are formatted in one
+    :func:`_format_g17` call of at most ``_CSV_VALUES`` values.
+    """
+    nx = grid.x.size
+    line = b"".join(xv + b",%s,%s\n" for xv in _format_g17(grid.x))
+    per = max(1, _CSV_VALUES // (nx + 1))
+    for start in range(0, grid.t.size, per):
+        t = grid.t[start:start + per]
+        cells = _format_g17(np.concatenate([t, grid.values[start:start + per].ravel()]))
+        values = cells[t.size:]
+        lines = []
+        for i, tv in enumerate(cells[:t.size]):
+            args = [tv] * (2 * nx)
+            args[1::2] = values[i * nx:(i + 1) * nx]
+            lines.append(line % tuple(args))
+        yield b"".join(lines).decode("ascii")
+
+
 def _array_text(rows: np.ndarray):
     """CSV lines of a 2-D array of rows, every value as %.17g, one str per
     block of at most ``_CSV_VALUES`` values."""
@@ -591,10 +571,10 @@ def _array_text(rows: np.ndarray):
 
 
 def _write_csv(path: str, header, rows) -> None:
-    """Write rows, a 2-D array or a :class:`GridRows`, every value as %.17g
+    """Write rows, a 2-D array or a :class:`NodalGrid`, every value as %.17g
     (integers print bare)."""
-    if isinstance(rows, GridRows):
-        shape, text = (len(rows), 3), rows.text()
+    if isinstance(rows, NodalGrid):
+        shape, text = (len(rows), 3), _grid_text(rows)
     else:
         rows = np.asarray(rows, dtype=float)
         shape, text = rows.shape, _array_text(rows)
@@ -611,7 +591,7 @@ def run_config(cfg: dict, outdir: str) -> dict:
     problem = _value(tuple(RUNNERS), cfg.get("problem"), "problem", "problem")
     os.makedirs(outdir, exist_ok=True)
     t0 = time.perf_counter()
-    summary_metrics, artifacts, _ = RUNNERS[problem](cfg)
+    summary_metrics, artifacts = RUNNERS[problem](cfg)
     for name, (header, rows) in artifacts.items():
         _write_csv(os.path.join(outdir, name), header, rows)
     wall = time.perf_counter() - t0

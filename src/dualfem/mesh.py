@@ -1,4 +1,5 @@
-"""Structured meshes: space-time quadrilateral grids and 1-D time grids.
+"""Structured meshes: space-time quadrilateral grids, 1-D time grids and the
+nodal value grids a run writes.
 
 Node numbering is row-major with x varying fastest, so node ``j*(nx+1)+i``
 sits at ``(i*hx, j*ht)``.  Element ``e = jt*nx + ix`` connects its four
@@ -81,6 +82,30 @@ class TimeMesh:
     @property
     def h(self) -> float:
         return self.T / self.ne
+
+
+@dataclass(eq=False)
+class NodalGrid:
+    """Nodal values on a (t, x) grid: one row of ``values`` per time.
+
+    Its (x, t, value) rows, x varying fastest, are what a run writes;
+    ``len()`` is their number.
+    """
+
+    x: np.ndarray          # (nx+1,)
+    t: np.ndarray          # (n_rows,)
+    values: np.ndarray     # (n_rows, nx+1)
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=float)
+        self.t = np.asarray(self.t, dtype=float)
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.t.size, self.x.size):
+            raise InvalidArgumentError(f"grid values of shape {self.values.shape} for "
+                                       f"{self.t.size} times and {self.x.size} points")
+
+    def __len__(self) -> int:
+        return self.values.size
 
 
 def build_space_time_mesh(L: float, T: float, nx: int, nt: int) -> SpaceTimeMesh:

@@ -16,10 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SolverError
+from .errors import DualFemError, InvalidArgumentError
 from .fem import (FactoredSystem, assemble_uniform, boundary_load, gradient_tables,
                   gram_matrix, pin)
-from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, build_space_time_mesh
+from .mesh import BOTTOM, LEFT, RIGHT, TOP, NodalGrid, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
 
 
@@ -53,16 +53,6 @@ class StagePlan:
             raise InvalidArgumentError(f"need T_total > 0, got T_total={T_total}")
         n = int(np.ceil(T_total / T_keep - 1e-12))
         return cls(T_stage=float(T_stage), T_keep=float(T_keep), n_stages=n)
-
-
-@dataclass
-class StitchedField:
-    """Retained primal field rows over global time."""
-
-    x: np.ndarray          # (nx+1,)
-    t: np.ndarray          # (n_rows,) global times, increasing
-    u: np.ndarray          # (n_rows, nx+1) nodal values
-    lambda_stages: list    # per-stage nodal dual fields on the widened stage mesh
 
 
 def dtp_table(mesh: SpaceTimeMesh, c: float) -> np.ndarray:
@@ -142,7 +132,7 @@ def retained_grid(problem: TransportProblem, plan: StagePlan, nx: int, nt: int):
 
 
 def run_time_sliced(problem: TransportProblem, plan: StagePlan,
-                    nx: int, nt: int) -> StitchedField:
+                    nx: int, nt: int) -> NodalGrid:
     """Chain stage solves and stitch retained rows into a global field.
 
     Each stage discards a band in time and one in space.  Rows past
@@ -170,7 +160,6 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     dual = FactoredSystem(*assemble_transport(stage_problem, mesh))
 
     rows_u = [u_init[None, :nx + 1].copy()]
-    lambdas = []
     # the first stage's weak term takes the exact (possibly discontinuous)
     # datum and its projection pins that datum's nodal values; each later
     # stage starts from the interpolant of the last retained row
@@ -180,17 +169,18 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
         t0 = t_out[s * keep_rows]
         stage = replace(stage_problem, u_left=lambda t, t0=t0: problem.u_left(t0 + t))
         try:
-            lam, u = solve_transport_stage(stage, mesh, dual, u0, u_init)
-        except SolverError as exc:
-            raise SolverError(f"stage {s + 1} failed: {exc}") from exc
-        lambdas.append(lam)
+            _, u = solve_transport_stage(stage, mesh, dual, u0, u_init)
+        except DualFemError as exc:
+            # re-raise the same object, as euler.run_euler does: its type survives
+            exc.args = (f"stage {s + 1} failed: {exc}",) + exc.args[1:]
+            raise
         rows_u.append(u[1:keep_rows + 1, :nx + 1])
         u_init = u[keep_rows].copy()
         u0 = partial(np.interp, xp=x, fp=u_init)
-    return StitchedField(x=x_out, t=t_out, u=np.vstack(rows_u), lambda_stages=lambdas)
+    return NodalGrid(x_out, t_out, np.vstack(rows_u))
 
 
-def track_jump(field: StitchedField, x_jump: Callable,
+def track_jump(field: NodalGrid, x_jump: Callable,
                lo: float = 2.0, hi: float = 4.0,
                window_elems: int = 10):
     """Overshoot/undershoot around a moving jump locus.
@@ -206,6 +196,6 @@ def track_jump(field: StitchedField, x_jump: Callable,
     window = np.abs(field.x[None, :] - xj[:, None]) <= window_elems * h + 1e-12
     # outside the window u reads -inf for the max and +inf for the min, so an
     # empty window gives 0; fmax also gives 0 where the window holds a NaN
-    top = np.where(window, field.u, -np.inf).max(axis=1)
-    bottom = np.where(window, field.u, np.inf).min(axis=1)
+    top = np.where(window, field.values, -np.inf).max(axis=1)
+    bottom = np.where(window, field.values, np.inf).min(axis=1)
     return np.fmax(0.0, top - hi), np.fmax(0.0, lo - bottom)

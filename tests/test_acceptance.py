@@ -33,11 +33,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def heat_steady_pair():
-    out = {}
-    for name in ("heat-steady", "heat-steady-gauge"):
-        summary, _, extras = run_heat(get_preset(name))
-        out[name] = (summary, extras)
-    return out
+    return {name: run_heat(get_preset(name)) for name in ("heat-steady", "heat-steady-gauge")}
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +46,8 @@ def smoothed_jump_pair():
     coarse = get_preset("heat-smoothed-jump-beta10")
     fine = copy.deepcopy(coarse)
     fine["nx"], fine["nt"] = 400, 50
-    s_coarse, _, _ = run_heat(coarse)
-    s_fine, _, _ = run_heat(fine)
+    s_coarse, _ = run_heat(coarse)
+    s_fine, _ = run_heat(fine)
     return s_coarse, s_fine
 
 
@@ -87,11 +83,11 @@ def euler_damped_run():
 
 
 def test_criterion_1_gauge_invariance(heat_steady_pair):
-    (s0, e0) = heat_steady_pair["heat-steady"]
-    (s1, e1) = heat_steady_pair["heat-steady-gauge"]
-    mesh = e0["mesh"]
-    keep = mesh.t_coords() <= 1.0 + 1e-12
-    diff = np.abs(e0["theta"][keep] - e1["theta"][keep]).max()
+    s0, a0 = heat_steady_pair["heat-steady"]
+    s1, a1 = heat_steady_pair["heat-steady-gauge"]
+    (_, theta0), (_, theta1) = a0["theta.csv"], a1["theta.csv"]
+    keep = theta0.t <= 1.0 + 1e-12
+    diff = np.abs(theta0.values[keep] - theta1.values[keep]).max()
     worst = max(s0["max_pct_error_retained"], s1["max_pct_error_retained"])
     ok = diff <= 1e-2 and worst <= 1.0
     report("criterion 1 (gauge invariance, steady heat)", ok,
@@ -101,13 +97,13 @@ def test_criterion_1_gauge_invariance(heat_steady_pair):
 
 
 def test_criterion_2_transient_heat(heat_transient_run):
-    summary, _, extras = heat_transient_run
-    grid, mesh = extras["theta"], extras["mesh"]
+    summary, artifacts = heat_transient_run
+    _, theta = artifacts["theta.csv"]
     from dualfem.metrics import pct_error
     from dualfem.oracles import heat_transient
-    x, t = mesh.x_coords(), mesh.t_coords()
-    ref = np.vstack([heat_transient(x, tv, 0.2) for tv in t])
-    pct = pct_error(grid, ref)
+    t = theta.t
+    ref = np.vstack([heat_transient(theta.x, tv, 0.2) for tv in t])
+    pct = pct_error(theta.values, ref)
     retained = summary["max_pct_error_retained"]
     top = float(np.nanmax(pct[t > 1.0 + 1e-12]))
     interior = float(np.nanmax(pct[t <= 1.0 + 1e-12]))
@@ -129,8 +125,9 @@ def test_criterion_3_smoothed_jump_refinement(smoothed_jump_pair):
     assert ok
 
 
-def transport_interior_error(cfg, field):
-    """Max pct error outside the jump band and the outflow mask.
+def transport_interior_error(cfg, artifacts):
+    """Max pct error of the run's ``u.csv`` grid outside the jump band and the
+    outflow mask.
 
     The jump band has half-width 1.5 * sqrt(h * L), the outflow mask is the
     last 10 element widths before x = L.
@@ -138,10 +135,11 @@ def transport_interior_error(cfg, field):
     from dualfem.metrics import pct_error
     from dualfem.oracles import transport_exact
     init, c, L = cfg["initial"], cfg["c"], cfg["L"]
+    _, field = artifacts["u.csv"]
     ref = np.vstack([transport_exact(field.x, tv, c=c, x0=init["x_jump"],
                                      lo=init["lo"], hi=init["hi"])
                      for tv in field.t])
-    pct = pct_error(field.u, ref)
+    pct = pct_error(field.values, ref)
     h = field.x[1] - field.x[0]
     locus = init["x_jump"] + c * field.t
     jump_band = (np.abs(field.x[None, :] - locus[:, None])
@@ -167,10 +165,10 @@ def test_criterion_4a_transport_interior_accuracy(transport_run,
     # of the homogeneous dual condition at the right edge is discarded by
     # each stage (run_time_sliced); the 10h mask stays.  The summary's
     # six-element figure still reads about 5.3%, which is the halo.
-    summary, _, extras = transport_run
-    fine = transport_interior_error(get_preset("transport-step"), extras["field"])
-    coarse_cfg, (coarse_summary, _, coarse_extras) = transport_coarse_run
-    coarse = transport_interior_error(coarse_cfg, coarse_extras["field"])
+    summary, artifacts = transport_run
+    fine = transport_interior_error(get_preset("transport-step"), artifacts)
+    coarse_cfg, (coarse_summary, coarse_artifacts) = transport_coarse_run
+    coarse = transport_interior_error(coarse_cfg, coarse_artifacts)
     # the summary reports the same figure
     assert summary["max_pct_error_outside_layer"] == fine
     assert coarse_summary["max_pct_error_outside_layer"] == coarse
@@ -183,9 +181,10 @@ def test_criterion_4a_transport_interior_accuracy(transport_run,
 
 
 def test_criterion_4b_overshoot_stability(transport_run):
-    summary, _, extras = transport_run
-    field, ht, hb = extras["field"], extras["ht"], extras["hb"]
-    stage = np.clip((np.ceil(field.t / 0.5 - 1e-9)).astype(int), 1, None)
+    _, artifacts = transport_run
+    _, jump = artifacts["jump.csv"]
+    t, ht, hb = jump.T
+    stage = np.clip((np.ceil(t / 0.5 - 1e-9)).astype(int), 1, None)
     n_stages = stage.max()
 
     def window_max(series, stages):
@@ -205,11 +204,11 @@ def test_criterion_4b_overshoot_stability(transport_run):
 
 
 def test_criterion_5_euler_free(euler_free_run, euler_convergence_run):
-    summary, _, _ = euler_free_run
+    summary, _ = euler_free_run
     err = summary["max_err_omega"]
     dE = summary["energy_drift_rel"]
     dL = summary["momentum_drift_rel"]
-    conv, _, _ = euler_convergence_run
+    conv, _ = euler_convergence_run
     ratios = conv["refinement_ratios"]
     ok = (err <= 2.0 and dE <= 1e-2 and dL <= 1e-2
           and all(r >= 3.5 for r in ratios))
@@ -221,7 +220,7 @@ def test_criterion_5_euler_free(euler_free_run, euler_convergence_run):
 
 
 def test_criterion_6_euler_damped(euler_damped_run):
-    summary, _, _ = euler_damped_run
+    summary, _ = euler_damped_run
     err = summary["max_err_omega"]
     decay = summary["momentum_decay_err_rel"]
     ok = err <= 2.0 and decay <= 1e-2

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from dualfem import cli
 from dualfem.cli import (EXIT_BRANCH, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError,
-                         GridRows, _write_csv, main, make_initial, run_config)
+                         _write_csv, main, make_initial, run_config)
+from dualfem.errors import InvalidArgumentError
+from dualfem.mesh import NodalGrid
 from dualfem.presets import PRESETS, get_preset, list_presets
 
 FAST_HEAT = {
@@ -29,6 +31,17 @@ FAST_HEAT = {
     "reference": {"type": "steady"},
     "metrics": ["pct"],
 }
+
+FAST_TRANSPORT = {
+    "problem": "transport", "c": 0.25, "L": 2.0, "T_total": 0.5,
+    "T_stage": 0.55, "T_keep": 0.5, "nx": 20, "nt": 11,
+    "initial": {"type": "step", "x_jump": 0.2, "lo": 2.0, "hi": 4.0},
+}
+FAST_EULER = {
+    "problem": "euler", "I": [1.0, 2.0, 3.0], "omega0": [1.0, 0.0, 3.0],
+    "T_total": 0.375, "T_stage": 0.5, "ne_per_stage": 10, "N_c": 2,
+}
+FAST_DEMO = {"problem": "algebraic-demo", "n_cases": 2}
 
 #: FAST_HEAT in the default right_mode, which reads pi_right, not theta_right
 NEUMANN_HEAT = {**{k: v for k, v in FAST_HEAT.items() if k != "theta_right"},
@@ -81,16 +94,41 @@ def test_preset_run_writes_summary(tmp_path, capsys):
     assert printed == summary["metrics"]
 
 
-def test_run_json_config_and_csv_roundtrip(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(FAST_HEAT))
-    out = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_OK
+def grid_rows(grid):
+    """The (x, t, value) rows of a NodalGrid as a 2-D array, x varying fastest."""
+    return np.column_stack([np.tile(grid.x, grid.t.size), np.repeat(grid.t, grid.x.size),
+                            grid.values.ravel()])
 
+
+def test_run_json_config_and_csv_roundtrip(tmp_path, capsys, monkeypatch):
+    # for one config of each problem kind, the run writes exactly the CSVs its
+    # runner returns, and each parses back bitwise to the returned array
+    returned = {}
+    for problem, runner in cli.RUNNERS.items():
+        def recorded(cfg, problem=problem, runner=runner):
+            returned[problem] = runner(cfg)
+            return returned[problem]
+        monkeypatch.setitem(cli.RUNNERS, problem, recorded)
+    for cfg in (FAST_HEAT, FAST_TRANSPORT, FAST_EULER, FAST_DEMO):
+        problem = cfg["problem"]
+        cfg_path = tmp_path / f"{problem}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / problem
+        assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["preset"] is None
+        _, artifacts = returned[problem]
+        assert sorted(p.name for p in out.iterdir()) == sorted([*artifacts, "summary.json"])
+        for name, (header, rows) in artifacts.items():
+            rows = grid_rows(rows) if isinstance(rows, NodalGrid) else rows
+            assert (out / name).read_text().split("\n", 1)[0] == ",".join(header)
+            data = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+            assert data.shape == rows.shape and data.dtype == rows.dtype == np.float64
+            assert data.tobytes() == rows.tobytes()
+    assert set(returned) == set(cli.RUNNERS)
+
+    out = tmp_path / "heat"
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["preset"] is None
     assert summary["metrics"]["max_pct_error_retained"] < 1.0
-
     lines = (out / "theta.csv").read_text().strip().splitlines()
     assert lines[0] == "x,t,theta"
     assert len(lines) == 1 + 11 * 12
@@ -101,7 +139,6 @@ def test_run_json_config_and_csv_roundtrip(tmp_path, capsys):
     # pinned boundary value is exact
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[2]) == 1.0
-    assert (out / "error.csv").exists()
 
 
 def test_run_missing_and_invalid_config(tmp_path, capsys):
@@ -141,16 +178,6 @@ def test_unsupported_branch_exit_code(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-FAST_TRANSPORT = {
-    "problem": "transport", "c": 0.25, "L": 2.0, "T_total": 0.5,
-    "T_stage": 0.55, "T_keep": 0.5, "nx": 20, "nt": 11,
-    "initial": {"type": "step", "x_jump": 0.2, "lo": 2.0, "hi": 4.0},
-}
-FAST_EULER = {
-    "problem": "euler", "I": [1.0, 2.0, 3.0], "omega0": [1.0, 0.0, 3.0],
-    "T_total": 0.375, "T_stage": 0.5, "ne_per_stage": 10, "N_c": 2,
-}
-FAST_DEMO = {"problem": "algebraic-demo", "n_cases": 2}
 HEAT_JUMP = {**FAST_HEAT, "k": 0.1, "T": 0.1, "initial": {"type": "jump"},
              "theta_left": 10.0, "theta_right": 10.0}
 
@@ -319,7 +346,7 @@ def test_null_refinements_read_as_absent(tmp_path, capsys):
 
 
 def test_refinement_ne_reports_parsed_counts():
-    summary, _, _ = cli.run_euler_cfg({**FAST_EULER, "refinements": [10.0, 20.0]})
+    summary, _ = cli.run_euler_cfg({**FAST_EULER, "refinements": [10.0, 20.0]})
     assert summary["refinement_ne"] == [10, 20]
     assert all(type(ne) is int for ne in summary["refinement_ne"])
     assert len(summary["refinement_max_err"]) == 2
@@ -529,9 +556,9 @@ def test_grid_writer_matches_row_array_writer(tmp_path, rng):
     values = rng.standard_normal(shape) * 10.0 ** np.where(
         rng.random(shape) < 0.5, rng.integers(-300, 300, shape), rng.integers(-8, 20, shape))
     values[0, :6] = [float("nan"), float("inf"), float("-inf"), -0.0, tiny, 1e-320]
-    grid = GridRows(x, t, values)
+    grid = NodalGrid(x, t, values)
     assert len(grid) == t.size * x.size
-    rows = np.column_stack([np.tile(x, t.size), np.repeat(t, x.size), values.ravel()])
+    rows = grid_rows(grid)
     assert values.size > cli._CSV_VALUES        # both writers use several blocks
     _write_csv(str(tmp_path / "grid.csv"), ["x", "t", "v"], grid)
     _write_csv(str(tmp_path / "rows.csv"), ["x", "t", "v"], rows)
@@ -542,7 +569,7 @@ def test_grid_writer_matches_row_array_writer(tmp_path, rng):
                                    for xv, v in zip(x.tolist(), row))
     assert data == expected.encode()
     assert data.count(b"\n") - 1 == len(grid)
-    with pytest.raises(ValueError):
-        GridRows(x, t, values.T)
+    with pytest.raises(InvalidArgumentError):
+        NodalGrid(x, t, values.T)
     with pytest.raises(ValueError):
         _write_csv(str(tmp_path / "bad.csv"), ["x", "v"], grid)

@@ -283,7 +283,7 @@ def test_stage_failure_keeps_newton_history():
     ("euler-damped", [5, 5, 6, 5, 5] + [4] * 18),
 ])
 def test_preset_newton_histories(name, iters):
-    summary, _, _ = run_euler_cfg(get_preset(name))
+    summary, _ = run_euler_cfg(get_preset(name))
     assert summary["newton_iters"] == iters
 
 

@@ -6,9 +6,9 @@ import pytest
 from conftest import gauss_legendre_integrate_2d
 from dualfem import fem, transport
 from dualfem.cli import make_initial
-from dualfem.errors import InvalidArgumentError
+from dualfem.errors import InvalidArgumentError, SingularDtPError
 from dualfem.fem import FactoredSystem, gradient_tables, gram_matrix
-from dualfem.mesh import BOTTOM, LEFT, RIGHT, TOP, build_space_time_mesh
+from dualfem.mesh import BOTTOM, LEFT, RIGHT, TOP, NodalGrid, build_space_time_mesh
 from dualfem.oracles import transport_exact
 from dualfem.projection import _axis
 from dualfem.transport import (StagePlan, TransportProblem, assemble_transport,
@@ -162,8 +162,8 @@ def test_time_sliced_discards_outflow_layer(nx, nt):
     field = run_time_sliced(prob, plan, nx=nx, nt=nt)
     assert plan.n_stages == 2
     assert field.x.size == nx + 1 and field.x[-1] == 2.0
-    assert field.u.shape[1] == nx + 1
-    assert np.abs(field.u - 2.0).max() < 0.02
+    assert field.values.shape[1] == nx + 1
+    assert np.abs(field.values - 2.0).max() < 0.02
 
 
 def test_time_sliced_inflow_reads_global_time():
@@ -174,7 +174,7 @@ def test_time_sliced_inflow_reads_global_time():
     plan = StagePlan.cover(T_stage=0.55, T_keep=0.5, T_total=1.5)
     field = run_time_sliced(prob, plan, nx=40, nt=22)
     assert plan.n_stages == 3 and field.t[-1] == pytest.approx(1.5)
-    assert np.abs(field.u[:, 0] - (2.0 + field.t)).max() <= 1e-12
+    assert np.abs(field.values[:, 0] - (2.0 + field.t)).max() <= 1e-12
 
 
 # corner signs (xi, eta) of the counter-clockwise local nodes
@@ -244,21 +244,35 @@ def test_step_problem_takes_the_mean_at_the_jump_node():
     assert vals[0] == 2.0 and vals[2] == 4.0
 
 
-def test_time_sliced_grid_and_continuity():
+def record_stage_duals(monkeypatch):
+    """Wrap transport.solve_transport_stage as run_time_sliced calls it;
+    returns the list that takes each stage's dual field."""
+    duals, solve = [], transport.solve_transport_stage
+
+    def recorded(*args):
+        lam, u = solve(*args)
+        duals.append(lam)
+        return lam, u
+    monkeypatch.setattr(transport, "solve_transport_stage", recorded)
+    return duals
+
+
+def test_time_sliced_grid_and_continuity(monkeypatch):
     prob = step_problem(T_total=1.0)
     plan = StagePlan.cover(T_stage=0.55, T_keep=0.5, T_total=1.0)
+    duals = record_stage_duals(monkeypatch)
     field = run_time_sliced(prob, plan, nx=40, nt=22)
     # rows: initial row plus keep_rows per stage, global times strictly increase
     assert plan.n_stages == 2
-    assert field.u.shape == (1 + 2 * 20, 41)
+    assert field.values.shape == (1 + 2 * 20, 41)
     assert np.all(np.diff(field.t) > 0)
     assert field.t[0] == 0.0
     assert field.t[-1] == pytest.approx(1.0)
     # interior times fall on the stage grid (step 0.025)
     assert np.allclose(field.t, np.arange(41) * 0.025)
     # dual fields differ between stages, yet the primal is transferred nodally
-    assert len(field.lambda_stages) == 2
-    assert not np.allclose(field.lambda_stages[0], field.lambda_stages[1])
+    assert len(duals) == 2
+    assert not np.allclose(duals[0], duals[1])
 
 
 def test_step_accuracy_away_from_jump_and_outflow():
@@ -271,7 +285,7 @@ def test_step_accuracy_away_from_jump_and_outflow():
         locus = 0.2 + 0.25 * t
         mask = (np.abs(field.x - locus) > 8 * h) & (field.x < 1.8)
         exact = transport_exact(field.x[mask], t)
-        worst = max(worst, np.abs(field.u[i, mask] - exact).max())
+        worst = max(worst, np.abs(field.values[i, mask] - exact).max())
     assert worst < 0.05
 
 
@@ -279,15 +293,14 @@ def test_track_jump_clamps_at_zero():
     x = np.linspace(0.0, 2.0, 41)
     t = np.array([0.0, 0.1])
     u = np.tile(np.where(x < 0.2, 2.0, 4.0), (2, 1))
-    from dualfem.transport import StitchedField
-    field = StitchedField(x=x, t=t, u=u.copy(), lambda_stages=[])
+    field = NodalGrid(x, t, u.copy())
     ht, hb = track_jump(field, lambda tv: 0.2 + 0.25 * tv)
     assert np.all(ht == 0.0) and np.all(hb == 0.0)
     # inject an overshoot and an undershoot inside the window
     u2 = u.copy()
     u2[1, 10] = 4.3
     u2[1, 6] = 1.9
-    field2 = StitchedField(x=x, t=t, u=u2, lambda_stages=[])
+    field2 = NodalGrid(x, t, u2)
     ht2, hb2 = track_jump(field2, lambda tv: 0.2 + 0.25 * tv)
     assert ht2[1] == pytest.approx(0.3)
     assert hb2[1] == pytest.approx(0.1)
@@ -303,8 +316,8 @@ def track_jump_by_row(field, x_jump, lo, hi, window_elems=10):
     for i, t in enumerate(field.t):
         mask = np.abs(field.x - x_jump(t)) <= window_elems * h + 1e-12
         if np.any(mask):
-            ht[i] = max(0.0, field.u[i, mask].max() - hi)
-            hb[i] = max(0.0, lo - field.u[i, mask].min())
+            ht[i] = max(0.0, field.values[i, mask].max() - hi)
+            hb[i] = max(0.0, lo - field.values[i, mask].min())
     return ht, hb
 
 
@@ -318,9 +331,9 @@ def test_track_jump_matches_per_row_loop(rng):
     ref_ht, ref_hb = track_jump_by_row(field, locus, 2.0, 4.0)
     assert np.array_equal(ht, ref_ht) and np.array_equal(hb, ref_hb)
     # NaN values, rows whose window leaves the domain and a narrow window
-    u = field.u + 0.3 * rng.standard_normal(field.u.shape)
+    u = field.values + 0.3 * rng.standard_normal(field.values.shape)
     u[2, 3] = np.nan
-    noisy = replace(field, u=u)
+    noisy = replace(field, values=u)
     far = lambda t: 0.2 + 12.0 * t
     for x_jump, window in ((locus, 10), (far, 10), (far, 0)):
         got = track_jump(noisy, x_jump, lo=2.0, hi=4.0, window_elems=window)
@@ -347,6 +360,7 @@ def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
     prob = step_problem(T_total=T_total)
     plan = StagePlan.cover(T_stage=0.15, T_keep=0.1, T_total=T_total)
     nx, nt = 40, 6
+    duals = record_stage_duals(monkeypatch)
     field = run_time_sliced(prob, plan, nx=nx, nt=nt)
     assert plan.n_stages in (3, 6)
     assert calls == {"factor": 1, "assemble": 1}
@@ -366,11 +380,11 @@ def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
     for s in range(plan.n_stages):
         dual = FactoredSystem(*assemble_transport(stage_prob, mesh))
         lam, u = solve_transport_stage(stage_prob, mesh, dual, u0, u_init)
-        assert np.abs(lam - field.lambda_stages[s]).max() <= 1e-10 * np.abs(lam).max()
+        assert np.abs(lam - duals[s]).max() <= 1e-10 * np.abs(lam).max()
         rows.append(u[1:keep + 1, :nx + 1])
         u_init = u[keep].copy()
         u0 = lambda s, u_prev=u_init: np.interp(s, x, u_prev)
-    assert np.abs(np.vstack(rows) - field.u).max() <= 1e-11 * np.abs(field.u).max()
+    assert np.abs(np.vstack(rows) - field.values).max() <= 1e-11 * np.abs(field.values).max()
 
 
 def test_time_sliced_builds_the_projection_axes_once():
@@ -383,3 +397,23 @@ def test_time_sliced_builds_the_projection_axes_once():
     info = _axis.cache_info()
     assert plan.n_stages == 6
     assert (info.misses, info.hits, info.currsize) == (2, 2 * (plan.n_stages - 1), 2)
+
+
+def test_a_failed_stage_re_raises_its_own_error_with_the_stage_number(monkeypatch):
+    # the error keeps its type and identity, as in euler.run_euler; only its
+    # message gains the stage number
+    error, calls, solve = SingularDtPError("zero pivot"), [], transport.solve_transport_stage
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise error
+        return solve(*args)
+    monkeypatch.setattr(transport, "solve_transport_stage", failing)
+    prob = step_problem(T_total=0.6)
+    plan = StagePlan.cover(T_stage=0.15, T_keep=0.1, T_total=0.6)
+    with pytest.raises(SingularDtPError) as info:
+        run_time_sliced(prob, plan, nx=40, nt=6)
+    assert info.value is error
+    assert str(error) == "stage 2 failed: zero pivot"
+    assert len(calls) == 2
