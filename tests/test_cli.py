@@ -102,14 +102,18 @@ def grid_rows(grid):
 
 def test_run_json_config_and_csv_roundtrip(tmp_path, capsys, monkeypatch):
     # for one config of each problem kind, the run writes exactly the CSVs its
-    # runner returns, and each parses back bitwise to the returned array
+    # runner returns, those are the kind's named files, and each parses back
+    # bitwise to the returned array
     returned = {}
     for problem, runner in cli.RUNNERS.items():
         def recorded(cfg, problem=problem, runner=runner):
             returned[problem] = runner(cfg)
             return returned[problem]
         monkeypatch.setitem(cli.RUNNERS, problem, recorded)
-    for cfg in (FAST_HEAT, FAST_TRANSPORT, FAST_EULER, FAST_DEMO):
+    for cfg, csvs in ((FAST_HEAT, {"theta.csv", "error.csv"}),
+                      (FAST_TRANSPORT, {"u.csv", "jump.csv"}),
+                      (FAST_EULER, {"omega.csv", "newton.csv"}),
+                      (FAST_DEMO, set())):
         problem = cfg["problem"]
         cfg_path = tmp_path / f"{problem}.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -117,7 +121,8 @@ def test_run_json_config_and_csv_roundtrip(tmp_path, capsys, monkeypatch):
         assert main(["run", str(cfg_path), "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "summary.json").read_text())["preset"] is None
         _, artifacts = returned[problem]
-        assert sorted(p.name for p in out.iterdir()) == sorted([*artifacts, "summary.json"])
+        assert set(artifacts) == csvs
+        assert sorted(p.name for p in out.iterdir()) == sorted([*csvs, "summary.json"])
         for name, (header, rows) in artifacts.items():
             rows = grid_rows(rows) if isinstance(rows, NodalGrid) else rows
             assert (out / name).read_text().split("\n", 1)[0] == ",".join(header)
@@ -139,6 +144,7 @@ def test_run_json_config_and_csv_roundtrip(tmp_path, capsys, monkeypatch):
     # pinned boundary value is exact
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[2]) == 1.0
+    assert (out / "error.csv").exists()
 
 
 def test_run_missing_and_invalid_config(tmp_path, capsys):
