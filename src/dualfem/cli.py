@@ -13,8 +13,9 @@ each the bytes of ``"%.17g" % v``; ``_format_g17`` formats a block of up to
 The output directory defaults to ``./dualfem-out`` and can be overridden
 by ``--out`` or the ``DUALFEM_OUT`` environment variable.
 
-Exit codes: 0 success, 2 configuration error, 3 solver error,
-4 unsupported analytical branch.
+Exit codes: 0 success, 2 configuration error (an unusable output directory
+too), 3 solver error (a NaN or infinite summary metric too), 4 unsupported
+analytical branch.
 """
 
 from __future__ import annotations
@@ -258,8 +259,7 @@ def run_heat(cfg: dict):
                           f"got {T_keep}")
     problem, mesh = build_heat_problem(cfg)
     reference = make_heat_reference(spec, problem.k, cfg["initial"]) if spec else None
-    _, theta = heat_mod.solve_heat_primal(problem, mesh)
-    grid = theta.reshape(mesh.nt + 1, mesh.nx + 1)
+    _, grid = heat_mod.solve_heat_primal(problem, mesh)
     x, t = mesh.x_coords(), mesh.t_coords()
 
     keep = t <= T_keep + 1e-12
@@ -589,9 +589,16 @@ def run_config(cfg: dict, outdir: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("the config is not a JSON object")
     problem = _value(tuple(RUNNERS), cfg.get("problem"), "problem", "problem")
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:          # e.g. the path is, or runs through, a file
+        raise ConfigError(f"output directory {outdir!r} cannot be made: {exc.strerror}") from None
     t0 = time.perf_counter()
     summary_metrics, artifacts = RUNNERS[problem](cfg)
+    # summary.json is strict JSON, which has no NaN or infinity
+    for key, value in summary_metrics.items():
+        if not np.all(np.isfinite(value)):
+            raise DualFemError(f"summary metric {key!r} is not finite: {value}")
     for name, (header, rows) in artifacts.items():
         _write_csv(os.path.join(outdir, name), header, rows)
     wall = time.perf_counter() - t0
@@ -602,8 +609,9 @@ def run_config(cfg: dict, outdir: str) -> dict:
         "metrics": summary_metrics,
         "wall_time_s": wall,
     }
+    text = json.dumps(summary, indent=2, allow_nan=False)
     with open(os.path.join(outdir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2)
+        f.write(text)
     return summary
 
 

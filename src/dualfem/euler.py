@@ -253,8 +253,7 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
             f"Newton did not converge in {config.max_iter} iterations", increments)
 
     samples = _dtp_at_gauss(mesh, lam, base, config)[0].transpose(0, 2, 1)   # (3, ne, 2q)
-    omega_nodes = l2_project_time(mesh, samples,
-                                  pinned=([0], omega0_stage[:, None]))
+    omega_nodes = l2_project_time(mesh, samples, nodes={0: omega0_stage})
     n_keep = mesh.ne - config.N_c
     return StageResult(t_nodes=mesh.nodes[:n_keep + 1],
                        omega_nodes=omega_nodes[:, :n_keep + 1],

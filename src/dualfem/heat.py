@@ -124,7 +124,8 @@ def dtp_heat(dual: HeatDualSolution, k: float):
 
 def solve_heat_primal(problem: HeatProblem, mesh: SpaceTimeMesh):
     """Dual solve, DtP, then projection of theta onto a continuous nodal field
-    with its Dirichlet boundary data pinned; returns ``(dual, theta)``.
+    with its Dirichlet boundary columns pinned; returns ``(dual, theta)``,
+    theta the (nt + 1, nx + 1) nodal grid.
 
     The initial condition enters the dual solve weakly (it is a natural
     condition of the dual problem) and is left free in the recovery, so the
@@ -134,10 +135,10 @@ def solve_heat_primal(problem: HeatProblem, mesh: SpaceTimeMesh):
     dual = solve_heat(problem, mesh)
     theta_q, _ = dtp_heat(dual, problem.k)
     t = mesh.t_coords()
-    pins = [(mesh.boundary_nodes(LEFT), problem.theta_left(t))]
+    cols = {0: problem.theta_left(t)}
     if problem.right_mode == DIRICHLET_THETA:
-        pins.append((mesh.boundary_nodes(RIGHT), problem.theta_right(t)))
-    return dual, l2_project(mesh, theta_q, pin(*pins))
+        cols[mesh.nx] = problem.theta_right(t)
+    return dual, l2_project(mesh, theta_q, rows={}, cols=cols)
 
 
 def steady_dual_family(k: float = 1.0, C: float = 0.0, D: float = 0.0):

@@ -115,8 +115,7 @@ class FourierHeatSolution:
 # transport reference
 
 
-def transport_exact(x, t, c: float = 0.25, x0: float = 0.2,
-                    lo: float = 2.0, hi: float = 4.0):
+def transport_exact(x, t, c: float, x0: float, lo: float, hi: float):
     """Transported step: lo below the locus x0 + c t, hi above, mean on it."""
     x = np.asarray(x, dtype=float)
     locus = x0 + c * np.asarray(t)

@@ -1,19 +1,21 @@
 """L2 projection of Gauss-point samples onto the C0 nodal basis.
 
 The mass-matrix right-hand side is integrated with the same 2x2 (or
-2-point) rule that produced the samples; known primal data is pinned at
-nodes and moved to the right-hand side.
+2-point) rule that produced the samples; known primal data is pinned and
+moved to the right-hand side.  The space-time projection pins whole grid
+lines, time rows and space columns given by index, so its free nodes are
+always a Cartesian product; the 1-D projection pins nodes.
 
 Both projections rest on one per-axis table, :func:`_axis`, built once per
 (ne, h, pinned node ids): the tridiagonal mass matrix of the axis, its free
 nodes and the LAPACK ``dgbtrf`` factor of its free block.  The 1-D
 projection of the rigid-body stages solves with that factor directly,
 without a residual check.  On the uniform space-time grid the mass matrix
-is exactly kron(M_t, M_x); on a Cartesian free set its free block is never
-assembled: it is applied as M_t V M_x on the node grid V, for the residual
-check of :func:`fem.solve_linear`, and solved by one ``dgbtrs`` solve
-along each axis with the axis's cached factor (Lynch, Rice & Thomas,
-Numer. Math. 6, 1964).
+is exactly kron(M_t, M_x), and its free block is never assembled: it is
+applied as M_t V M_x on the node grid V, for the residual check of
+:func:`fem.solve_linear`, and solved by one ``dgbtrs`` solve along each
+axis with the axis's cached factor (Lynch, Rice & Thomas, Numer. Math. 6,
+1964).
 """
 
 from __future__ import annotations
@@ -65,13 +67,19 @@ _Axis = namedtuple("_Axis", "bands free free_bands factor")
 @lru_cache(maxsize=8)
 def _axis(ne: int, h: float, pinned: tuple) -> _Axis:
     """Read-only constants of an axis of ne elements of length h with the
-    node ids ``pinned``, built once per (ne, h, pinned) for both projections:
-    the mass bands of the whole axis, the free node ids (increasing), the
-    bands of the free block M[free][:, free] and their LAPACK ``dgbtrf``
-    factor (lu, piv), taken with kl = ku = 1 and a zero row on top for the
-    fill."""
+    sorted node ids ``pinned``, built once per (ne, h, pinned) for both
+    projections: the mass bands of the whole axis, the free node ids
+    (increasing), the bands of the free block M[free][:, free] and their
+    LAPACK ``dgbtrf`` factor (lu, piv), taken with kl = ku = 1 and a zero
+    row on top for the fill.  A node id outside 0..ne is an
+    :class:`InvalidArgumentError`."""
+    bad = [i for i in pinned if not 0 <= i <= ne]
+    if bad:
+        raise InvalidArgumentError(f"pinned node ids {bad} out of range 0..{ne}")
     ab = _mass_bands(ne, h)
-    free = np.nonzero(~_pin_mask(np.array(pinned, dtype=np.int64), ne + 1))[0]
+    is_free = np.ones(ne + 1, dtype=bool)
+    is_free[list(pinned)] = False
+    free = np.flatnonzero(is_free)
     # couplings survive only between free neighbours that stay adjacent; the
     # ends count as gaps, so the storage corners outside the block are zero
     ab_f = ab[:, free]
@@ -118,71 +126,55 @@ class _KronMass:
         return _band_solve(self.x.factor, X.T).T.ravel()       # ... M_x^-1
 
 
-def _pin_mask(nodes: np.ndarray, n: int) -> np.ndarray:
-    """Mask (n,) of the pinned node ids, each in range and pinned once."""
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
-        raise InvalidArgumentError("pinned node out of range")
-    if np.unique(nodes).size != nodes.size:
-        raise InvalidArgumentError("a node is pinned more than once")
-    mask = np.zeros(n, dtype=bool)
-    mask[nodes] = True
-    return mask
+def _pinned_grid(shape: tuple, rows: dict, cols: dict) -> np.ndarray:
+    """Zero grid of ``shape`` holding the pinned rows, then the pinned
+    columns, so that a node on both takes its column's value."""
+    U = np.zeros(shape)
+    for i, values in rows.items():
+        U[i] = values
+    for j, values in cols.items():
+        U[:, j] = values
+    return U
 
 
-def _pin_values(nodes: np.ndarray, values, n: int, lead: tuple = ()) -> np.ndarray:
-    """Nodal values (*lead, n), zero but at the pinned nodes; the values
-    broadcast to (*lead, n_pins)."""
-    out = np.zeros(lead + (n,))
-    out[..., nodes] = np.broadcast_to(np.asarray(values, dtype=float), lead + nodes.shape)
-    return out
+def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, rows: dict, cols: dict) -> np.ndarray:
+    """Project element Gauss-point samples (n_elems, 4) onto the (nt + 1,
+    nx + 1) grid of nodal values.
 
-
-def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
-    """Project element Gauss-point samples (n_elems, 4) onto nodal values.
-
-    ``pinned`` is a pair (node ids, values) of known nodal data; those
-    values are exact in the output and eliminated from the solve.  The
-    pinned nodes must fill whole time rows and whole space columns (heat
-    pins the lateral columns, transport the initial row and the inflow
-    column), so that the free nodes form a Cartesian product; any other pin
-    set raises :class:`InvalidArgumentError`.
+    ``rows`` maps a time-row index to the nx + 1 values pinned on that row,
+    ``cols`` a space-column index to its nt + 1 values; a scalar
+    broadcasts, ``{}`` pins none, and a node on a pinned row and a pinned
+    column takes the column's value.  Heat pins its lateral columns,
+    transport its initial row and its inflow column.  Pinned values are
+    exact in the output and eliminated from the solve, whose free nodes are
+    the Cartesian product of the free rows and columns.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (mesh.n_elements, 4):
         raise InvalidArgumentError(
             f"samples shape {samples.shape}, expected {(mesh.n_elements, 4)}")
+    t = _axis(mesh.nt, mesh.ht, tuple(sorted(rows)))
+    x = _axis(mesh.nx, mesh.hx, tuple(sorted(cols)))
     shape = (mesh.nt + 1, mesh.nx + 1)
-    nodes, values = pinned
-    nodes = np.asarray(nodes, dtype=np.int64)
-    mask = _pin_mask(nodes, mesh.n_nodes)
-    out = _pin_values(nodes, values, mesh.n_nodes)
-    pin_rows = mask.reshape(shape).all(axis=1)
-    pin_cols = mask.reshape(shape).all(axis=0)
-    if not np.array_equal(mask.reshape(shape), pin_rows[:, None] | pin_cols[None, :]):
-        raise InvalidArgumentError(
-            "pinned nodes must fill whole time rows and space columns")
+    U = _pinned_grid(shape, rows, cols)
 
     # rhs_A = sum_e sum_q w detJ N^A(q) u(q)
     contrib = 0.25 * mesh.hx * mesh.ht * samples @ QUAD_N    # (ne, 4a)
     rhs = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
                       minlength=mesh.n_nodes).reshape(shape)
-
-    t = _axis(mesh.nt, mesh.ht, tuple(np.flatnonzero(pin_rows).tolist()))
-    x = _axis(mesh.nx, mesh.hx, tuple(np.flatnonzero(pin_cols).tolist()))
-    U = out.reshape(shape)                       # a view: solved values land in out
     rhs = rhs - _kron_matvec(t.bands, x.bands, U)            # move the pins to the rhs
     M_f = _KronMass(t, x)
     free = np.ix_(t.free, x.free)
     U[free] = solve_linear(M_f, rhs[free].ravel(), lu=M_f).reshape(t.free.size, x.free.size)
-    return out
+    return U
 
 
-def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
+def l2_project_time(mesh: TimeMesh, samples: np.ndarray, nodes: dict) -> np.ndarray:
     """1-D analogue of :func:`l2_project` for stage time meshes.
 
     ``samples`` has shape (ne, 2) or (n_comp, ne, 2); all components are
-    solved together.  ``pinned`` is a pair (node ids, values), the values
-    of shape (n_pins,) or (n_comp, n_pins).
+    solved together.  ``nodes`` maps a node index to its pinned value, or to
+    one value per component; ``{}`` pins none.
     """
     samples = np.asarray(samples, dtype=float)
     S = samples[None] if samples.ndim == 2 else samples
@@ -192,16 +184,13 @@ def l2_project_time(mesh: TimeMesh, samples: np.ndarray, pinned) -> np.ndarray:
             f"with optional leading components")
 
     h = mesh.h
-    n = mesh.n_nodes
+    axis = _axis(mesh.ne, h, tuple(sorted(nodes)))
     contrib = 0.5 * h * S @ LINE_N               # (n_comp, ne, 2a)
-    rhs = np.zeros((S.shape[0], n))
+    rhs = np.zeros((S.shape[0], mesh.n_nodes))
     rhs[:, :-1] += contrib[..., 0]
     rhs[:, 1:] += contrib[..., 1]
 
-    nodes, values = pinned
-    nodes = np.asarray(nodes, dtype=np.int64)
-    axis = _axis(mesh.ne, h, tuple(nodes.ravel().tolist()))
-    out = _pin_values(nodes, values, n, (S.shape[0],))
+    out = _pinned_grid(rhs.shape, {}, nodes)
     rhs = rhs - _band_matvec(axis.bands, out.T).T
     out[:, axis.free] = _band_solve(axis.factor, rhs[:, axis.free].T).T
     return out[0] if samples.ndim == 2 else out

@@ -22,6 +22,9 @@ from .fem import (FactoredSystem, assemble_uniform, boundary_load, gradient_tabl
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, NodalGrid, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
 
+#: half-width, in elements, of the window around the jump that track_jump reads
+JUMP_WINDOW_ELEMS = 10
+
 
 @dataclass
 class TransportProblem:
@@ -101,16 +104,13 @@ def solve_transport_stage(problem: TransportProblem, mesh: SpaceTimeMesh,
 
     ``dual`` is the stage matrix of ``assemble_transport(problem, mesh)`` as
     a :class:`FactoredSystem`.  The initial datum ``u0`` enters the weak
-    initial term, and its nodal values ``u0_nodal`` are pinned at the bottom
-    nodes of the projection.
+    initial term, and its nodal values ``u0_nodal`` are pinned on the
+    initial row of the projection; the inflow column takes the corner node
+    (0, 0).
     """
     lam = dual.solve(transport_load(problem, mesh, u0))
     u_q = dtp_transport(mesh, lam, problem.c)
-
-    # the inflow column takes the corner node (0, 0)
-    pinned = pin((mesh.boundary_nodes(BOTTOM)[1:], u0_nodal[1:]),
-                 (mesh.boundary_nodes(LEFT), problem.u_left(mesh.t_coords())))
-    u = l2_project(mesh, u_q, pinned).reshape(mesh.nt + 1, mesh.nx + 1)
+    u = l2_project(mesh, u_q, rows={0: u0_nodal}, cols={0: problem.u_left(mesh.t_coords())})
     return lam, u
 
 
@@ -180,20 +180,18 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     return NodalGrid(x_out, t_out, np.vstack(rows_u))
 
 
-def track_jump(field: NodalGrid, x_jump: Callable,
-               lo: float = 2.0, hi: float = 4.0,
-               window_elems: int = 10):
+def track_jump(field: NodalGrid, x_jump: Callable, lo: float, hi: float):
     """Overshoot/undershoot around a moving jump locus.
 
     For each retained time level: h_t = max(0, max u - hi) and
-    h_b = max(0, lo - min u), over a window of +/- ``window_elems``
+    h_b = max(0, lo - min u), over a window of +/- ``JUMP_WINDOW_ELEMS``
     elements around x_jump(t); a level whose window holds no node gives 0.
     ``x_jump`` is called once with the array of times and may return a
     scalar.
     """
     h = field.x[1] - field.x[0]
     xj = np.broadcast_to(np.asarray(x_jump(field.t), dtype=float), field.t.shape)
-    window = np.abs(field.x[None, :] - xj[:, None]) <= window_elems * h + 1e-12
+    window = np.abs(field.x[None, :] - xj[:, None]) <= JUMP_WINDOW_ELEMS * h + 1e-12
     # outside the window u reads -inf for the max and +inf for the min, so an
     # empty window gives 0; fmax also gives 0 where the window holds a NaN
     top = np.where(window, field.values, -np.inf).max(axis=1)

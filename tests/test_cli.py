@@ -377,6 +377,32 @@ def test_outdir_environment_variable(tmp_path, monkeypatch, capsys):
     assert (target / "summary.json").exists()
 
 
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_unusable_output_directory_exits_config_before_any_solve(tmp_path, capsys,
+                                                                 monkeypatch, below):
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, "algebraic-demo", lambda cfg: calls.append(cfg))
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    out = str(blocker / below) if below else str(blocker)
+    assert main(["preset", "algebraic-demo", "--out", out]) == EXIT_CONFIG
+    assert repr(out) in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("metrics", [{"n": 1, "bad": float("nan")},
+                                     {"bad": float("inf")},
+                                     {"n": 1, "bad": [0.5, -float("inf")]}],
+                         ids=["nan", "inf", "-inf-in-a-list"])
+def test_non_finite_summary_metric_exits_solver_and_writes_no_summary(tmp_path, capsys,
+                                                                      monkeypatch, metrics):
+    monkeypatch.setitem(cli.RUNNERS, "algebraic-demo", lambda cfg: (metrics, {}))
+    out = tmp_path / "out"
+    assert main(["preset", "algebraic-demo", "--out", str(out)]) == EXIT_SOLVER
+    assert "summary metric 'bad'" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_make_initial_families(tmp_path):
     lin = make_initial({"type": "linear", "slope": 2.0, "intercept": 1.0})
     assert np.allclose(lin(np.array([0.0, 0.5])), [1.0, 2.0])

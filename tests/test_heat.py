@@ -210,9 +210,9 @@ def test_dtp_of_steady_dual_family_interpolant():
         pts_x = gauss_points(m)[..., 0]
         raw_errs.append(np.abs(theta - (3 * pts_x + 1)).max())
         # mirror the recovery policy: lateral boundary columns carry known data
-        nodes = np.concatenate([m.boundary_nodes("left"), m.boundary_nodes("right")])
-        nodal = l2_project(m, theta, pinned=(nodes, 3 * m.nodes[nodes, 0] + 1))
-        proj_errs.append(np.abs(nodal - (3 * m.nodes[:, 0] + 1)).max())
+        x = m.x_coords()
+        nodal = l2_project(m, theta, rows={}, cols={0: 3 * x[0] + 1, m.nx: 3 * x[-1] + 1})
+        proj_errs.append(np.abs(nodal - (3 * x + 1)).max())
     raw_orders = [np.log2(raw_errs[i] / raw_errs[i + 1]) for i in range(2)]
     assert min(raw_orders) > 0.9
     # the exact theta is linear, so the pinned projection reproduces it
@@ -261,8 +261,7 @@ def test_prescribed_dual_values_exact():
 def test_steady_primal_recovery_small_mesh():
     prob = steady_problem()
     m = build_space_time_mesh(1.0, 1.1, 30, 33)
-    dual, theta = hm.solve_heat_primal(prob, m)
-    grid = theta.reshape(m.nt + 1, m.nx + 1)
+    dual, grid = hm.solve_heat_primal(prob, m)
     x, t = m.x_coords(), m.t_coords()
     keep = t <= 1.0 + 1e-12
     pct = np.abs(grid - heat_steady(x)) / heat_steady(x) * 100
@@ -272,8 +271,7 @@ def test_steady_primal_recovery_small_mesh():
 def test_transient_primal_recovery_small_mesh():
     prob = transient_problem()
     m = build_space_time_mesh(1.0, 1.1, 40, 44)
-    dual, theta = hm.solve_heat_primal(prob, m)
-    grid = theta.reshape(m.nt + 1, m.nx + 1)
+    dual, grid = hm.solve_heat_primal(prob, m)
     x, t = m.x_coords(), m.t_coords()
     keep = t <= 1.0 + 1e-12
     ref = np.vstack([heat_transient(x, tv, 0.2) for tv in t])
@@ -284,7 +282,6 @@ def test_transient_primal_recovery_small_mesh():
 def test_theta_recovery_pins_boundary_columns():
     prob = steady_problem()
     m = build_space_time_mesh(1.0, 1.1, 10, 11)
-    _, theta = hm.solve_heat_primal(prob, m)
-    grid = theta.reshape(m.nt + 1, m.nx + 1)
+    _, grid = hm.solve_heat_primal(prob, m)
     assert np.all(grid[:, 0] == 1.0)
     assert np.all(grid[:, -1] == 4.0)

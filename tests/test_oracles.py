@@ -122,12 +122,13 @@ def test_transport_exact_broadcasts_over_a_grid():
 
 def test_transport_exact_step():
     x = np.array([0.0, 0.2, 0.4, 1.0])
-    u = transport_exact(x, 0.0)
+    step = dict(c=0.25, x0=0.2, lo=2.0, hi=4.0)
+    u = transport_exact(x, 0.0, **step)
     assert np.allclose(u, [2.0, 3.0, 4.0, 4.0])
     # locus moves with speed c
-    u = transport_exact(np.array([0.45]), 1.0, c=0.25, x0=0.2)
+    u = transport_exact(np.array([0.45]), 1.0, **step)
     assert u[0] == 3.0
-    assert transport_exact(np.array([0.44]), 1.0)[0] == 2.0
+    assert transport_exact(np.array([0.44]), 1.0, **step)[0] == 2.0
 
 
 def test_jacobi_limits_and_identities():

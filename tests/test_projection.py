@@ -4,14 +4,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from conftest import gauss_points
+from dualfem import projection
 from dualfem.errors import InvalidArgumentError, SolverError
 from dualfem.fem import LINE_N, QUAD_N, assemble_uniform
 from dualfem.mesh import build_space_time_mesh, build_time_mesh
 from dualfem.projection import (_KronMass, _axis,
                                 l2_project, l2_project_time)
-
-# the pin set of a projection that prescribes no node
-NO_PINS = (np.zeros(0, dtype=np.int64), 0.0)
 
 
 def sample_function(mesh, f):
@@ -51,19 +49,30 @@ def test_quad_points_inside_elements():
     assert np.all(pts > lo) and np.all(pts < hi)
 
 
-def test_identity_on_fe_space(rng):
-    # samples of a field already in the FE space are recovered exactly
+@pytest.mark.parametrize("pin_rows, pin_cols", [
+    ((), ()), ((0,), ()), ((), (0,)), ((0,), (0, 6)), (tuple(range(6)), ()),
+], ids=["none", "bottom-row", "left-column", "bottom-row-lateral-columns", "every-row"])
+def test_identity_on_fe_space(rng, pin_rows, pin_cols):
+    # samples of a field already in the FE space are recovered exactly, with
+    # its own values pinned on any set of whole lines
     m = build_space_time_mesh(1.0, 1.0, 6, 5)
-    nodal = rng.standard_normal(m.n_nodes)
-    samples = nodal[m.elements] @ QUAD_N.T
-    recovered = l2_project(m, samples, NO_PINS)
-    assert np.abs(recovered - nodal).max() < 1e-10
+    grid = rng.standard_normal((m.nt + 1, m.nx + 1))
+    samples = grid.ravel()[m.elements] @ QUAD_N.T
+    rows = {i: grid[i].copy() for i in pin_rows}
+    cols = {j: grid[:, j] for j in pin_cols}
+    if rows and cols:       # the row disagrees at a shared corner; the column wins
+        rows[pin_rows[0]][pin_cols[0]] += 1.0
+    out = l2_project(m, samples, rows, cols)
+    assert out.shape == grid.shape
+    assert np.abs(out - grid).max() < 1e-10
+    assert np.array_equal(out[list(pin_rows)], grid[list(pin_rows)])
+    assert np.array_equal(out[:, list(pin_cols)], grid[:, list(pin_cols)])
 
 
 def test_constant_samples_with_pins():
     m = build_space_time_mesh(1.0, 1.0, 4, 4)
     samples = np.full((m.n_elements, 4), 7.0)
-    out = l2_project(m, samples, pinned=(m.boundary_nodes("left"), 7.0))
+    out = l2_project(m, samples, rows={}, cols={0: 7.0})
     assert np.abs(out - 7.0).max() < 1e-12
 
 
@@ -71,11 +80,8 @@ def test_pinned_values_exact():
     m = build_space_time_mesh(1.0, 1.0, 4, 4)
     samples = np.full((m.n_elements, 4), 1.0)
     value = 0.1 + 0.2
-    bottom = m.boundary_nodes("bottom")
-    right = m.boundary_nodes("right")[1:]
-    out = l2_project(m, samples, pinned=(np.concatenate([bottom, right]), value))
-    assert out[3] == value
-    assert np.all(out[bottom] == value) and np.all(out[right] == value)
+    out = l2_project(m, samples, rows={0: value}, cols={m.nx: value})
+    assert np.all(out[0] == value) and np.all(out[:, m.nx] == value)
 
 
 def reference_projection(mesh, samples, nodes, values):
@@ -96,17 +102,24 @@ def reference_projection(mesh, samples, nodes, values):
 def test_kronecker_solve_matches_assembled_mass_matrix(rng, pins):
     m = build_space_time_mesh(1.3, 0.6, 7, 4)        # nt != nx, hx != ht
     samples = rng.standard_normal((m.n_elements, 4))
-    if pins == "none":
-        nodes = np.zeros(0, dtype=int)
-    elif pins == "heat":        # the lateral columns
-        nodes = np.concatenate([m.boundary_nodes("left"), m.boundary_nodes("right")])
-    else:                       # the initial row and the inflow column
-        nodes = np.concatenate([m.boundary_nodes("bottom")[1:], m.boundary_nodes("left")])
-    values = rng.standard_normal(nodes.size)
-    ref = reference_projection(m, samples, nodes, values)
-    out = l2_project(m, samples, (nodes, values))
+    row = lambda: rng.standard_normal(m.nx + 1)
+    col = lambda: rng.standard_normal(m.nt + 1)
+    rows, cols = {
+        "none": ({}, {}),
+        "heat": ({}, {0: col(), m.nx: col()}),       # the lateral columns
+        "transport": ({0: row()}, {0: col()}),       # the initial row, the inflow column
+    }[pins]
+    # the pinned node ids and values, a shared corner taking the column's
+    pinned, values = np.zeros((m.nt + 1, m.nx + 1), dtype=bool), np.zeros((m.nt + 1, m.nx + 1))
+    for i, v in rows.items():
+        pinned[i], values[i] = True, v
+    for j, v in cols.items():
+        pinned[:, j], values[:, j] = True, v
+    nodes = np.flatnonzero(pinned)
+    ref = reference_projection(m, samples, nodes, values.ravel()[nodes])
+    out = l2_project(m, samples, rows, cols).ravel()
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert np.array_equal(out[nodes], values)
+    assert np.array_equal(out[nodes], values.ravel()[nodes])
 
 
 def band_matrix(ab):
@@ -141,20 +154,23 @@ def test_projection_residual_guard_fires_without_an_assembled_matrix(rng, monkey
     monkeypatch.setattr(_KronMass, "solve",
                         lambda self, b: exact_solve(self, b) * (1 + 1e-6))
     with pytest.raises(SolverError, match="residual"):
-        l2_project(m, samples, NO_PINS)
+        l2_project(m, samples, {}, {})
 
 
-def test_partial_pin_sets_rejected():
+def test_out_of_range_pins_rejected_before_any_solve(monkeypatch):
+    solves = []
+    monkeypatch.setattr(projection, "solve_linear", lambda *args, **kw: solves.append(args))
     m = build_space_time_mesh(1.0, 1.0, 4, 3)
     samples = np.ones((m.n_elements, 4))
-    left = m.boundary_nodes("left")
-    for nodes in ([3], left[:-1], np.concatenate([left, [7]])):
-        with pytest.raises(InvalidArgumentError, match="whole time rows"):
-            l2_project(m, samples, pinned=(nodes, 1.0))
-    with pytest.raises(InvalidArgumentError, match="more than once"):
-        l2_project(m, samples, pinned=(np.concatenate([left, [0]]), 1.0))
-    with pytest.raises(InvalidArgumentError, match="out of range"):
-        l2_project(m, samples, pinned=([m.n_nodes], 1.0))
+    for rows, cols in (({m.nt + 1: 1.0}, {}), ({-1: 1.0}, {}),
+                       ({}, {m.nx + 1: 1.0}), ({0: 1.0}, {-1: 1.0})):
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            l2_project(m, samples, rows, cols)
+    tm = build_time_mesh(1.0, 4)
+    for node in (tm.n_nodes, -1):
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            l2_project_time(tm, np.ones((tm.ne, 2)), {node: 1.0})
+    assert solves == []
 
 
 def test_smooth_field_second_order():
@@ -162,9 +178,8 @@ def test_smooth_field_second_order():
     errs = []
     for nx, nt in ((10, 11), (20, 22), (40, 44)):
         m = build_space_time_mesh(1.0, 1.1, nx, nt)
-        out = l2_project(m, sample_function(m, f), NO_PINS)
-        x = m.x_coords()
-        exact = np.tile(f(x, 0.0), m.nt + 1)
+        out = l2_project(m, sample_function(m, f), {}, {})
+        exact = f(m.x_coords(), 0.0)
         errs.append(np.abs(out - exact).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 1.8
@@ -175,7 +190,7 @@ def test_best_approximation_property(rng):
     m = build_space_time_mesh(1.0, 1.0, 5, 4)
     f = lambda x, t: np.cos(2 * x + t) + x * t
     samples = sample_function(m, f)
-    proj = l2_project(m, samples, NO_PINS)
+    proj = l2_project(m, samples, {}, {}).ravel()
     wdet = 0.25 * m.hx * m.ht
 
     def dist(nodal):
@@ -191,7 +206,7 @@ def test_best_approximation_property(rng):
 def test_shape_mismatch_rejected():
     m = build_space_time_mesh(1.0, 1.0, 2, 2)
     with pytest.raises(InvalidArgumentError):
-        l2_project(m, np.zeros((3, 4)), NO_PINS)
+        l2_project(m, np.zeros((3, 4)), {}, {})
 
 
 def test_time_projection_identity(rng):
@@ -202,16 +217,24 @@ def test_time_projection_identity(rng):
     samples = np.empty((m.ne, 2))
     for e in range(m.ne):
         samples[e] = np.interp(pts[e], m.nodes, nodal)
-    out = l2_project_time(m, samples, NO_PINS)
+    out = l2_project_time(m, samples, {})
     assert np.abs(out - nodal).max() < 1e-10
+
+
+def test_time_projection_identity_with_end_pins():
+    # a linear field is recovered exactly with its first and last node pinned
+    m = build_time_mesh(0.5, 10)
+    f = lambda t: 2.0 - 3.0 * t
+    out = l2_project_time(m, f(gauss_points(m)), {0: f(m.nodes[0]), m.ne: f(m.nodes[-1])})
+    assert np.abs(out - f(m.nodes)).max() < 1e-12
+    assert out[0] == f(m.nodes[0]) and out[-1] == f(m.nodes[-1])
 
 
 def test_time_projection_with_pin_and_components():
     m = build_time_mesh(1.0, 8)
     pts = gauss_points(m)
     samples = np.stack([np.sin(pts), np.cos(pts), pts ** 2])
-    pinned = ([0], np.array([[0.0], [1.0], [0.0]]))
-    out = l2_project_time(m, samples, pinned)
+    out = l2_project_time(m, samples, {0: [0.0, 1.0, 0.0]})
     assert out.shape == (3, 9)
     assert out[0, 0] == 0.0 and out[1, 0] == 1.0 and out[2, 0] == 0.0
     assert np.abs(out[0] - np.sin(m.nodes)).max() < 2e-3
@@ -222,7 +245,7 @@ def test_time_projection_matches_dense_solve(rng):
     m = build_time_mesh(0.7, 9)
     samples = rng.standard_normal((3, m.ne, 2))
     pin_values = rng.standard_normal(3)
-    out = l2_project_time(m, samples, pinned=([0], pin_values[:, None]))
+    out = l2_project_time(m, samples, nodes={0: pin_values})
 
     h, n = m.h, m.n_nodes
     M = np.zeros((n, n))
@@ -268,7 +291,7 @@ def test_time_projection_factor_is_kept_per_mesh_and_pin_set(rng, ne):
         samples = rng.standard_normal((3, ne, 2))
         values = rng.standard_normal((3, len(nodes)))
         hits = _axis.cache_info().hits
-        out = l2_project_time(m, samples, pinned=(np.array(nodes, dtype=np.int64), values))
+        out = l2_project_time(m, samples, dict(zip(nodes, values.T)))
         ref = dense_time_projection(m, samples, nodes, values)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(out[:, nodes], values)

@@ -284,7 +284,7 @@ def test_step_accuracy_away_from_jump_and_outflow():
     for i, t in enumerate(field.t):
         locus = 0.2 + 0.25 * t
         mask = (np.abs(field.x - locus) > 8 * h) & (field.x < 1.8)
-        exact = transport_exact(field.x[mask], t)
+        exact = transport_exact(field.x[mask], t, c=0.25, x0=0.2, lo=2.0, hi=4.0)
         worst = max(worst, np.abs(field.values[i, mask] - exact).max())
     assert worst < 0.05
 
@@ -294,18 +294,18 @@ def test_track_jump_clamps_at_zero():
     t = np.array([0.0, 0.1])
     u = np.tile(np.where(x < 0.2, 2.0, 4.0), (2, 1))
     field = NodalGrid(x, t, u.copy())
-    ht, hb = track_jump(field, lambda tv: 0.2 + 0.25 * tv)
+    ht, hb = track_jump(field, lambda tv: 0.2 + 0.25 * tv, lo=2.0, hi=4.0)
     assert np.all(ht == 0.0) and np.all(hb == 0.0)
     # inject an overshoot and an undershoot inside the window
     u2 = u.copy()
     u2[1, 10] = 4.3
     u2[1, 6] = 1.9
     field2 = NodalGrid(x, t, u2)
-    ht2, hb2 = track_jump(field2, lambda tv: 0.2 + 0.25 * tv)
+    ht2, hb2 = track_jump(field2, lambda tv: 0.2 + 0.25 * tv, lo=2.0, hi=4.0)
     assert ht2[1] == pytest.approx(0.3)
     assert hb2[1] == pytest.approx(0.1)
     # outside the window the same spike is ignored
-    ht3, hb3 = track_jump(field2, lambda tv: 1.5)
+    ht3, hb3 = track_jump(field2, lambda tv: 1.5, lo=2.0, hi=4.0)
     assert ht3[1] == 0.0 and hb3[1] == 0.0
 
 
@@ -321,7 +321,7 @@ def track_jump_by_row(field, x_jump, lo, hi, window_elems=10):
     return ht, hb
 
 
-def test_track_jump_matches_per_row_loop(rng):
+def test_track_jump_matches_per_row_loop(rng, monkeypatch):
     prob = step_problem(T_total=0.6)
     plan = StagePlan.cover(T_stage=0.15, T_keep=0.1, T_total=0.6)
     field = run_time_sliced(prob, plan, nx=40, nt=6)
@@ -335,11 +335,12 @@ def test_track_jump_matches_per_row_loop(rng):
     u[2, 3] = np.nan
     noisy = replace(field, values=u)
     far = lambda t: 0.2 + 12.0 * t
+    assert track_jump(noisy, far, lo=2.0, hi=4.0)[0][-1] == 0.0
     for x_jump, window in ((locus, 10), (far, 10), (far, 0)):
-        got = track_jump(noisy, x_jump, lo=2.0, hi=4.0, window_elems=window)
+        monkeypatch.setattr(transport, "JUMP_WINDOW_ELEMS", window)
+        got = track_jump(noisy, x_jump, lo=2.0, hi=4.0)
         want = track_jump_by_row(noisy, x_jump, 2.0, 4.0, window)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    assert track_jump(noisy, far, lo=2.0, hi=4.0)[0][-1] == 0.0
 
 
 @pytest.mark.parametrize("T_total", [0.25, 0.6])
