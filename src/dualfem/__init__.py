@@ -11,8 +11,8 @@ from .errors import (AssemblyError, DualFemError, InvalidArgumentError,
                      NonconvergenceError, SingularDtPError, SolverError,
                      UnsupportedBranchError)
 from .euler import EulerConfig, EulerRun, kinetic_energy, momentum_magnitude, run_euler
-from .heat import (DIRICHLET_THETA, NEUMANN_PI, HeatDualSolution, HeatProblem,
-                   dtp_heat, solve_heat, solve_heat_primal)
+from .heat import (DIRICHLET_THETA, NEUMANN_PI, HeatProblem, dtp_heat, solve_heat,
+                   solve_heat_primal)
 from .mesh import (NodalGrid, SpaceTimeMesh, TimeMesh, build_space_time_mesh,
                    build_time_mesh)
 from .presets import PRESETS, get_preset, list_presets
@@ -26,8 +26,8 @@ __all__ = [
     "UnsupportedBranchError",
     "EulerConfig", "EulerRun", "kinetic_energy", "momentum_magnitude",
     "run_euler",
-    "DIRICHLET_THETA", "NEUMANN_PI", "HeatDualSolution", "HeatProblem",
-    "dtp_heat", "solve_heat", "solve_heat_primal",
+    "DIRICHLET_THETA", "NEUMANN_PI", "HeatProblem", "dtp_heat", "solve_heat",
+    "solve_heat_primal",
     "NodalGrid", "SpaceTimeMesh", "TimeMesh", "build_space_time_mesh",
     "build_time_mesh",
     "PRESETS", "get_preset", "list_presets",

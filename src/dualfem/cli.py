@@ -585,6 +585,21 @@ def _write_csv(path: str, header, rows) -> None:
         f.writelines(text)
 
 
+def _output_names(problem: str, cfg: dict) -> list:
+    """The files a run of ``cfg`` writes, known before it runs: its kind's
+    CSVs (heat's error CSVs only with a reference and their metric), then
+    ``summary.json``."""
+    if problem == "heat":
+        heat = _read(cfg, KEYS["heat"], "heat")
+        wanted = heat["metrics"] if heat["reference"] else []
+        csvs = ["theta.csv"] + [name for key, name in (("pct", "error.csv"),
+                                                       ("err2", "err2.csv")) if key in wanted]
+    else:
+        csvs = {"transport": ["u.csv", "jump.csv"], "euler": ["omega.csv", "newton.csv"],
+                "algebraic-demo": []}[problem]
+    return csvs + ["summary.json"]
+
+
 def run_config(cfg: dict, outdir: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("the config is not a JSON object")
@@ -593,6 +608,11 @@ def run_config(cfg: dict, outdir: str) -> dict:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:          # e.g. the path is, or runs through, a file
         raise ConfigError(f"output directory {outdir!r} cannot be made: {exc.strerror}") from None
+    for path in (os.path.join(outdir, name) for name in _output_names(problem, cfg)):
+        if os.path.isdir(path):
+            raise ConfigError(f"output file {path!r} cannot be written: it is a directory")
+        if os.path.exists(path) and not os.access(path, os.W_OK):
+            raise ConfigError(f"output file {path!r} cannot be written: it is read-only")
     t0 = time.perf_counter()
     summary_metrics, artifacts = RUNNERS[problem](cfg)
     # summary.json is strict JSON, which has no NaN or infinity

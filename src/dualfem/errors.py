@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the solver modules."""
+"""Exception hierarchy shared across the solver modules, and the rule that
+names the failed stage of a chained solve."""
+
+from contextlib import contextmanager
 
 
 class DualFemError(Exception):
@@ -31,3 +34,16 @@ class SingularDtPError(SolverError):
 
 class UnsupportedBranchError(DualFemError):
     """Analytical free-rotation solution requested outside its regime."""
+
+
+@contextmanager
+def in_stage(number: int):
+    """Run stage ``number`` (from 1) of a chained solve.  A DualFemError raised
+    in it is re-raised as the same object, so its type and data (such as a
+    Newton history) survive, with ``stage N failed: `` in front of its
+    message."""
+    try:
+        yield
+    except DualFemError as exc:
+        exc.args = (f"stage {number} failed: {exc}",) + exc.args[1:]
+        raise

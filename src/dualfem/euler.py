@@ -18,8 +18,8 @@ import numpy as np
 from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbsv
 
-from .errors import (DualFemError, InvalidArgumentError, NonconvergenceError,
-                     SingularDtPError, SolverError)
+from .errors import (InvalidArgumentError, NonconvergenceError, SingularDtPError,
+                     SolverError, in_stage)
 from .fem import LINE_N as _N
 from .mesh import TimeMesh, build_time_mesh
 from .projection import l2_project_time
@@ -277,12 +277,8 @@ def run_euler(config: EulerConfig) -> EulerRun:
     t_f = 0.0
     omega_f = np.asarray(config.omega0, dtype=float)
     while t_f < config.T_total - 1e-12:
-        try:
+        with in_stage(len(stages) + 1):
             res = newton_stage(config, omega_f, mesh)
-        except DualFemError as exc:
-            # re-raise the same object: its type and Newton history survive
-            exc.args = (f"stage {len(stages) + 1} failed: {exc}",) + exc.args[1:]
-            raise
         stages.append(res)
         times.append(t_f + res.t_nodes[1:])
         omegas.append(res.omega_nodes[:, 1:])

@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fem import (assemble_uniform, boundary_load, gradient_tables, gram_matrix, pin,
-                  solve_system)
+from .fem import (assemble_uniform, boundary_load, dtp, gradient_tables, gram_matrix,
+                  pin, solve_system)
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh
 from .projection import l2_project
 
@@ -61,13 +61,6 @@ class HeatProblem:
                 "corner compatibility l_top(L) == l_right(T) violated")
 
 
-@dataclass
-class HeatDualSolution:
-    mesh: SpaceTimeMesh
-    p: np.ndarray     # nodal values
-    l: np.ndarray
-
-
 def _check_mesh(problem: HeatProblem, mesh: SpaceTimeMesh) -> None:
     if not (np.isclose(mesh.L, problem.L) and np.isclose(mesh.T, problem.T)):
         raise InvalidArgumentError(
@@ -108,37 +101,32 @@ def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh):
     return matrix, rhs, pinned
 
 
-def solve_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> HeatDualSolution:
-    sol = solve_system(*assemble_heat(problem, mesh))
-    n = mesh.n_nodes
-    return HeatDualSolution(mesh=mesh, p=sol[:n], l=sol[n:])
+def solve_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> np.ndarray:
+    return solve_system(*assemble_heat(problem, mesh))
 
 
-def dtp_heat(dual: HeatDualSolution, k: float):
-    """Evaluate theta and pi at every Gauss point, each of shape (n_elems, 4)."""
-    mesh = dual.mesh
-    dofs = np.hstack([dual.p[mesh.elements], dual.l[mesh.elements]])   # (ne, 8)
-    theta, pi = dofs @ dtp_table(mesh, k).transpose(0, 2, 1)
-    return theta, pi
+def dtp_heat(mesh: SpaceTimeMesh, sol: np.ndarray, k: float) -> np.ndarray:
+    """theta and pi at the Gauss points of a dual vector [p, l], (2, n_elems, 4)."""
+    return dtp(mesh, dtp_table(mesh, k), sol)
 
 
 def solve_heat_primal(problem: HeatProblem, mesh: SpaceTimeMesh):
     """Dual solve, DtP, then projection of theta onto a continuous nodal field
-    with its Dirichlet boundary columns pinned; returns ``(dual, theta)``,
-    theta the (nt + 1, nx + 1) nodal grid.
+    with its Dirichlet boundary columns pinned; returns ``(sol, theta)``, sol
+    the dual vector [p, l] and theta the (nt + 1, nx + 1) nodal grid.
 
     The initial condition enters the dual solve weakly (it is a natural
     condition of the dual problem) and is left free in the recovery, so the
     reported initial-row values reflect the scheme's actual resolution of
     the initial data rather than an exact re-imposition.
     """
-    dual = solve_heat(problem, mesh)
-    theta_q, _ = dtp_heat(dual, problem.k)
+    sol = solve_heat(problem, mesh)
+    theta_q, _ = dtp_heat(mesh, sol, problem.k)
     t = mesh.t_coords()
     cols = {0: problem.theta_left(t)}
     if problem.right_mode == DIRICHLET_THETA:
         cols[mesh.nx] = problem.theta_right(t)
-    return dual, l2_project(mesh, theta_q, rows={}, cols=cols)
+    return sol, l2_project(mesh, theta_q, rows={}, cols=cols)
 
 
 def steady_dual_family(k: float = 1.0, C: float = 0.0, D: float = 0.0):

@@ -126,9 +126,16 @@ class _KronMass:
         return _band_solve(self.x.factor, X.T).T.ravel()       # ... M_x^-1
 
 
-def _pinned_grid(shape: tuple, rows: dict, cols: dict) -> np.ndarray:
+def _pinned_grid(shape: tuple, rows: dict, cols: dict, col_name: str = "column") -> np.ndarray:
     """Zero grid of ``shape`` holding the pinned rows, then the pinned
-    columns, so that a node on both takes its column's value."""
+    columns, so that a node on both takes its column's value.  A line pins
+    one value, or all of its own (a row shape[1], a column shape[0]); other
+    lengths are an :class:`InvalidArgumentError` naming the line."""
+    for lines, name, n in ((rows, "row", shape[1]), (cols, col_name, shape[0])):
+        for i, values in lines.items():
+            if np.ndim(values) and np.shape(values) != (n,):
+                raise InvalidArgumentError(f"pinned {name} {i} has shape "
+                                           f"{np.shape(values)}, expected {n} values")
     U = np.zeros(shape)
     for i, values in rows.items():
         U[i] = values
@@ -190,7 +197,7 @@ def l2_project_time(mesh: TimeMesh, samples: np.ndarray, nodes: dict) -> np.ndar
     rhs[:, :-1] += contrib[..., 0]
     rhs[:, 1:] += contrib[..., 1]
 
-    out = _pinned_grid(rhs.shape, {}, nodes)
+    out = _pinned_grid(rhs.shape, {}, nodes, col_name="node")
     rhs = rhs - _band_matvec(axis.bands, out.T).T
     out[:, axis.free] = _band_solve(axis.factor, rhs[:, axis.free].T).T
     return out[0] if samples.ndim == 2 else out

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DualFemError, InvalidArgumentError
-from .fem import (FactoredSystem, assemble_uniform, boundary_load, gradient_tables,
+from .errors import InvalidArgumentError, in_stage
+from .fem import (FactoredSystem, assemble_uniform, boundary_load, dtp, gradient_tables,
                   gram_matrix, pin)
 from .mesh import BOTTOM, LEFT, RIGHT, TOP, NodalGrid, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
@@ -95,7 +95,7 @@ def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh):
 
 def dtp_transport(mesh: SpaceTimeMesh, lam: np.ndarray, c: float) -> np.ndarray:
     """u at the Gauss points (:func:`dtp_table`), shape (n_elems, 4)."""
-    return lam[mesh.elements] @ dtp_table(mesh, c)[0].T
+    return dtp(mesh, dtp_table(mesh, c), lam)[0]
 
 
 def solve_transport_stage(problem: TransportProblem, mesh: SpaceTimeMesh,
@@ -168,12 +168,8 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
         # the inflow datum is read at global time: stage time t is t0 + t
         t0 = t_out[s * keep_rows]
         stage = replace(stage_problem, u_left=lambda t, t0=t0: problem.u_left(t0 + t))
-        try:
+        with in_stage(s + 1):
             _, u = solve_transport_stage(stage, mesh, dual, u0, u_init)
-        except DualFemError as exc:
-            # re-raise the same object, as euler.run_euler does: its type survives
-            exc.args = (f"stage {s + 1} failed: {exc}",) + exc.args[1:]
-            raise
         rows_u.append(u[1:keep_rows + 1, :nx + 1])
         u_init = u[keep_rows].copy()
         u0 = partial(np.interp, xp=x, fp=u_init)

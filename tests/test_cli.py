@@ -122,6 +122,7 @@ def test_run_json_config_and_csv_roundtrip(tmp_path, capsys, monkeypatch):
         assert json.loads((out / "summary.json").read_text())["preset"] is None
         _, artifacts = returned[problem]
         assert set(artifacts) == csvs
+        assert cli._output_names(problem, cfg) == [*artifacts, "summary.json"]
         assert sorted(p.name for p in out.iterdir()) == sorted([*csvs, "summary.json"])
         for name, (header, rows) in artifacts.items():
             rows = grid_rows(rows) if isinstance(rows, NodalGrid) else rows
@@ -387,6 +388,36 @@ def test_unusable_output_directory_exits_config_before_any_solve(tmp_path, capsy
     out = str(blocker / below) if below else str(blocker)
     assert main(["preset", "algebraic-demo", "--out", out]) == EXIT_CONFIG
     assert repr(out) in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("args, kind, blocked, reason", [
+    (["preset", "algebraic-demo"], "algebraic-demo", "summary.json", "it is a directory"),
+    (["preset", "transport-step"], "transport", "u.csv", "it is a directory"),
+    (["run", "HEAT"], "heat", "err2.csv", "it is a directory"),
+    (["preset", "euler-free"], "euler", "newton.csv", "it is read-only"),
+], ids=["demo-summary", "transport-u", "heat-err2", "euler-read-only"])
+def test_unwritable_output_file_exits_config_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                              args, kind, blocked, reason):
+    # a file the run would write that is a directory or read-only is found
+    # from the config before the runner is called
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, kind, lambda cfg: calls.append(cfg))
+    heat = tmp_path / "heat.json"
+    heat.write_text(json.dumps({**FAST_HEAT, "metrics": ["pct", "err2"]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    if reason == "it is a directory":
+        (out / blocked).mkdir()
+    else:
+        # a file mode does not stop a superuser, so the access check is faked
+        (out / blocked).write_text("")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: path != str(out / blocked)
+                            and access(path, mode))
+    args = [str(heat) if a == "HEAT" else a for a in args]
+    assert main([*args, "--out", str(out)]) == EXIT_CONFIG
+    assert f"{str(out / blocked)!r} cannot be written: {reason}" in capsys.readouterr().err
     assert calls == []
 
 

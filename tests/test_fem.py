@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_points
+from dualfem import heat, transport
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
 from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, FactoredSystem,
-                         apply_dirichlet, assemble_uniform, boundary_load,
-                         factor, gradient_tables, gram_matrix, pin, q_dual_heat,
-                         q_dual_wave, solve_linear, solve_system)
+                         apply_dirichlet, assemble_uniform, boundary_load, dtp,
+                         element_dofs, factor, gradient_tables, gram_matrix, pin,
+                         q_dual_heat, q_dual_wave, solve_linear, solve_system)
 from dualfem.heat import dtp_table as heat_dtp_table
 from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
 from dualfem.transport import TransportProblem, assemble_transport
@@ -82,6 +83,9 @@ def test_element_dofs_field_major():
     edge = [1, 2, 5, 6]
     assert np.array_equal(A[np.ix_([4, 9, 14, 19], [4, 9, 14, 19])],
                           local[np.ix_(edge, edge)])
+    # the same layout is the index that fem.dtp gathers with
+    assert np.array_equal(element_dofs(m, 2)[3], [3, 4, 9, 8, 13, 14, 19, 18])
+    assert np.array_equal(element_dofs(m, 1), m.elements)
 
 
 def element_loop(mesh, local_matrix):
@@ -114,6 +118,44 @@ def test_assemble_uniform_matches_generic():
         fast = assemble_uniform(m, local).toarray()
         ref = element_loop(m, local)
         assert np.abs(fast - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_dual_matrix_is_the_negative_gram_matrix_of_the_dtp(rng):
+    # u^T K v = -(hx ht / 4) sum over Gauss points of DtP(u) . DtP(v) for
+    # independent dual vectors, for the assembled heat and transport duals
+    # and fem.dtp of their tables: assembly and recovery are one map
+    m = STRETCHED
+    heat_problem = heat.HeatProblem(k=0.7, L=1.3, T=0.6, theta0=np.zeros_like,
+                                    theta_left=np.zeros_like)
+    transport_problem = TransportProblem(c=0.7, L=1.3, T_total=0.6, u0=np.zeros_like,
+                                         u_left=np.zeros_like)
+    for K, table in ((heat.assemble_heat(heat_problem, m)[0], heat.dtp_table(m, 0.7)),
+                     (assemble_transport(transport_problem, m)[0],
+                      transport.dtp_table(m, 0.7))):
+        u, v = rng.standard_normal((2, K.shape[0]))
+        products = 0.25 * m.hx * m.ht * dtp(m, table, u) * dtp(m, table, v)
+        assert u @ (K @ v) == pytest.approx(-products.sum(),
+                                            abs=1e-14 * np.abs(products).sum())
+
+
+def test_dtp_is_bitwise_the_per_problem_products(rng):
+    # the products heat and transport used to write out, at the sizes of the
+    # transport-stages stage mesh and of heat-jump-large
+    m = build_space_time_mesh(2.16, 0.55, 216, 55)
+    table = transport.dtp_table(m, 0.25)
+    lam = rng.standard_normal(m.n_nodes)
+    old = lam[m.elements] @ table[0].T
+    new = dtp(m, table, lam)
+    assert new.shape == (1, m.n_elements, 4) and new[0].tobytes() == old.tobytes()
+    assert transport.dtp_transport(m, lam, 0.25).tobytes() == old.tobytes()
+
+    m = build_space_time_mesh(1.0, 0.6, 200, 120)
+    table = heat.dtp_table(m, 0.3)
+    p, l = rng.standard_normal((2, m.n_nodes))
+    old = np.hstack([p[m.elements], l[m.elements]]) @ table.transpose(0, 2, 1)
+    new = dtp(m, table, np.concatenate([p, l]))
+    assert new.shape == (2, m.n_elements, 4) and new.tobytes() == old.tobytes()
+    assert heat.dtp_heat(m, np.concatenate([p, l]), 0.3).tobytes() == old.tobytes()
 
 
 def test_assembly_rejects_bad_kernel_output():

