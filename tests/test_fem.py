@@ -120,24 +120,6 @@ def test_assemble_uniform_matches_generic():
         assert np.abs(fast - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
-def test_dual_matrix_is_the_negative_gram_matrix_of_the_dtp(rng):
-    # u^T K v = -(hx ht / 4) sum over Gauss points of DtP(u) . DtP(v) for
-    # independent dual vectors, for the assembled heat and transport duals
-    # and fem.dtp of their tables: assembly and recovery are one map
-    m = STRETCHED
-    heat_problem = heat.HeatProblem(k=0.7, L=1.3, T=0.6, theta0=np.zeros_like,
-                                    theta_left=np.zeros_like)
-    transport_problem = TransportProblem(c=0.7, L=1.3, T_total=0.6, u0=np.zeros_like,
-                                         u_left=np.zeros_like)
-    for K, table in ((heat.assemble_heat(heat_problem, m)[0], heat.dtp_table(m, 0.7)),
-                     (assemble_transport(transport_problem, m)[0],
-                      transport.dtp_table(m, 0.7))):
-        u, v = rng.standard_normal((2, K.shape[0]))
-        products = 0.25 * m.hx * m.ht * dtp(m, table, u) * dtp(m, table, v)
-        assert u @ (K @ v) == pytest.approx(-products.sum(),
-                                            abs=1e-14 * np.abs(products).sum())
-
-
 def test_dtp_is_bitwise_the_per_problem_products(rng):
     # the products heat and transport used to write out, at the sizes of the
     # transport-stages stage mesh and of heat-jump-large

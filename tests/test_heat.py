@@ -92,6 +92,17 @@ def test_local_matrix_against_independent_integration():
             assert K[4 + a, 4 + b] == pytest.approx(k22, abs=2e-9)
 
 
+def test_dual_matrix_is_the_negative_gram_matrix_of_the_recovery(rng):
+    # u^T K v = -(hx ht / 4) sum over Gauss points of DtP(u) . DtP(v) for
+    # independent dual vectors: assembly and recovery are one map
+    m = build_space_time_mesh(1.3, 0.6, 5, 4)      # hx = 0.26, ht = 0.15
+    prob = hm.HeatProblem(k=0.7, L=1.3, T=0.6, theta0=ZERO, theta_left=ZERO)
+    K, _, _ = hm.assemble_heat(prob, m)
+    u, v = rng.standard_normal((2, 2 * m.n_nodes))
+    products = 0.25 * m.hx * m.ht * hm.dtp_heat(m, u, prob.k) * hm.dtp_heat(m, v, prob.k)
+    assert u @ (K @ v) == pytest.approx(-products.sum(), abs=1e-14 * np.abs(products).sum())
+
+
 def test_zero_data_gives_zero_rhs():
     prob = hm.HeatProblem(k=1.0, L=1.0, T=1.0, theta0=ZERO, theta_left=ZERO,
                           right_mode=hm.NEUMANN_PI, pi_right=ZERO)

@@ -79,6 +79,18 @@ def test_local_matrix_against_independent_integration():
     assert np.all(np.linalg.eigvalsh(K) < 1e-14)
 
 
+def test_stage_matrix_is_the_negative_gram_matrix_of_the_recovery(rng):
+    # u^T K v = -(hx ht / 4) sum over Gauss points of DtP(u) DtP(v) for
+    # independent dual vectors: assembly and recovery are one map
+    c = 0.7
+    m = build_space_time_mesh(1.3, 0.6, 5, 4)      # hx = 0.26, ht = 0.15
+    K, _ = assemble_transport(TransportProblem(c=c, L=1.3, T_total=0.6, u0=ZERO,
+                                               u_left=ZERO), m)
+    u, v = rng.standard_normal((2, m.n_nodes))
+    products = 0.25 * m.hx * m.ht * dtp_transport(m, u, c) * dtp_transport(m, v, c)
+    assert u @ (K @ v) == pytest.approx(-products.sum(), abs=1e-14 * np.abs(products).sum())
+
+
 def test_zero_data_gives_zero_rhs():
     prob = TransportProblem(c=1.0, L=1.0, T_total=0.5, u0=ZERO, u_left=ZERO)
     m = build_space_time_mesh(1.0, 0.5, 4, 4)
