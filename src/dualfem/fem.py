@@ -10,16 +10,27 @@ right-hand side.
 
 Global degrees of freedom are blocked by field: dof = field * n_nodes + node.
 Local element dofs follow the same ordering, dof = field * 4 + local_node.
+A factorization may number them differently: :func:`band_key` numbers the
+mesh's long axis slowest, its short axis next and the fields innermost, so
+a dual on a mesh that is short in one direction is a narrow band, which
+:func:`factor` factors by band Cholesky; a wider one goes to SuperLU.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse.linalg import splu
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
 from .mesh import BOTTOM, TOP, SpaceTimeMesh
+
+#: the widest half-bandwidth :func:`factor` takes to band Cholesky.  It is
+#: LAPACK's own block switch: ILAENV gives ``dpbtrf`` block size 1 up to
+#: here, so it runs the unblocked ``dpbtf2``, and at this width the band
+#: holds no more entries than SuperLU's fill of a space-time dual.
+BAND_MAX_KD = 64
 
 #: 2-point Gauss abscissa on [-1, 1]; both weights are 1
 GAUSS_1D = 1.0 / np.sqrt(3.0)
@@ -156,18 +167,95 @@ def apply_dirichlet(A, pinned):
     return A_f[:, free].tocsr(), lift, free, recover
 
 
-def factor(A):
-    """Sparse LU factorization of a square matrix, reusable by :func:`solve_linear`.
+def band_key(mesh: SpaceTimeMesh, n_fields: int) -> np.ndarray:
+    """Position of every dof in the banded numbering: the mesh's long axis
+    slowest, its short axis next and the fields innermost.
 
-    Every matrix factored here is a heat or transport dual: symmetric and,
-    after Dirichlet elimination, definite.  So the columns are ordered by
-    minimum degree on the pattern of A + A^T and SuperLU runs in symmetric
-    mode, preferring diagonal pivots; the threshold 0.1 still pivots off a
-    diagonal entry that is tiny next to its column, so an indefinite or
-    badly scaled matrix is solved stably too.
+    Sorting a set of dofs by it, ``np.argsort(band_key(mesh, f)[dofs])``,
+    gives the ``order`` :func:`factor` takes.  A matrix coupling all dofs of
+    each element then has half-bandwidth (s + 2) n_fields - 1, s being the
+    number of nodes across the short axis.
     """
+    nx1, nt1 = mesh.nx + 1, mesh.nt + 1
+    node = np.arange(mesh.n_nodes)
+    if mesh.nx >= mesh.nt:                       # x long: t numbered fastest
+        node = node % nx1 * nt1 + node // nx1
+    return (node * n_fields + np.arange(n_fields)[:, None]).ravel()
+
+
+def _ranks(order) -> np.ndarray:
+    """The inverse permutation: the position of each dof in ``order``."""
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return rank
+
+
+def half_bandwidth(A, order) -> int:
+    """Largest |i - j| over the stored entries of CSR ``A`` permuted to
+    ``A[order][:, order]``; it allocates one integer per stored entry."""
+    rank = _ranks(order)
+    rows = np.flatnonzero(np.diff(A.indptr))      # rows holding an entry
+    if rows.size == 0:
+        return 0
+    cols = rank[A.indices]
+    starts = A.indptr[rows]
+    return int(max((np.maximum.reduceat(cols, starts) - rank[rows]).max(),
+                   (rank[rows] - np.minimum.reduceat(cols, starts)).max()))
+
+
+class BandCholesky:
+    """Cholesky factor of -A, CSR of half-bandwidth ``kd`` under ``order``,
+    in LAPACK lower band storage; :meth:`solve` works in A's own numbering.
+    Only the lower triangle of A is read."""
+
+    def __init__(self, A, order, kd: int):
+        n = A.shape[0]
+        rank = _ranks(order)
+        r = np.repeat(rank, np.diff(A.indptr))
+        c = rank[A.indices]
+        lower = r >= c
+        band = np.zeros((kd + 1, n), order="F")           # band[i - j, j] = -A[i, j]
+        band[r[lower] - c[lower], c[lower]] = -A.data[lower]
+        self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise SolverError(f"band Cholesky of -A failed at pivot {info} of {n}: "
+                              f"the matrix is not negative definite")
+        if info < 0:
+            raise SolverError(f"dpbtrf rejected argument {-info}")
+        self.order = order
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y, _ = dpbtrs(self.band, b[self.order], lower=1)
+        x = np.empty_like(y)
+        x[self.order] = -y                               # A x = b is (-A) x = -b
+        return x
+
+
+def factor(A, order=None):
+    """Factorization of a square matrix, reusable by :func:`solve_linear`.
+
+    Every matrix factored here is a heat or transport dual: a negative Gram
+    matrix, so symmetric and, after Dirichlet elimination, negative
+    definite.  Two routes, chosen from the input:
+
+    - given a dof ``order`` (a permutation, as from :func:`band_key`) under
+      which A's half-bandwidth is at most :data:`BAND_MAX_KD`, the lower
+      band of -A is factored by LAPACK ``dpbtrf`` and solved by ``dpbtrs``.
+      A matrix whose negative is not definite is a :class:`SolverError`
+      naming the failed pivot;
+    - otherwise SuperLU factors A with the columns ordered by minimum degree
+      on the pattern of A + A^T, in symmetric mode, preferring diagonal
+      pivots.  Only this route promises that an indefinite or badly scaled
+      matrix is solved stably too: the threshold 0.1 still pivots off a
+      diagonal entry that is tiny next to its column.
+    """
+    A = sp.csr_matrix(A)
+    if order is not None:
+        kd = half_bandwidth(A, order)
+        if kd <= BAND_MAX_KD:
+            return BandCholesky(A, order, kd)
     try:
-        return splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
     except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
         raise SolverError(f"singular matrix: {exc}") from exc
@@ -202,22 +290,31 @@ def solve_linear(A, b, lu) -> np.ndarray:
 class FactoredSystem:
     """A matrix with its pinned dofs eliminated and the rest factored once.
 
-    :meth:`solve` then takes any full-length right-hand side.
+    Given the ``mesh`` the matrix was assembled on, the free dofs are
+    factored in the :func:`band_key` order.  :meth:`solve` then takes any
+    full-length right-hand side.
     """
 
-    def __init__(self, A, pinned):
+    def __init__(self, A, pinned, mesh: SpaceTimeMesh | None = None):
         self.matrix, self._lift, self._free, self._recover = apply_dirichlet(A, pinned)
-        self._lu = factor(self.matrix) if self.matrix.shape[0] else None
+        order = None
+        if mesh is not None:
+            n_fields, extra = divmod(A.shape[0], mesh.n_nodes)
+            if extra or n_fields == 0:
+                raise InvalidArgumentError(f"a matrix of {A.shape[0]} dofs on a mesh "
+                                           f"of {mesh.n_nodes} nodes")
+            order = np.argsort(band_key(mesh, n_fields)[self._free])
+        self.lu = factor(self.matrix, order) if self.matrix.shape[0] else None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         b_red = np.asarray(rhs, dtype=float)[self._free] + self._lift
-        return self._recover(solve_linear(self.matrix, b_red, self._lu))
+        return self._recover(solve_linear(self.matrix, b_red, self.lu))
 
 
-def solve_system(A, rhs: np.ndarray, pinned) -> np.ndarray:
+def solve_system(A, rhs: np.ndarray, pinned, mesh: SpaceTimeMesh | None = None) -> np.ndarray:
     """Eliminate the pinned dofs of A x = rhs, a :func:`pin` set, solve, and
-    recover the full dof vector."""
-    return FactoredSystem(A, pinned).solve(rhs)
+    recover the full dof vector; ``mesh`` as for :class:`FactoredSystem`."""
+    return FactoredSystem(A, pinned, mesh).solve(rhs)
 
 
 def q_dual_heat(F: np.ndarray, k: float):

@@ -103,7 +103,7 @@ def solve_transport_stage(problem: TransportProblem, mesh: SpaceTimeMesh,
     """Solve one stage; returns (lambda nodal, projected u nodal grid).
 
     ``dual`` is the stage matrix of ``assemble_transport(problem, mesh)`` as
-    a :class:`FactoredSystem`.  The initial datum ``u0`` enters the weak
+    a :class:`FactoredSystem` on ``mesh``.  The initial datum ``u0`` enters the weak
     initial term, and its nodal values ``u0_nodal`` are pinned on the
     initial row of the projection; the inflow column takes the corner node
     (0, 0).
@@ -157,7 +157,7 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     u_init = np.asarray(problem.u0(x), dtype=float)
     # the stage matrix and its dual conditions do not change between stages:
     # eliminate and factor once, then each stage only builds its load
-    dual = FactoredSystem(*assemble_transport(stage_problem, mesh))
+    dual = FactoredSystem(*assemble_transport(stage_problem, mesh), mesh)
 
     rows_u = [u_init[None, :nx + 1].copy()]
     # the first stage's weak term takes the exact (possibly discontinuous)

@@ -7,20 +7,22 @@ fixtures.
 """
 
 import copy
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import dense_band
 from dualfem import euler
-from dualfem.cli import run_euler_cfg, run_heat, run_transport
+from dualfem.cli import run_algebraic_demo, run_euler_cfg, run_heat, run_transport
 from dualfem.euler import EulerConfig, jacobian, residual
 from dualfem.fem import q_dual_heat, q_dual_wave
 from dualfem.mesh import build_time_mesh
 from dualfem.oracles import (algebraic_dual_demo, elliptic_params,
                              euler_free_exact, jacobi_sn_cn_dn,
                              rk45_reference)
-from dualfem.presets import get_preset
+from dualfem.presets import get_preset, list_presets
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -52,6 +54,21 @@ def smoothed_jump_pair():
 
 
 @pytest.fixture(scope="module")
+def heat_jump_run():
+    return run_heat(get_preset("heat-jump"))
+
+
+@pytest.fixture(scope="module")
+def heat_smoothed_beta0_run():
+    return run_heat(get_preset("heat-smoothed-jump-beta0"))
+
+
+@pytest.fixture(scope="module")
+def algebraic_demo_run():
+    return run_algebraic_demo(get_preset("algebraic-demo"))
+
+
+@pytest.fixture(scope="module")
 def transport_run():
     return run_transport(get_preset("transport-step"))
 
@@ -76,6 +93,48 @@ def euler_convergence_run():
 @pytest.fixture(scope="module")
 def euler_damped_run():
     return run_euler_cfg(get_preset("euler-damped"))
+
+
+def preset_metrics(request, name: str) -> dict:
+    """The summary metrics of preset ``name``, from the shared runs above."""
+    if name in ("heat-steady", "heat-steady-gauge"):
+        return request.getfixturevalue("heat_steady_pair")[name][0]
+    if name == "heat-smoothed-jump-beta10":
+        return request.getfixturevalue("smoothed_jump_pair")[0]
+    return request.getfixturevalue({
+        "heat-transient": "heat_transient_run",
+        "heat-jump": "heat_jump_run",
+        "heat-smoothed-jump-beta0": "heat_smoothed_beta0_run",
+        "transport-step": "transport_run",
+        "euler-free": "euler_free_run",
+        "euler-free-convergence": "euler_convergence_run",
+        "euler-damped": "euler_damped_run",
+        "algebraic-demo": "algebraic_demo_run",
+    }[name])[0]
+
+
+# ---------------------------------------------------------------------------
+# golden metrics: every preset's summary metrics as recorded in
+# golden_metrics.json, to solver round-off
+
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_metrics.json").read_text())
+
+
+def test_golden_table_covers_every_preset():
+    assert sorted(GOLDEN) == list_presets()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_metrics(request, name):
+    # floats within 1e-9 + 1e-8 |v|; integers and integer lists exactly
+    got, want = preset_metrics(request, name), GOLDEN[name]
+    assert sorted(got) == sorted(want)
+    for key, value in want.items():
+        if all(isinstance(v, int) for v in np.atleast_1d(value).tolist()):
+            assert got[key] == value, key
+        else:
+            np.testing.assert_allclose(got[key], value, rtol=1e-8, atol=1e-9, err_msg=key)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_points
-from dualfem import heat, transport
+from dualfem import fem, heat, transport
+from dualfem.cli import make_initial
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
-from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, FactoredSystem,
-                         apply_dirichlet, assemble_uniform, boundary_load, dtp,
-                         element_dofs, factor, gradient_tables, gram_matrix, pin,
-                         q_dual_heat, q_dual_wave, solve_linear, solve_system)
+from dualfem.fem import (BAND_MAX_KD, GAUSS_1D, LINE_N, QUAD_N, BandCholesky,
+                         FactoredSystem, apply_dirichlet, assemble_uniform, band_key,
+                         boundary_load, dtp, element_dofs, factor, gradient_tables,
+                         gram_matrix, half_bandwidth, pin, q_dual_heat, q_dual_wave,
+                         solve_linear, solve_system)
+from dualfem.heat import DIRICHLET_THETA, HeatProblem, assemble_heat
 from dualfem.heat import dtp_table as heat_dtp_table
 from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
 from dualfem.transport import TransportProblem, assemble_transport
@@ -248,12 +251,101 @@ def test_factor_fills_less_than_default_ordering():
 
 def test_factor_pivots_on_a_tiny_diagonal(rng):
     # symmetric indefinite, with every diagonal entry 1e-10: a factor that
-    # always took the diagonal pivot would lose about ten digits here
+    # always took the diagonal pivot would lose about ten digits here.
+    # Given no order, factor takes the SuperLU route, the one that pivots
     B = rng.standard_normal((60, 60)) * (rng.random((60, 60)) < 0.08)
     S = B + B.T
     np.fill_diagonal(S, 1e-10)
     A = sp.csr_matrix(S)
     b = rng.standard_normal(60)
+    x = solve_linear(A, b, factor(A))
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def transport_stage_dual(nt):
+    """(matrix, load, pinned, mesh) of a transport-stages stage at nt element
+    rows, with the workload's step datum."""
+    step = make_initial({"type": "step", "x_jump": 0.2, "lo": 2.0, "hi": 4.0})
+    problem = TransportProblem(c=0.25, L=2.16, T_total=5.0, u0=step,
+                               u_left=lambda t: np.full_like(t, 2.0))
+    mesh = build_space_time_mesh(2.16, 0.55, 216, nt)
+    matrix, pinned = assemble_transport(problem, mesh)
+    return matrix, transport.transport_load(problem, mesh, step), pinned, mesh
+
+
+def heat_dual(T, nx, nt):
+    """(matrix, load, pinned, mesh) of the heat smoothed jump (beta = 10,
+    theta = 10 at both ends, zero dual traces) on (0, 1) x (0, T)."""
+    ten = lambda t: np.full_like(t, 10.0)
+    problem = HeatProblem(k=0.1, L=1.0, T=T, right_mode=DIRICHLET_THETA,
+                          theta0=make_initial({"type": "smoothed_jump", "beta": 10.0,
+                                               "eps": 0.01}),
+                          theta_left=ten, theta_right=ten)
+    mesh = build_space_time_mesh(1.0, T, nx, nt)
+    return (*assemble_heat(problem, mesh), mesh)
+
+
+@pytest.mark.parametrize("dual", [lambda: transport_stage_dual(55),      # transport-stages
+                                  lambda: heat_dual(0.125, 200, 25)],    # ...-beta10
+                         ids=["transport-stages", "heat-smoothed-jump-beta10"])
+def test_band_and_superlu_solves_agree(dual):
+    # on the loads the runs solve; the pinned values are 0, so the reduced
+    # right-hand side is the load's free part
+    A, load, pinned, mesh = dual()
+    band, superlu = FactoredSystem(A, pinned, mesh), FactoredSystem(A, pinned)
+    assert isinstance(band.lu, BandCholesky) and not isinstance(superlu.lu, BandCholesky)
+    x, ref = band.solve(load), superlu.solve(load)
+    free = np.setdiff1d(np.arange(A.shape[0]), pinned[0])
+    assert np.all(pinned[1] == 0.0)
+    assert np.linalg.norm((A @ x - load)[free]) <= 1e-12 * np.linalg.norm(load[free])
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n_fields", [1, 2])
+@pytest.mark.parametrize("nx, nt", [(7, 3), (3, 7)])
+def test_band_key_half_bandwidth(nx, nt, n_fields):
+    # every element couples all its dofs; with s = 4 nodes across the short
+    # axis the band key gives half-bandwidth (s + 2) n_fields - 1
+    m = build_space_time_mesh(1.0, 1.0, nx, nt)
+    A = assemble_uniform(m, np.ones((4 * n_fields, 4 * n_fields)))
+    order = np.argsort(band_key(m, n_fields))
+    i, j = np.nonzero(A.toarray()[np.ix_(order, order)])
+    assert half_bandwidth(A, order) == np.abs(i - j).max() == 6 * n_fields - 1
+
+
+@pytest.mark.parametrize("dual, kd", [(lambda: heat_dual(0.6, 200, 120), 244),
+                                      (lambda: transport_stage_dual(80), 81)],
+                         ids=["heat-jump-large", "transport-nt80"])
+def test_wide_duals_go_to_superlu(monkeypatch, dual, kd):
+    seen, measure = [], fem.half_bandwidth
+
+    def recorded(A, order):
+        seen.append(measure(A, order))
+        return seen[-1]
+    monkeypatch.setattr(fem, "half_bandwidth", recorded)
+    monkeypatch.setattr(fem, "splu", lambda *args, **kwargs: "superlu")
+    A, _, pinned, mesh = dual()
+    assert FactoredSystem(A, pinned, mesh).lu == "superlu"
+    assert seen == [kd] and kd > BAND_MAX_KD
+
+
+def test_factored_system_rejects_a_mesh_of_another_size():
+    A, _, pinned, _ = transport_stage_dual(55)
+    with pytest.raises(InvalidArgumentError, match="12152 dofs on a mesh of 121 nodes"):
+        FactoredSystem(A, pinned, build_space_time_mesh(1.0, 1.0, 10, 10))
+
+
+def test_band_route_rejects_a_matrix_whose_negative_is_not_definite(rng):
+    # -A is the 1-D Laplacian with its 31st diagonal entry negated: the
+    # leading minors of -A are positive up to order 30 and not at 31
+    n = 50
+    neg = sp.diags([-np.ones(n - 1), np.full(n, 2.0), -np.ones(n - 1)], [-1, 0, 1]).tolil()
+    neg[30, 30] = -2.0
+    A = -neg.tocsr()
+    with pytest.raises(SolverError, match="pivot 31 of 50"):
+        factor(A, np.arange(n))
+    # the SuperLU route, taken without an order, solves it
+    b = rng.standard_normal(n)
     x = solve_linear(A, b, factor(A))
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
