@@ -204,19 +204,21 @@ def half_bandwidth(A, order) -> int:
 
 
 class BandCholesky:
-    """Cholesky factor of -A, CSR of half-bandwidth ``kd`` under ``order``,
-    in LAPACK lower band storage; :meth:`solve` works in A's own numbering.
-    Only the lower triangle of A is read."""
+    """Cholesky factor of -A, a symmetric CSR matrix of half-bandwidth ``kd``
+    under ``order``, in LAPACK lower band storage; :meth:`solve` works in
+    A's own numbering."""
 
     def __init__(self, A, order, kd: int):
         n = A.shape[0]
         rank = _ranks(order)
         r = np.repeat(rank, np.diff(A.indptr))
         c = rank[A.indices]
-        lower = r >= c
-        band = np.zeros((kd + 1, n), order="F")           # band[i - j, j] = -A[i, j]
-        band[r[lower] - c[lower], c[lower]] = -A.data[lower]
-        self.band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        # row j of band is column j of the lower band, band[j, i - j] = -A[i, j]
+        # for i >= j; an entry and its mirror land on the same slot, so
+        # no mask is needed.  band.T is LAPACK's (kd + 1, n) storage.
+        band = np.zeros((n, kd + 1))
+        band.ravel()[np.minimum(r, c) * (kd + 1) + np.abs(r - c)] = -A.data
+        self.band, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
         if info > 0:
             raise SolverError(f"band Cholesky of -A failed at pivot {info} of {n}: "
                               f"the matrix is not negative definite")
@@ -242,7 +244,8 @@ def factor(A, order=None):
       which A's half-bandwidth is at most :data:`BAND_MAX_KD`, the lower
       band of -A is factored by LAPACK ``dpbtrf`` and solved by ``dpbtrs``.
       A matrix whose negative is not definite is a :class:`SolverError`
-      naming the failed pivot;
+      naming the failed pivot, and A is read as symmetric (the residual
+      check of :func:`solve_linear` catches one that is not);
     - otherwise SuperLU factors A with the columns ordered by minimum degree
       on the pattern of A + A^T, in symmetric mode, preferring diagonal
       pivots.  Only this route promises that an indefinite or badly scaled
