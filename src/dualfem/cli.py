@@ -539,10 +539,10 @@ def _format_g17(values) -> list:
 
 def _grid_text(grid: NodalGrid):
     """The CSV lines of a grid's (x, t, value) rows, every value as %.17g,
-    one str per block of time rows.
+    one bytes object per block of time rows.
 
     Each x is formatted once into a row template that every row fills with
-    its t and its values; a block's t and values are formatted in one
+    its t and its values; a block's values and t are formatted in one
     :func:`_format_g17` call of at most ``_CSV_VALUES`` values.
     """
     nx = grid.x.size
@@ -550,24 +550,23 @@ def _grid_text(grid: NodalGrid):
     per = max(1, _CSV_VALUES // (nx + 1))
     for start in range(0, grid.t.size, per):
         t = grid.t[start:start + per]
-        cells = _format_g17(np.concatenate([t, grid.values[start:start + per].ravel()]))
-        values = cells[t.size:]
+        cells = _format_g17(np.concatenate([grid.values[start:start + per].ravel(), t]))
         lines = []
-        for i, tv in enumerate(cells[:t.size]):
+        for i, tv in enumerate(cells[t.size * nx:]):
             args = [tv] * (2 * nx)
-            args[1::2] = values[i * nx:(i + 1) * nx]
+            args[1::2] = cells[i * nx:(i + 1) * nx]
             lines.append(line % tuple(args))
-        yield b"".join(lines).decode("ascii")
+        yield b"".join(lines)
 
 
 def _array_text(rows: np.ndarray):
-    """CSV lines of a 2-D array of rows, every value as %.17g, one str per
-    block of at most ``_CSV_VALUES`` values."""
+    """CSV lines of a 2-D array of rows, every value as %.17g, one bytes
+    object per block of at most ``_CSV_VALUES`` values."""
     line = b",".join([b"%s"] * rows.shape[1]) + b"\n"
     per = max(1, _CSV_VALUES // rows.shape[1])
     for start in range(0, len(rows), per):
         chunk = rows[start:start + per]
-        yield (line * len(chunk) % tuple(_format_g17(chunk))).decode("ascii")
+        yield line * len(chunk) % tuple(_format_g17(chunk))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -580,8 +579,8 @@ def _write_csv(path: str, header, rows) -> None:
         shape, text = rows.shape, _array_text(rows)
     if len(shape) != 2 or shape[1] != len(header):
         raise ValueError(f"{path}: rows of shape {shape} for {len(header)} columns")
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
+    with open(path, "wb") as f:
+        f.write(",".join(header).encode("ascii") + b"\n")
         f.writelines(text)
 
 

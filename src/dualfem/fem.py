@@ -4,8 +4,9 @@ One reference-element table of linear (interval) and bilinear (space-time)
 shape functions at the 2-point and 2x2 Gauss points, the dual element
 matrix of a dual-to-primal (DtP) table and its Gauss-point values, the
 uniform-mesh scatter of one shared element matrix, boundary loads, prescribed
-dofs as sorted ``(dofs, values)`` arrays (:func:`pin`), their symmetric elimination, and
-a residual-checked linear solve by a factorization that serves every
+dofs as sorted ``(dofs, values)`` arrays (:func:`pin`), their symmetric
+elimination by row and column slices of the CSR matrix, and a
+residual-checked linear solve by a factorization that serves every
 right-hand side.
 
 Global degrees of freedom are blocked by field: dof = field * n_nodes + node.
@@ -143,28 +144,21 @@ def boundary_load(mesh: SpaceTimeMesh, tag: str, func) -> np.ndarray:
 
 
 def apply_dirichlet(A, pinned):
-    """Symmetric elimination of the pinned dofs of A, a :func:`pin` set.
+    """Symmetric elimination of the pinned dofs of the CSR matrix A, a
+    :func:`pin` set.
 
-    Returns (A_ff, lift, free, recover): the free-free block, the lift
-    -A[free, pinned] @ values that every right-hand side shares, the free
-    dofs, and ``recover(u_free)``, which rebuilds the full solution vector
-    with the prescribed values inserted.
+    Returns (A_ff, lift, free): the free-free block, sliced from A by rows
+    and then by columns without a change of format, the lift
+    -A[free, pinned] @ values that every right-hand side shares, and the
+    free dofs.
     """
     n = A.shape[0]
     cdofs, cvals = pinned
     if cdofs.size and (cdofs.min() < 0 or cdofs.max() >= n):
         raise InvalidArgumentError("constraint dof out of range")
     free = np.setdiff1d(np.arange(n), cdofs, assume_unique=True)
-    A_f = A.tocsc()[free]
-    lift = -(A_f[:, cdofs] @ cvals)
-
-    def recover(u_free):
-        full = np.empty(n)
-        full[free] = u_free
-        full[cdofs] = cvals
-        return full
-
-    return A_f[:, free].tocsr(), lift, free, recover
+    A_f = A[free]
+    return A_f[:, free], -(A_f[:, cdofs] @ cvals), free
 
 
 def band_key(mesh: SpaceTimeMesh, n_fields: int) -> np.ndarray:
@@ -183,44 +177,38 @@ def band_key(mesh: SpaceTimeMesh, n_fields: int) -> np.ndarray:
     return (node * n_fields + np.arange(n_fields)[:, None]).ravel()
 
 
-def _ranks(order) -> np.ndarray:
-    """The inverse permutation: the position of each dof in ``order``."""
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
-    return rank
+def _lower_band(A, order):
+    """The lower band of -A, for a symmetric CSR matrix A in the numbering
+    ``order``: row j holds column j, band[j, i - j] = -A[i, j] for i >= j.
+    None when A's half-bandwidth kd there exceeds :data:`BAND_MAX_KD`.
 
-
-def half_bandwidth(A, order) -> int:
-    """Largest |i - j| over the stored entries of CSR ``A`` permuted to
-    ``A[order][:, order]``; it allocates one integer per stored entry."""
-    rank = _ranks(order)
-    rows = np.flatnonzero(np.diff(A.indptr))      # rows holding an entry
-    if rows.size == 0:
-        return 0
-    cols = rank[A.indices]
-    starts = A.indptr[rows]
-    return int(max((np.maximum.reduceat(cols, starts) - rank[rows]).max(),
-                   (rank[rows] - np.minimum.reduceat(cols, starts)).max()))
+    The stored (row, col) pairs are permuted once, and both kd and each
+    entry's band slot are read from them; an entry and its mirror land on
+    the same slot, so no mask is needed.
+    """
+    n = A.shape[0]
+    rank = np.empty(n, dtype=np.intp)          # the position of each dof in order
+    rank[order] = np.arange(n)
+    r = np.repeat(rank, np.diff(A.indptr))
+    c = rank[A.indices]
+    off = np.abs(r - c)
+    kd = int(off.max(initial=0))
+    if kd > BAND_MAX_KD:
+        return None
+    band = np.zeros((n, kd + 1))
+    band.ravel()[np.minimum(r, c) * (kd + 1) + off] = -A.data
+    return band
 
 
 class BandCholesky:
-    """Cholesky factor of -A, a symmetric CSR matrix of half-bandwidth ``kd``
-    under ``order``, in LAPACK lower band storage; :meth:`solve` works in
-    A's own numbering."""
+    """Cholesky factor of -A, a symmetric matrix, from its :func:`_lower_band`
+    in the numbering ``order``; :meth:`solve` works in A's own numbering."""
 
-    def __init__(self, A, order, kd: int):
-        n = A.shape[0]
-        rank = _ranks(order)
-        r = np.repeat(rank, np.diff(A.indptr))
-        c = rank[A.indices]
-        # row j of band is column j of the lower band, band[j, i - j] = -A[i, j]
-        # for i >= j; an entry and its mirror land on the same slot, so
-        # no mask is needed.  band.T is LAPACK's (kd + 1, n) storage.
-        band = np.zeros((n, kd + 1))
-        band.ravel()[np.minimum(r, c) * (kd + 1) + np.abs(r - c)] = -A.data
+    def __init__(self, band: np.ndarray, order):
+        # band.T is LAPACK's (kd + 1, n) lower band storage
         self.band, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
         if info > 0:
-            raise SolverError(f"band Cholesky of -A failed at pivot {info} of {n}: "
+            raise SolverError(f"band Cholesky of -A failed at pivot {info} of {len(band)}: "
                               f"the matrix is not negative definite")
         if info < 0:
             raise SolverError(f"dpbtrf rejected argument {-info}")
@@ -234,29 +222,28 @@ class BandCholesky:
 
 
 def factor(A, order=None):
-    """Factorization of a square matrix, reusable by :func:`solve_linear`.
+    """Factorization of a square CSR matrix, reusable by :func:`solve_linear`.
 
     Every matrix factored here is a heat or transport dual: a negative Gram
     matrix, so symmetric and, after Dirichlet elimination, negative
     definite.  Two routes, chosen from the input:
 
     - given a dof ``order`` (a permutation, as from :func:`band_key`) under
-      which A's half-bandwidth is at most :data:`BAND_MAX_KD`, the lower
-      band of -A is factored by LAPACK ``dpbtrf`` and solved by ``dpbtrs``.
-      A matrix whose negative is not definite is a :class:`SolverError`
-      naming the failed pivot, and A is read as symmetric (the residual
-      check of :func:`solve_linear` catches one that is not);
+      which A's half-bandwidth kd is at most :data:`BAND_MAX_KD`, the lower
+      band of -A (:func:`_lower_band`, which measures kd) is factored by
+      LAPACK ``dpbtrf`` and solved by ``dpbtrs``.  A matrix whose negative
+      is not definite is a :class:`SolverError` naming the failed pivot,
+      and A is read as symmetric (the residual check of :func:`solve_linear`
+      catches one that is not);
     - otherwise SuperLU factors A with the columns ordered by minimum degree
       on the pattern of A + A^T, in symmetric mode, preferring diagonal
       pivots.  Only this route promises that an indefinite or badly scaled
       matrix is solved stably too: the threshold 0.1 still pivots off a
       diagonal entry that is tiny next to its column.
     """
-    A = sp.csr_matrix(A)
-    if order is not None:
-        kd = half_bandwidth(A, order)
-        if kd <= BAND_MAX_KD:
-            return BandCholesky(A, order, kd)
+    band = None if order is None else _lower_band(A, order)
+    if band is not None:
+        return BandCholesky(band, order)
     try:
         return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
@@ -295,11 +282,13 @@ class FactoredSystem:
 
     Given the ``mesh`` the matrix was assembled on, the free dofs are
     factored in the :func:`band_key` order.  :meth:`solve` then takes any
-    full-length right-hand side.
+    full-length right-hand side and returns the full solution, the pinned
+    values inserted bitwise.
     """
 
     def __init__(self, A, pinned, mesh: SpaceTimeMesh | None = None):
-        self.matrix, self._lift, self._free, self._recover = apply_dirichlet(A, pinned)
+        self.matrix, self._lift, self._free = apply_dirichlet(A, pinned)
+        self._n, self._pinned = A.shape[0], pinned
         order = None
         if mesh is not None:
             n_fields, extra = divmod(A.shape[0], mesh.n_nodes)
@@ -311,7 +300,10 @@ class FactoredSystem:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         b_red = np.asarray(rhs, dtype=float)[self._free] + self._lift
-        return self._recover(solve_linear(self.matrix, b_red, self.lu))
+        full = np.empty(self._n)
+        full[self._free] = solve_linear(self.matrix, b_red, self.lu)
+        full[self._pinned[0]] = self._pinned[1]
+        return full
 
 
 def solve_system(A, rhs: np.ndarray, pinned, mesh: SpaceTimeMesh | None = None) -> np.ndarray:

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_points
-from dualfem import fem, heat, transport
+from dualfem import cli, fem, heat, transport
 from dualfem.cli import make_initial
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
 from dualfem.fem import (BAND_MAX_KD, GAUSS_1D, LINE_N, QUAD_N, BandCholesky,
                          FactoredSystem, apply_dirichlet, assemble_uniform, band_key,
                          boundary_load, dtp, element_dofs, factor, gradient_tables,
-                         gram_matrix, half_bandwidth, pin, q_dual_heat, q_dual_wave,
+                         gram_matrix, pin, q_dual_heat, q_dual_wave,
                          solve_linear, solve_system)
 from dualfem.heat import DIRICHLET_THETA, HeatProblem, assemble_heat
 from dualfem.heat import dtp_table as heat_dtp_table
 from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
+from dualfem.presets import get_preset
 from dualfem.transport import TransportProblem, assemble_transport
 
 STRETCHED = build_space_time_mesh(1.3, 0.6, 5, 4)      # hx = 0.26, ht = 0.15
@@ -190,23 +191,10 @@ def test_pin_of_nothing_leaves_every_dof_free():
     dofs, values = pin()
     assert dofs.shape == values.shape == (0,)
     A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    A_ff, lift, free, _ = apply_dirichlet(A, pin())
+    A_ff, lift, free = apply_dirichlet(A, pin())
     assert np.array_equal(A_ff.toarray(), A.toarray())
     assert np.array_equal(lift, [0.0, 0.0]) and np.array_equal(free, [0, 1])
     assert np.allclose(solve_system(A, np.array([3.0, 5.0]), pin()), [0.8, 1.4], atol=1e-14)
-
-
-def test_dirichlet_recovery_bitwise():
-    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
-                                [1.0, 3.0, 1.0],
-                                [0.0, 1.0, 2.0]]))
-    value = 0.1 + 0.2          # deliberately not exactly representable
-    _, lift, free, recover = apply_dirichlet(A, pin(([0], [value])))
-    assert np.array_equal(free, [1, 2])
-    assert np.array_equal(lift, [-value, 0.0])
-    full = recover(np.array([5.0, 6.0]))
-    assert full[0] == value    # bitwise
-    assert np.array_equal(full[1:], [5.0, 6.0])
 
 
 def test_hand_solved_two_by_two():
@@ -285,6 +273,46 @@ def heat_dual(T, nx, nt):
     return (*assemble_heat(problem, mesh), mesh)
 
 
+def hand_dual():
+    """(matrix, load, pinned, None) of a 3 x 3 matrix whose dof 0 is pinned to
+    0.1 + 0.2, a value that is not exactly representable."""
+    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
+                                [1.0, 3.0, 1.0],
+                                [0.0, 1.0, 2.0]]))
+    return A, np.array([1.0, 5.0, 6.0]), pin(([0], [0.1 + 0.2])), None
+
+
+def steady_gauge_dual(nx, nt):
+    """(matrix, load, pinned, mesh) of heat-steady-gauge on an nx-by-nt mesh:
+    a 2-field heat dual whose steady-family dual traces are not zero."""
+    cfg = {**get_preset("heat-steady-gauge"), "nx": nx, "nt": nt}
+    problem, mesh = cli.build_heat_problem(cli._read(cfg, cli.KEYS["heat"], "heat"))
+    return (*assemble_heat(problem, mesh), mesh)
+
+
+@pytest.mark.parametrize("dual", [hand_dual, lambda: steady_gauge_dual(10, 11),
+                                  lambda: transport_stage_dual(4)],
+                         ids=["hand-3x3", "heat-steady-gauge", "transport-stages"])
+def test_elimination_matches_dense_slicing(dual):
+    # the free block and the lift are bitwise those of the dense matrix, the
+    # lift summed from +0.0 over the pinned columns in order, as a CSR
+    # product does (a zero of the dense row leaves the sum as it is);
+    # solve gives back the pinned values bitwise
+    A, load, (cdofs, cvals), mesh = dual()
+    dense = A.toarray()
+    free = np.setdiff1d(np.arange(A.shape[0]), cdofs)
+    A_ff, lift, got_free = apply_dirichlet(A, (cdofs, cvals))
+    assert np.array_equal(got_free, free)
+    assert A_ff.toarray().tobytes() == dense[np.ix_(free, free)].tobytes()
+    terms = np.hstack([np.zeros((free.size, 1)), dense[np.ix_(free, cdofs)] * cvals])
+    assert lift.tobytes() == (-np.cumsum(terms, axis=1)[:, -1]).tobytes()
+    assert np.any(lift != 0) == np.any(cvals != 0)      # transport pins zeros
+    if mesh is None:
+        assert np.array_equal(free, [1, 2]) and np.array_equal(lift, [-(0.1 + 0.2), 0.0])
+    x = FactoredSystem(A, (cdofs, cvals), mesh).solve(load)
+    assert x[cdofs].tobytes() == cvals.tobytes()
+
+
 @pytest.mark.parametrize("dual", [lambda: transport_stage_dual(55),      # transport-stages
                                   lambda: heat_dual(0.125, 200, 25)],    # ...-beta10
                          ids=["transport-stages", "heat-smoothed-jump-beta10"])
@@ -305,28 +333,33 @@ def test_band_and_superlu_solves_agree(dual):
 @pytest.mark.parametrize("nx, nt", [(7, 3), (3, 7)])
 def test_band_key_half_bandwidth(nx, nt, n_fields):
     # every element couples all its dofs; with s = 4 nodes across the short
-    # axis the band key gives half-bandwidth (s + 2) n_fields - 1
+    # axis the band key gives half-bandwidth (s + 2) n_fields - 1, the band
+    # that factor stores.  Each element matrix is -(ones + identity), so -A
+    # is positive definite
     m = build_space_time_mesh(1.0, 1.0, nx, nt)
-    A = assemble_uniform(m, np.ones((4 * n_fields, 4 * n_fields)))
+    ndof_e = 4 * n_fields
+    A = assemble_uniform(m, -(np.ones((ndof_e, ndof_e)) + np.eye(ndof_e)))
     order = np.argsort(band_key(m, n_fields))
     i, j = np.nonzero(A.toarray()[np.ix_(order, order)])
-    assert half_bandwidth(A, order) == np.abs(i - j).max() == 6 * n_fields - 1
+    lu = factor(A, order)
+    assert isinstance(lu, BandCholesky)
+    assert lu.band.shape[0] - 1 == np.abs(i - j).max() == 6 * n_fields - 1
 
 
 @pytest.mark.parametrize("dual, kd", [(lambda: heat_dual(0.6, 200, 120), 244),
                                       (lambda: transport_stage_dual(80), 81)],
                          ids=["heat-jump-large", "transport-nt80"])
 def test_wide_duals_go_to_superlu(monkeypatch, dual, kd):
-    seen, measure = [], fem.half_bandwidth
-
-    def recorded(A, order):
-        seen.append(measure(A, order))
-        return seen[-1]
-    monkeypatch.setattr(fem, "half_bandwidth", recorded)
+    # the half-bandwidth of the eliminated dual in the band key order,
+    # counted here from its stored entries
     monkeypatch.setattr(fem, "splu", lambda *args, **kwargs: "superlu")
     A, _, pinned, mesh = dual()
-    assert FactoredSystem(A, pinned, mesh).lu == "superlu"
-    assert seen == [kd] and kd > BAND_MAX_KD
+    system = FactoredSystem(A, pinned, mesh)
+    assert system.lu == "superlu"
+    free = np.setdiff1d(np.arange(A.shape[0]), pinned[0])
+    rank = np.argsort(np.argsort(band_key(mesh, A.shape[0] // mesh.n_nodes)[free]))
+    entries = system.matrix.tocoo()
+    assert np.abs(rank[entries.row] - rank[entries.col]).max() == kd > BAND_MAX_KD
 
 
 def test_factored_system_rejects_a_mesh_of_another_size():
