@@ -687,6 +687,9 @@ def main(argv=None) -> int:
     except DualFemError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError as exc:          # such as the factor band of a very fine mesh
+        print(f"solver error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
     print(json.dumps(summary["metrics"], indent=2))
     return EXIT_OK

@@ -11,10 +11,9 @@ right-hand side.
 
 Global degrees of freedom are blocked by field: dof = field * n_nodes + node.
 Local element dofs follow the same ordering, dof = field * 4 + local_node.
-A factorization may number them differently: :func:`band_key` numbers the
+A factorization numbers them differently: :func:`band_key` numbers the
 mesh's long axis slowest, its short axis next and the fields innermost, so
-a dual on a mesh that is short in one direction is a narrow band, which
-:func:`factor` factors by band Cholesky; a wider one goes to SuperLU.
+every dual is a band, which :func:`factor` factors by band Cholesky.
 """
 
 from __future__ import annotations
@@ -22,16 +21,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse.linalg import splu
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
 from .mesh import BOTTOM, TOP, SpaceTimeMesh
-
-#: the widest half-bandwidth :func:`factor` takes to band Cholesky.  It is
-#: LAPACK's own block switch: ILAENV gives ``dpbtrf`` block size 1 up to
-#: here, so it runs the unblocked ``dpbtf2``, and at this width the band
-#: holds no more entries than SuperLU's fill of a space-time dual.
-BAND_MAX_KD = 64
 
 #: 2-point Gauss abscissa on [-1, 1]; both weights are 1
 GAUSS_1D = 1.0 / np.sqrt(3.0)
@@ -179,8 +171,8 @@ def band_key(mesh: SpaceTimeMesh, n_fields: int) -> np.ndarray:
 
 def _lower_band(A, order):
     """The lower band of -A, for a symmetric CSR matrix A in the numbering
-    ``order``: row j holds column j, band[j, i - j] = -A[i, j] for i >= j.
-    None when A's half-bandwidth kd there exceeds :data:`BAND_MAX_KD`.
+    ``order``: row j holds column j, band[j, i - j] = -A[i, j] for i >= j,
+    kd being A's half-bandwidth there.
 
     The stored (row, col) pairs are permuted once, and both kd and each
     entry's band slot are read from them; an entry and its mirror land on
@@ -193,8 +185,6 @@ def _lower_band(A, order):
     c = rank[A.indices]
     off = np.abs(r - c)
     kd = int(off.max(initial=0))
-    if kd > BAND_MAX_KD:
-        return None
     band = np.zeros((n, kd + 1))
     band.ravel()[np.minimum(r, c) * (kd + 1) + off] = -A.data
     return band
@@ -221,34 +211,20 @@ class BandCholesky:
         return x
 
 
-def factor(A, order=None):
-    """Factorization of a square CSR matrix, reusable by :func:`solve_linear`.
+def factor(A, order):
+    """Band Cholesky factorization of a square CSR matrix A in the dof
+    numbering ``order`` (a permutation, as from :func:`band_key`), reusable
+    by :func:`solve_linear`.
 
     Every matrix factored here is a heat or transport dual: a negative Gram
     matrix, so symmetric and, after Dirichlet elimination, negative
-    definite.  Two routes, chosen from the input:
-
-    - given a dof ``order`` (a permutation, as from :func:`band_key`) under
-      which A's half-bandwidth kd is at most :data:`BAND_MAX_KD`, the lower
-      band of -A (:func:`_lower_band`, which measures kd) is factored by
-      LAPACK ``dpbtrf`` and solved by ``dpbtrs``.  A matrix whose negative
-      is not definite is a :class:`SolverError` naming the failed pivot,
-      and A is read as symmetric (the residual check of :func:`solve_linear`
-      catches one that is not);
-    - otherwise SuperLU factors A with the columns ordered by minimum degree
-      on the pattern of A + A^T, in symmetric mode, preferring diagonal
-      pivots.  Only this route promises that an indefinite or badly scaled
-      matrix is solved stably too: the threshold 0.1 still pivots off a
-      diagonal entry that is tiny next to its column.
+    definite.  The lower band of -A (:func:`_lower_band`) is factored by
+    LAPACK ``dpbtrf`` and solved by ``dpbtrs``.  A matrix whose negative is
+    not definite is a :class:`SolverError` naming the failed pivot, and A
+    is read as symmetric (the residual check of :func:`solve_linear`
+    catches one that is not).  The band takes (kd + 1) n 8 bytes.
     """
-    band = None if order is None else _lower_band(A, order)
-    if band is not None:
-        return BandCholesky(band, order)
-    try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.1, options={"SymmetricMode": True})
-    except RuntimeError as exc:          # SuperLU: "Factor is exactly singular"
-        raise SolverError(f"singular matrix: {exc}") from exc
+    return BandCholesky(_lower_band(A, order), order)
 
 
 def solve_linear(A, b, lu) -> np.ndarray:
@@ -280,22 +256,20 @@ def solve_linear(A, b, lu) -> np.ndarray:
 class FactoredSystem:
     """A matrix with its pinned dofs eliminated and the rest factored once.
 
-    Given the ``mesh`` the matrix was assembled on, the free dofs are
-    factored in the :func:`band_key` order.  :meth:`solve` then takes any
+    The free dofs are factored in the :func:`band_key` order of the
+    ``mesh`` the matrix was assembled on.  :meth:`solve` then takes any
     full-length right-hand side and returns the full solution, the pinned
     values inserted bitwise.
     """
 
-    def __init__(self, A, pinned, mesh: SpaceTimeMesh | None = None):
+    def __init__(self, A, pinned, mesh: SpaceTimeMesh):
+        n_fields, extra = divmod(A.shape[0], mesh.n_nodes)
+        if extra or n_fields == 0:
+            raise InvalidArgumentError(f"a matrix of {A.shape[0]} dofs on a mesh "
+                                       f"of {mesh.n_nodes} nodes")
         self.matrix, self._lift, self._free = apply_dirichlet(A, pinned)
         self._n, self._pinned = A.shape[0], pinned
-        order = None
-        if mesh is not None:
-            n_fields, extra = divmod(A.shape[0], mesh.n_nodes)
-            if extra or n_fields == 0:
-                raise InvalidArgumentError(f"a matrix of {A.shape[0]} dofs on a mesh "
-                                           f"of {mesh.n_nodes} nodes")
-            order = np.argsort(band_key(mesh, n_fields)[self._free])
+        order = np.argsort(band_key(mesh, n_fields)[self._free])
         self.lu = factor(self.matrix, order) if self.matrix.shape[0] else None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -306,7 +280,7 @@ class FactoredSystem:
         return full
 
 
-def solve_system(A, rhs: np.ndarray, pinned, mesh: SpaceTimeMesh | None = None) -> np.ndarray:
+def solve_system(A, rhs: np.ndarray, pinned, mesh: SpaceTimeMesh) -> np.ndarray:
     """Eliminate the pinned dofs of A x = rhs, a :func:`pin` set, solve, and
     recover the full dof vector; ``mesh`` as for :class:`FactoredSystem`."""
     return FactoredSystem(A, pinned, mesh).solve(rhs)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -432,6 +433,30 @@ def test_non_finite_summary_metric_exits_solver_and_writes_no_summary(tmp_path, 
     assert main(["preset", "algebraic-demo", "--out", str(out)]) == EXIT_SOLVER
     assert "summary metric 'bad'" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
+
+
+def test_out_of_memory_exits_solver(tmp_path, capsys, monkeypatch):
+    # numpy's message for the factor band of heat at nx = nt = 1000
+    message = ("Unable to allocate 29.9 GiB for an array with shape (2001001, 2005) "
+               "and data type float64")
+
+    def run_out_of_memory(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.RUNNERS, "heat", run_out_of_memory)
+    out = tmp_path / "out"
+    assert main(["preset", "heat-jump", "--out", str(out)]) == EXIT_SOLVER
+    assert capsys.readouterr().err == f"solver error: out of memory: {message}\n"
+    assert not (out / "summary.json").exists()
+
+
+def test_cli_import_leaves_out_the_sparse_solvers():
+    # every factorization is LAPACK band Cholesky, from scipy.linalg
+    code = "import sys, dualfem.cli; print('scipy.sparse.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 def test_make_initial_families(tmp_path):

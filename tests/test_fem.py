@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gauss_points
-from dualfem import cli, fem, heat, transport
+from dualfem import cli, heat, transport
 from dualfem.cli import make_initial
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
-from dualfem.fem import (BAND_MAX_KD, GAUSS_1D, LINE_N, QUAD_N, BandCholesky,
-                         FactoredSystem, apply_dirichlet, assemble_uniform, band_key,
-                         boundary_load, dtp, element_dofs, factor, gradient_tables,
-                         gram_matrix, pin, q_dual_heat, q_dual_wave,
-                         solve_linear, solve_system)
+from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, FactoredSystem, apply_dirichlet,
+                         assemble_uniform, band_key, boundary_load, dtp, element_dofs,
+                         factor, gradient_tables, gram_matrix, pin, q_dual_heat,
+                         q_dual_wave, solve_linear, solve_system)
 from dualfem.heat import DIRICHLET_THETA, HeatProblem, assemble_heat
 from dualfem.heat import dtp_table as heat_dtp_table
 from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
@@ -23,6 +22,7 @@ from dualfem.presets import get_preset
 from dualfem.transport import TransportProblem, assemble_transport
 
 STRETCHED = build_space_time_mesh(1.3, 0.6, 5, 4)      # hx = 0.26, ht = 0.15
+ONE = build_space_time_mesh(1.0, 1.0, 1, 1)            # one element, four nodes
 
 
 def test_partition_of_unity():
@@ -194,12 +194,16 @@ def test_pin_of_nothing_leaves_every_dof_free():
     A_ff, lift, free = apply_dirichlet(A, pin())
     assert np.array_equal(A_ff.toarray(), A.toarray())
     assert np.array_equal(lift, [0.0, 0.0]) and np.array_equal(free, [0, 1])
-    assert np.allclose(solve_system(A, np.array([3.0, 5.0]), pin()), [0.8, 1.4], atol=1e-14)
+    # every dof of a one-element dual, -(ones + identity), is solved for
+    A = assemble_uniform(ONE, -(np.ones((4, 4)) + np.eye(4)))
+    x = solve_system(A, -np.array([11.0, 12.0, 13.0, 14.0]), pin(), ONE)
+    assert np.allclose(x, [1.0, 2.0, 3.0, 4.0], atol=1e-14)
 
 
 def test_hand_solved_two_by_two():
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x = solve_linear(A, np.array([3.0, 5.0]), factor(A))
+    # factor takes -A's Cholesky factor; the reversed order permutes the dofs
+    A = sp.csr_matrix(-np.array([[2.0, 1.0], [1.0, 3.0]]))
+    x = solve_linear(A, -np.array([3.0, 5.0]), factor(A, np.array([1, 0])))
     assert np.allclose(x, [0.8, 1.4], atol=1e-14)
 
 
@@ -212,42 +216,19 @@ def test_solve_linear_rejects_singular():
 
 
 def test_factor_of_singular_matrix_is_a_solver_error():
-    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(SolverError, match="singular"):
-        factor(A)
+    # -A is singular: its second pivot is 1 - 1 * 1 = 0
+    A = sp.csr_matrix(-np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(SolverError, match="pivot 2 of 2"):
+        factor(A, np.arange(2))
 
 
 def test_solve_linear_rejects_factor_of_another_matrix():
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    B = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 4.0]]))
-    b = np.array([3.0, 5.0])
-    assert np.allclose(solve_linear(A, b, factor(A)), [0.8, 1.4], atol=1e-14)
+    A = sp.csr_matrix(-np.array([[2.0, 1.0], [1.0, 3.0]]))
+    B = sp.csr_matrix(-np.array([[2.0, 1.0], [1.0, 4.0]]))
+    b = -np.array([3.0, 5.0])
+    assert np.allclose(solve_linear(A, b, factor(A, np.arange(2))), [0.8, 1.4], atol=1e-14)
     with pytest.raises(SolverError, match="residual"):
-        solve_linear(A, b, factor(B))
-
-
-def test_factor_fills_less_than_default_ordering():
-    # the minimum-degree symmetric factor of a transport dual keeps L + U
-    # well below SuperLU's default (COLAMD, partial pivoting)
-    problem = TransportProblem(c=0.25, L=2.0, T_total=1.0, u0=np.ones_like,
-                               u_left=np.ones_like)
-    mesh = build_space_time_mesh(2.0, 0.55, 100, 30)
-    A = FactoredSystem(*assemble_transport(problem, mesh)).matrix
-    lu, default = factor(A), splu(sp.csc_matrix(A))
-    assert lu.L.nnz + lu.U.nnz <= 0.8 * (default.L.nnz + default.U.nnz)
-
-
-def test_factor_pivots_on_a_tiny_diagonal(rng):
-    # symmetric indefinite, with every diagonal entry 1e-10: a factor that
-    # always took the diagonal pivot would lose about ten digits here.
-    # Given no order, factor takes the SuperLU route, the one that pivots
-    B = rng.standard_normal((60, 60)) * (rng.random((60, 60)) < 0.08)
-    S = B + B.T
-    np.fill_diagonal(S, 1e-10)
-    A = sp.csr_matrix(S)
-    b = rng.standard_normal(60)
-    x = solve_linear(A, b, factor(A))
-    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+        solve_linear(A, b, factor(B, np.arange(2)))
 
 
 def transport_stage_dual(nt):
@@ -274,12 +255,14 @@ def heat_dual(T, nx, nt):
 
 
 def hand_dual():
-    """(matrix, load, pinned, None) of a 3 x 3 matrix whose dof 0 is pinned to
-    0.1 + 0.2, a value that is not exactly representable."""
-    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0],
-                                [1.0, 3.0, 1.0],
-                                [0.0, 1.0, 2.0]]))
-    return A, np.array([1.0, 5.0, 6.0]), pin(([0], [0.1 + 0.2])), None
+    """(matrix, load, pinned, mesh) of a negative definite 4 x 4 matrix on the
+    one-element mesh, whose dof 0 is pinned to 0.1 + 0.2, a value that is
+    not exactly representable."""
+    A = sp.csr_matrix(-np.array([[2.0, 1.0, 0.0, 0.0],
+                                 [1.0, 3.0, 1.0, 0.0],
+                                 [0.0, 1.0, 2.0, 1.0],
+                                 [0.0, 0.0, 1.0, 3.0]]))
+    return A, np.array([1.0, 5.0, 6.0, 7.0]), pin(([0], [0.1 + 0.2])), ONE
 
 
 def steady_gauge_dual(nx, nt):
@@ -292,7 +275,7 @@ def steady_gauge_dual(nx, nt):
 
 @pytest.mark.parametrize("dual", [hand_dual, lambda: steady_gauge_dual(10, 11),
                                   lambda: transport_stage_dual(4)],
-                         ids=["hand-3x3", "heat-steady-gauge", "transport-stages"])
+                         ids=["hand-4x4", "heat-steady-gauge", "transport-stages"])
 def test_elimination_matches_dense_slicing(dual):
     # the free block and the lift are bitwise those of the dense matrix, the
     # lift summed from +0.0 over the pinned columns in order, as a CSR
@@ -307,26 +290,34 @@ def test_elimination_matches_dense_slicing(dual):
     terms = np.hstack([np.zeros((free.size, 1)), dense[np.ix_(free, cdofs)] * cvals])
     assert lift.tobytes() == (-np.cumsum(terms, axis=1)[:, -1]).tobytes()
     assert np.any(lift != 0) == np.any(cvals != 0)      # transport pins zeros
-    if mesh is None:
-        assert np.array_equal(free, [1, 2]) and np.array_equal(lift, [-(0.1 + 0.2), 0.0])
+    if dual is hand_dual:
+        assert np.array_equal(free, [1, 2, 3])
+        assert np.array_equal(lift, [0.1 + 0.2, 0.0, 0.0])
     x = FactoredSystem(A, (cdofs, cvals), mesh).solve(load)
     assert x[cdofs].tobytes() == cvals.tobytes()
 
 
-@pytest.mark.parametrize("dual", [lambda: transport_stage_dual(55),      # transport-stages
-                                  lambda: heat_dual(0.125, 200, 25)],    # ...-beta10
-                         ids=["transport-stages", "heat-smoothed-jump-beta10"])
-def test_band_and_superlu_solves_agree(dual):
-    # on the loads the runs solve; the pinned values are 0, so the reduced
+@pytest.mark.parametrize("dual, kd", [(lambda: transport_stage_dual(55), 56),
+                                      (lambda: heat_dual(0.125, 200, 25), 54),
+                                      (lambda: heat_dual(0.25, 200, 50), 104),
+                                      (lambda: heat_dual(0.6, 200, 120), 244),
+                                      (lambda: transport_stage_dual(80), 81)],
+                         ids=["transport-stages", "heat-smoothed-jump-beta10", "heat-jump",
+                              "heat-jump-large", "transport-nt80"])
+def test_band_and_superlu_solves_agree(dual, kd):
+    # on the loads the runs solve, against SuperLU's pivoting factorization
+    # of the same free block; the pinned values are 0, so the reduced
     # right-hand side is the load's free part
     A, load, pinned, mesh = dual()
-    band, superlu = FactoredSystem(A, pinned, mesh), FactoredSystem(A, pinned)
-    assert isinstance(band.lu, BandCholesky) and not isinstance(superlu.lu, BandCholesky)
-    x, ref = band.solve(load), superlu.solve(load)
-    free = np.setdiff1d(np.arange(A.shape[0]), pinned[0])
+    system = FactoredSystem(A, pinned, mesh)
+    assert system.lu.band.shape[0] - 1 == kd
     assert np.all(pinned[1] == 0.0)
+    free = np.setdiff1d(np.arange(A.shape[0]), pinned[0])
+    x = system.solve(load)
+    ref = splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+               options={"SymmetricMode": True}).solve(load[free])
     assert np.linalg.norm((A @ x - load)[free]) <= 1e-12 * np.linalg.norm(load[free])
-    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.linalg.norm(x[free] - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("n_fields", [1, 2])
@@ -342,24 +333,7 @@ def test_band_key_half_bandwidth(nx, nt, n_fields):
     order = np.argsort(band_key(m, n_fields))
     i, j = np.nonzero(A.toarray()[np.ix_(order, order)])
     lu = factor(A, order)
-    assert isinstance(lu, BandCholesky)
     assert lu.band.shape[0] - 1 == np.abs(i - j).max() == 6 * n_fields - 1
-
-
-@pytest.mark.parametrize("dual, kd", [(lambda: heat_dual(0.6, 200, 120), 244),
-                                      (lambda: transport_stage_dual(80), 81)],
-                         ids=["heat-jump-large", "transport-nt80"])
-def test_wide_duals_go_to_superlu(monkeypatch, dual, kd):
-    # the half-bandwidth of the eliminated dual in the band key order,
-    # counted here from its stored entries
-    monkeypatch.setattr(fem, "splu", lambda *args, **kwargs: "superlu")
-    A, _, pinned, mesh = dual()
-    system = FactoredSystem(A, pinned, mesh)
-    assert system.lu == "superlu"
-    free = np.setdiff1d(np.arange(A.shape[0]), pinned[0])
-    rank = np.argsort(np.argsort(band_key(mesh, A.shape[0] // mesh.n_nodes)[free]))
-    entries = system.matrix.tocoo()
-    assert np.abs(rank[entries.row] - rank[entries.col]).max() == kd > BAND_MAX_KD
 
 
 def test_factored_system_rejects_a_mesh_of_another_size():
@@ -368,7 +342,7 @@ def test_factored_system_rejects_a_mesh_of_another_size():
         FactoredSystem(A, pinned, build_space_time_mesh(1.0, 1.0, 10, 10))
 
 
-def test_band_route_rejects_a_matrix_whose_negative_is_not_definite(rng):
+def test_band_route_rejects_a_matrix_whose_negative_is_not_definite():
     # -A is the 1-D Laplacian with its 31st diagonal entry negated: the
     # leading minors of -A are positive up to order 30 and not at 31
     n = 50
@@ -377,34 +351,31 @@ def test_band_route_rejects_a_matrix_whose_negative_is_not_definite(rng):
     A = -neg.tocsr()
     with pytest.raises(SolverError, match="pivot 31 of 50"):
         factor(A, np.arange(n))
-    # the SuperLU route, taken without an order, solves it
-    b = rng.standard_normal(n)
-    x = solve_linear(A, b, factor(A))
-    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_factored_system_solves_any_rhs(rng):
-    A = sp.csr_matrix(np.array([[4.0, -1.0, 0.0, 0.0],
-                                [-1.0, 4.0, -1.0, 0.0],
-                                [0.0, -1.0, 4.0, -1.0],
-                                [0.0, 0.0, -1.0, 4.0]]))
+    A = sp.csr_matrix(-np.array([[4.0, -1.0, 0.0, 0.0],
+                                 [-1.0, 4.0, -1.0, 0.0],
+                                 [0.0, -1.0, 4.0, -1.0],
+                                 [0.0, 0.0, -1.0, 4.0]]))
     pinned = pin(([0, 3], [0.1 + 0.2, -2.0]))
-    factored = FactoredSystem(A, pinned)
+    factored = FactoredSystem(A, pinned, ONE)
     for _ in range(3):
         rhs = rng.standard_normal(4)
         u = factored.solve(rhs)
-        assert np.array_equal(u, solve_system(A, rhs, pinned))
+        assert np.array_equal(u, solve_system(A, rhs, pinned, ONE))
         assert u[0] == 0.1 + 0.2 and u[3] == -2.0
         assert np.abs((A @ u)[1:3] - rhs[1:3]).max() < 1e-14
 
 
 def test_solve_system_with_constraints():
-    # -u'' = 0 style toy chain: u0 = 0, u2 = 1 -> u1 = 0.5
-    A = sp.csr_matrix(np.array([[2.0, -1.0, 0.0],
-                                [-1.0, 2.0, -1.0],
-                                [0.0, -1.0, 2.0]]))
-    u = solve_system(A, np.zeros(3), pin(([0, 2], [0.0, 1.0])))
-    assert np.allclose(u, [0.0, 0.5, 1.0], atol=1e-14)
+    # u'' = 0 style toy chain: u0 = 0, u3 = 1 -> u1 = 1/3, u2 = 2/3
+    A = sp.csr_matrix(-np.array([[2.0, -1.0, 0.0, 0.0],
+                                 [-1.0, 2.0, -1.0, 0.0],
+                                 [0.0, -1.0, 2.0, -1.0],
+                                 [0.0, 0.0, -1.0, 2.0]]))
+    u = solve_system(A, np.zeros(4), pin(([0, 3], [0.0, 1.0])), ONE)
+    assert np.allclose(u, [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
