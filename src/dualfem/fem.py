@@ -3,23 +3,24 @@
 One reference-element table of linear (interval) and bilinear (space-time)
 shape functions at the 2-point and 2x2 Gauss points, the dual element
 matrix of a dual-to-primal (DtP) table and its Gauss-point values, the
-uniform-mesh scatter of one shared element matrix, boundary loads, prescribed
-dofs as sorted ``(dofs, values)`` arrays (:func:`pin`), their symmetric
-elimination by row and column slices of the CSR matrix, and a
-residual-checked linear solve by a factorization that serves every
-right-hand side.
+matrix of one shared element matrix on a uniform mesh, applied and written
+into a band without assembly (:class:`UniformMatrix`), boundary loads,
+prescribed dofs as sorted ``(dofs, values)`` arrays (:func:`pin`), which
+become identity lines of the band, and a residual-checked linear solve by
+a factorization that serves every right-hand side.
 
 Global degrees of freedom are blocked by field: dof = field * n_nodes + node.
 Local element dofs follow the same ordering, dof = field * 4 + local_node.
 A factorization numbers them differently: :func:`band_key` numbers the
 mesh's long axis slowest, its short axis next and the fields innermost, so
-every dual is a band, which :func:`factor` factors by band Cholesky.
+every dual is a band, which :class:`BandCholesky` factors.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
+
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import AssemblyError, InvalidArgumentError, SolverError
@@ -93,26 +94,107 @@ def dtp(mesh: SpaceTimeMesh, table: np.ndarray, sol: np.ndarray) -> np.ndarray:
     return sol[element_dofs(mesh, table.shape[-1] // 4)] @ table.transpose(0, 2, 1).copy()
 
 
-def assemble_uniform(mesh: SpaceTimeMesh, local_matrix: np.ndarray) -> sp.csr_matrix:
-    """Fast scatter of one shared local matrix over every element.
+@dataclass(frozen=True, eq=False)
+class UniformMatrix:
+    """The global matrix of one local matrix repeated over every element of
+    a uniform mesh, kept as the mesh and that local matrix.
+
+    ``shape`` and ``nnz`` are those of the assembled matrix, each coupled
+    (row, column) pair counted once.  ``@`` applies the local matrix to the
+    four corner slices of the node grid and adds the products back, with no
+    index arrays; :meth:`lower_band` writes the lower band of -A.  A
+    matrix with ``pinned`` dofs has their rows and columns replaced by those
+    of -I, the matrix :class:`FactoredSystem` factors.
+    """
+
+    mesh: SpaceTimeMesh
+    local: np.ndarray
+    pinned: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    @property
+    def n_fields(self) -> int:
+        return len(self.local) // 4
+
+    @property
+    def shape(self) -> tuple:
+        n = self.n_fields * self.mesh.n_nodes
+        return (n, n)
+
+    @property
+    def nnz(self) -> int:
+        # a node couples with its neighbours, itself included, in every field
+        return self.n_fields ** 2 * (3 * self.mesh.nx + 1) * (3 * self.mesh.nt + 1)
+
+    def _corners(self):
+        """The (field, t, x) slice of the node grid that each local dof takes
+        over the elements, in local dof order."""
+        nx, nt = self.mesh.nx, self.mesh.nt
+        return [(f, slice(dt, dt + nt), slice(dx, dx + nx))
+                for f in range(self.n_fields) for dx, dt in _CCW]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        m = self.mesh
+        x = np.asarray(x, dtype=float)
+        X = x.reshape(self.n_fields, m.nt + 1, m.nx + 1)
+        if self.pinned.size:
+            X = X.copy()
+            X.reshape(-1)[self.pinned] = 0.0
+        corners = self._corners()
+        gathered = np.stack([X[c] for c in corners]).reshape(len(corners), -1)
+        products = (self.local @ gathered).reshape(len(corners), m.nt, m.nx)
+        Y = np.zeros_like(X)
+        for c, p in zip(corners, products):
+            Y[c] += p
+        y = Y.reshape(-1)
+        y[self.pinned] = -x[self.pinned]
+        return y
+
+    def lower_band(self) -> np.ndarray:
+        """The lower band of -A in :func:`band_key` order, (n, kd + 1): row j
+        holds column j, band[j, i - j] = -A[i, j] for i >= j.
+
+        An element's local dofs sit at fixed band offsets from each other,
+        so each local pair (a, b) with a non-negative offset adds
+        -local[b, a] to one strided slice of the band, viewed as (long
+        nodes, short nodes, fields, kd + 1): that slot of every element at
+        once.  ``pinned`` is ignored; :func:`apply_dirichlet` pins the band.
+
+        The local dofs are taken in decreasing (t, x) corner offset, so that
+        each entry sums its elements in element order, as an assembled
+        matrix does: the band equals the assembled one entry by entry.
+        """
+        n_long, n_short, step = _band_axes(self.mesh)
+        nf = self.n_fields
+        field_of, corner = np.divmod(np.arange(4 * nf), 4)
+        # band position of each local dof, less that of the element's first
+        pos = (step[corner, 0] * n_short + step[corner, 1]) * nf + field_of
+        offset = pos[None, :] - pos[:, None]
+        kd = int(offset.max())
+        band = np.zeros((n_long, n_short, nf, kd + 1))
+        for a in np.lexsort((-_CCW[corner, 0], -_CCW[corner, 1])):
+            dl, ds = step[corner[a]]
+            for b in np.flatnonzero(offset[a] >= 0):
+                band[dl:dl + n_long - 1, ds:ds + n_short - 1, field_of[a], offset[a, b]] \
+                    -= self.local[b, a]
+        return band.reshape(-1, kd + 1)
+
+
+def assemble_uniform(mesh: SpaceTimeMesh, local_matrix: np.ndarray) -> UniformMatrix:
+    """The matrix of one shared local matrix over every element.
 
     Valid for constant-coefficient kernels on uniform meshes, where all
     element matrices coincide.  The local matrix has four dofs per field.
+    Nothing is scattered: the :class:`UniformMatrix` keeps the mesh and a
+    read-only copy of the local matrix.
     """
-    local_matrix = np.asarray(local_matrix, dtype=float)
-    n_nodes, n_fields = mesh.n_nodes, len(local_matrix) // 4
-    ndof_e = 4 * n_fields
-    if n_fields == 0 or local_matrix.shape != (ndof_e, ndof_e):
+    local_matrix = np.array(local_matrix, dtype=float)
+    ndof_e = 4 * (len(local_matrix) // 4)
+    if ndof_e == 0 or local_matrix.shape != (ndof_e, ndof_e):
         raise AssemblyError(f"local matrix shape {local_matrix.shape}")
     if not np.all(np.isfinite(local_matrix)):
         raise AssemblyError("non-finite local matrix entries")
-
-    edofs = element_dofs(mesh, n_fields)
-    rows = np.repeat(edofs, ndof_e, axis=1).ravel()
-    cols = np.tile(edofs, (1, ndof_e)).ravel()
-    data = np.tile(local_matrix.ravel(), mesh.n_elements)
-    n = n_fields * n_nodes
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    local_matrix.flags.writeable = False
+    return UniformMatrix(mesh, local_matrix)
 
 
 def boundary_load(mesh: SpaceTimeMesh, tag: str, func) -> np.ndarray:
@@ -135,32 +217,48 @@ def boundary_load(mesh: SpaceTimeMesh, tag: str, func) -> np.ndarray:
     return load
 
 
-def apply_dirichlet(A, pinned):
-    """Symmetric elimination of the pinned dofs of the CSR matrix A, a
-    :func:`pin` set.
+def apply_dirichlet(A: UniformMatrix, pinned, band: np.ndarray, key: np.ndarray):
+    """Pin the dofs of a :func:`pin` set in ``band``, the
+    :meth:`UniformMatrix.lower_band` of A in the numbering ``key``
+    (:func:`band_key`): zero their rows and columns and put 1 on their
+    diagonal, so that they are identity lines of -A.
 
-    Returns (A_ff, lift, free): the free-free block, sliced from A by rows
-    and then by columns without a change of format, the lift
-    -A[free, pinned] @ values that every right-hand side shares, and the
-    free dofs.
+    Returns the lift -A v, v holding the pinned values and zero elsewhere,
+    which every right-hand side shares on the free dofs.
     """
     n = A.shape[0]
     cdofs, cvals = pinned
     if cdofs.size and (cdofs.min() < 0 or cdofs.max() >= n):
         raise InvalidArgumentError("constraint dof out of range")
-    free = np.setdiff1d(np.arange(n), cdofs, assume_unique=True)
-    A_f = A[free]
-    return A_f[:, free], -(A_f[:, cdofs] @ cvals), free
+    rows = key[cdofs]
+    band[rows] = 0.0
+    band[rows, 0] = 1.0
+    # row p of -A left of the diagonal: entry (p, p - k) is band[p - k, k]
+    k = np.arange(1, band.shape[1])
+    above = rows[:, None] - k
+    inside = above >= 0
+    band[above[inside], np.broadcast_to(k, above.shape)[inside]] = 0.0
+    v = np.zeros(n)
+    v[cdofs] = cvals
+    return -(A @ v)
+
+
+def _band_axes(mesh: SpaceTimeMesh):
+    """(long nodes, short nodes, the (long, short) offsets of the four
+    corners in counter-clockwise order) of the banded numbering; the x axis
+    is long when nx >= nt."""
+    if mesh.nx >= mesh.nt:
+        return mesh.nx + 1, mesh.nt + 1, _CCW
+    return mesh.nt + 1, mesh.nx + 1, _CCW[:, ::-1]
 
 
 def band_key(mesh: SpaceTimeMesh, n_fields: int) -> np.ndarray:
     """Position of every dof in the banded numbering: the mesh's long axis
     slowest, its short axis next and the fields innermost.
 
-    Sorting a set of dofs by it, ``np.argsort(band_key(mesh, f)[dofs])``,
-    gives the ``order`` :func:`factor` takes.  A matrix coupling all dofs of
-    each element then has half-bandwidth (s + 2) n_fields - 1, s being the
-    number of nodes across the short axis.
+    A matrix coupling all dofs of each element then has half-bandwidth
+    (s + 2) n_fields - 1, s being the number of nodes across the short
+    axis.
     """
     nx1, nt1 = mesh.nx + 1, mesh.nt + 1
     node = np.arange(mesh.n_nodes)
@@ -169,30 +267,16 @@ def band_key(mesh: SpaceTimeMesh, n_fields: int) -> np.ndarray:
     return (node * n_fields + np.arange(n_fields)[:, None]).ravel()
 
 
-def _lower_band(A, order):
-    """The lower band of -A, for a symmetric CSR matrix A in the numbering
-    ``order``: row j holds column j, band[j, i - j] = -A[i, j] for i >= j,
-    kd being A's half-bandwidth there.
-
-    The stored (row, col) pairs are permuted once, and both kd and each
-    entry's band slot are read from them; an entry and its mirror land on
-    the same slot, so no mask is needed.
-    """
-    n = A.shape[0]
-    rank = np.empty(n, dtype=np.intp)          # the position of each dof in order
-    rank[order] = np.arange(n)
-    r = np.repeat(rank, np.diff(A.indptr))
-    c = rank[A.indices]
-    off = np.abs(r - c)
-    kd = int(off.max(initial=0))
-    band = np.zeros((n, kd + 1))
-    band.ravel()[np.minimum(r, c) * (kd + 1) + off] = -A.data
-    return band
-
-
 class BandCholesky:
-    """Cholesky factor of -A, a symmetric matrix, from its :func:`_lower_band`
-    in the numbering ``order``; :meth:`solve` works in A's own numbering."""
+    """Cholesky factor of -A, a symmetric matrix, from its lower band in the
+    numbering ``order``: row j of ``band`` holds column j of -A, band[j,
+    i - j] = -A[order[i], order[j]] for i >= j.  :meth:`solve` works in A's
+    own numbering.
+
+    The band is factored in place by LAPACK ``dpbtrf`` and solved by
+    ``dpbtrs``; it takes (kd + 1) n 8 bytes.  A matrix whose negative is
+    not definite is a :class:`SolverError` naming the failed pivot.
+    """
 
     def __init__(self, band: np.ndarray, order):
         # band.T is LAPACK's (kd + 1, n) lower band storage
@@ -211,30 +295,15 @@ class BandCholesky:
         return x
 
 
-def factor(A, order):
-    """Band Cholesky factorization of a square CSR matrix A in the dof
-    numbering ``order`` (a permutation, as from :func:`band_key`), reusable
-    by :func:`solve_linear`.
-
-    Every matrix factored here is a heat or transport dual: a negative Gram
-    matrix, so symmetric and, after Dirichlet elimination, negative
-    definite.  The lower band of -A (:func:`_lower_band`) is factored by
-    LAPACK ``dpbtrf`` and solved by ``dpbtrs``.  A matrix whose negative is
-    not definite is a :class:`SolverError` naming the failed pivot, and A
-    is read as symmetric (the residual check of :func:`solve_linear`
-    catches one that is not).  The band takes (kd + 1) n 8 bytes.
-    """
-    return BandCholesky(_lower_band(A, order), order)
-
-
 def solve_linear(A, b, lu) -> np.ndarray:
     """Direct solve of A x = b by ``lu``, checking the relative residual to 1e-8.
 
-    ``A`` is anything with ``shape`` and ``@`` (a sparse matrix, or an
-    operator that applies the matrix without assembling it).  ``lu`` is a
-    factorization of A (anything with ``solve(b)``, such as the result of
-    :func:`factor`).  The residual is always measured against A itself, so
-    a factorization of a different matrix is caught.
+    ``A`` is anything with ``shape`` and ``@``: an array, or an operator
+    that applies the matrix without assembling it, such as a
+    :class:`UniformMatrix`.  ``lu`` is a factorization of A (anything with
+    ``solve(b)``, such as a :class:`BandCholesky`).  The residual is always
+    measured against A itself, so a factorization of a different matrix is
+    caught.
     """
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
@@ -254,35 +323,45 @@ def solve_linear(A, b, lu) -> np.ndarray:
 
 
 class FactoredSystem:
-    """A matrix with its pinned dofs eliminated and the rest factored once.
+    """A :class:`UniformMatrix` whose pinned dofs are identity lines of -A,
+    factored once.
 
-    The free dofs are factored in the :func:`band_key` order of the
-    ``mesh`` the matrix was assembled on.  :meth:`solve` then takes any
-    full-length right-hand side and returns the full solution, the pinned
-    values inserted bitwise.
+    Every matrix factored here is a heat or transport dual: a negative Gram
+    matrix, so symmetric, and negative definite once its pinned dofs are
+    fixed.  Its band (:meth:`UniformMatrix.lower_band`) takes the pins
+    (:func:`apply_dirichlet`) and is factored whole by :class:`BandCholesky`
+    in the :func:`band_key` order of ``mesh``, the mesh A was assembled on.
+    :meth:`solve` then takes any full-length right-hand side and returns
+    the full solution, the pinned values inserted bitwise; its residual is
+    checked against ``matrix``, A with the same identity lines.
     """
 
-    def __init__(self, A, pinned, mesh: SpaceTimeMesh):
-        n_fields, extra = divmod(A.shape[0], mesh.n_nodes)
-        if extra or n_fields == 0:
+    def __init__(self, A: UniformMatrix, pinned, mesh: SpaceTimeMesh):
+        if (A.mesh.nx, A.mesh.nt) != (mesh.nx, mesh.nt):
             raise InvalidArgumentError(f"a matrix of {A.shape[0]} dofs on a mesh "
                                        f"of {mesh.n_nodes} nodes")
-        self.matrix, self._lift, self._free = apply_dirichlet(A, pinned)
-        self._n, self._pinned = A.shape[0], pinned
-        order = np.argsort(band_key(mesh, n_fields)[self._free])
-        self.lu = factor(self.matrix, order) if self.matrix.shape[0] else None
+        key = band_key(mesh, A.n_fields)
+        band = A.lower_band()
+        self._lift = apply_dirichlet(A, pinned, band, key)
+        self._pinned = pinned
+        self.matrix = replace(A, pinned=pinned[0])
+        order = np.empty_like(key)
+        order[key] = np.arange(key.size)
+        self.lu = BandCholesky(band, order)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        b_red = np.asarray(rhs, dtype=float)[self._free] + self._lift
-        full = np.empty(self._n)
-        full[self._free] = solve_linear(self.matrix, b_red, self.lu)
-        full[self._pinned[0]] = self._pinned[1]
-        return full
+        cdofs, cvals = self._pinned
+        b = np.asarray(rhs, dtype=float) + self._lift
+        b[cdofs] = -cvals                       # the identity lines of -A
+        x = solve_linear(self.matrix, b, self.lu)
+        x[cdofs] = cvals
+        return x
 
 
-def solve_system(A, rhs: np.ndarray, pinned, mesh: SpaceTimeMesh) -> np.ndarray:
-    """Eliminate the pinned dofs of A x = rhs, a :func:`pin` set, solve, and
-    recover the full dof vector; ``mesh`` as for :class:`FactoredSystem`."""
+def solve_system(A: UniformMatrix, rhs: np.ndarray, pinned, mesh: SpaceTimeMesh) -> np.ndarray:
+    """Solve A x = rhs with the dofs of a :func:`pin` set fixed to their
+    values, and return the full dof vector; ``mesh`` as for
+    :class:`FactoredSystem`."""
     return FactoredSystem(A, pinned, mesh).solve(rhs)
 
 

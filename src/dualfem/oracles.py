@@ -90,10 +90,21 @@ class FourierHeatSolution:
                    coefficients=fourier_discontinuous_coefficients(n_terms))
 
     def __call__(self, x, t):
-        """Evaluate at array x and scalar t (modes below 1e-300 are dropped)."""
+        """Evaluate at array x and scalar t (modes below 1e-300 are dropped).
+
+        At t = 0 no mode has decayed.  There, on a grid x = j / N with N
+        below the number of modes, sin(2 pi m x) depends on m only through
+        m mod N: the coefficients are folded by m mod N and N modes summed.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         t = float(t)
         n = self.coefficients.size
+        N = _grid_size(x, n) if t == 0 else None
+        if N is not None:
+            folded = np.bincount(np.arange(1, n + 1) % N, weights=self.coefficients,
+                                 minlength=N)
+            phase = np.outer(np.rint(x * N).astype(np.int64), np.arange(N)) % N
+            return self.beta + np.sin(2 * np.pi / N * phase) @ folded
         m_all = np.arange(1, n + 1, dtype=float)
         rate = 4.0 * np.pi ** 2 * self.k * t
         if t > 0:
@@ -109,6 +120,20 @@ class FourierHeatSolution:
             amp = self.coefficients[s:e] * np.exp(-rate * m ** 2)
             out += np.sin(2 * np.pi * np.outer(x, m)) @ amp
         return out
+
+
+def _grid_size(x: np.ndarray, n_max: int) -> int | None:
+    """The N below ``n_max`` such that every x is j / N to rounding, read
+    from the smallest gap between the values, or None."""
+    gaps = np.diff(np.unique(x))
+    if not gaps.size:
+        return None
+    scale = 1.0 / gaps.min()
+    if not 0.5 <= scale < n_max - 0.5:
+        return None
+    N = round(scale)
+    j = x * N
+    return N if np.abs(j - np.rint(j)).max() <= 1e-12 * max(1.0, np.abs(j).max()) else None
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     x = mesh.x_coords()
     u_init = np.asarray(problem.u0(x), dtype=float)
     # the stage matrix and its dual conditions do not change between stages:
-    # eliminate and factor once, then each stage only builds its load
+    # pin and factor once, then each stage only builds its load
     dual = FactoredSystem(*assemble_transport(stage_problem, mesh), mesh)
 
     rows_u = [u_init[None, :nx + 1].copy()]

@@ -52,3 +52,9 @@ def dense_band(band):
     A = np.zeros((n, n))
     A[i[inside], j[inside]] = band[inside]
     return A
+
+
+def dense(A):
+    """The dense matrix of an operator with ``shape`` and ``@``, applied to
+    each unit vector in turn."""
+    return np.column_stack([A @ e for e in np.eye(A.shape[1])])

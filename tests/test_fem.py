@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,13 +9,13 @@ from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_points
+from conftest import dense, gauss_points
 from dualfem import cli, heat, transport
 from dualfem.cli import make_initial
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
-from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, FactoredSystem, apply_dirichlet,
-                         assemble_uniform, band_key, boundary_load, dtp, element_dofs,
-                         factor, gradient_tables, gram_matrix, pin, q_dual_heat,
+from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, BandCholesky, FactoredSystem,
+                         apply_dirichlet, assemble_uniform, band_key, boundary_load, dtp,
+                         element_dofs, gradient_tables, gram_matrix, pin, q_dual_heat,
                          q_dual_wave, solve_linear, solve_system)
 from dualfem.heat import DIRICHLET_THETA, HeatProblem, assemble_heat
 from dualfem.heat import dtp_table as heat_dtp_table
@@ -76,14 +78,14 @@ def test_element_dofs_field_major():
     one = build_space_time_mesh(1.0, 1.0, 1, 1)
     assert np.array_equal(one.elements[0], [0, 1, 3, 2])
     local = np.arange(64.0).reshape(8, 8) + 1.0     # every entry distinct
-    A = assemble_uniform(one, local).toarray()
+    A = dense(assemble_uniform(one, local))
     dofs = [0, 1, 3, 2, 4, 5, 7, 6]
     assert np.array_equal(A[np.ix_(dofs, dofs)], local)
     # on four elements in a row (10 nodes) the right edge, local corners 1
     # and 2 of the last element, is nodes 4 and 9, dofs 4, 9, 14, 19
     m = build_space_time_mesh(1.0, 1.0, 4, 1)
     assert np.array_equal(m.elements[3], [3, 4, 9, 8])
-    A = assemble_uniform(m, local).toarray()
+    A = dense(assemble_uniform(m, local))
     edge = [1, 2, 5, 6]
     assert np.array_equal(A[np.ix_([4, 9, 14, 19], [4, 9, 14, 19])],
                           local[np.ix_(edge, edge)])
@@ -119,7 +121,7 @@ def test_assemble_uniform_matches_generic():
     # so the field-major dof layout is checked too)
     m = build_space_time_mesh(1.0, 1.0, 4, 3)
     for local in (mass_local(m), gram_matrix(m, heat_dtp_table(m, 0.7))):
-        fast = assemble_uniform(m, local).toarray()
+        fast = dense(assemble_uniform(m, local))
         ref = element_loop(m, local)
         assert np.abs(fast - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -187,29 +189,46 @@ def test_pin_sorts_and_keeps_the_last_value():
     assert np.array_equal(values[[0, 2]], [-1.0, 0.3])
 
 
+def on_one_element(M):
+    """The 4 x 4 matrix M as a uniform matrix on the one-element mesh: its
+    local matrix is M in the element's corner order."""
+    corners = ONE.elements[0]
+    return assemble_uniform(ONE, M[np.ix_(corners, corners)])
+
+
+def dense_lower_band(M, order):
+    """(n, kd + 1) lower band of the dense symmetric M in the numbering
+    ``order``, band[j, k] = M[order[j + k], order[j]], kd its half-bandwidth
+    there."""
+    P = M[np.ix_(order, order)]
+    i, j = np.nonzero(P)
+    kd = int(np.abs(i - j).max(initial=0))
+    return np.column_stack([np.pad(np.diagonal(P, -k), (0, k)) for k in range(kd + 1)])
+
+
 def test_pin_of_nothing_leaves_every_dof_free():
     dofs, values = pin()
     assert dofs.shape == values.shape == (0,)
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    A_ff, lift, free = apply_dirichlet(A, pin())
-    assert np.array_equal(A_ff.toarray(), A.toarray())
-    assert np.array_equal(lift, [0.0, 0.0]) and np.array_equal(free, [0, 1])
     # every dof of a one-element dual, -(ones + identity), is solved for
     A = assemble_uniform(ONE, -(np.ones((4, 4)) + np.eye(4)))
+    band = A.lower_band()
+    lift = apply_dirichlet(A, pin(), band, band_key(ONE, 1))
+    assert np.array_equal(band, A.lower_band()) and np.array_equal(lift, np.zeros(4))
     x = solve_system(A, -np.array([11.0, 12.0, 13.0, 14.0]), pin(), ONE)
     assert np.allclose(x, [1.0, 2.0, 3.0, 4.0], atol=1e-14)
 
 
 def test_hand_solved_two_by_two():
-    # factor takes -A's Cholesky factor; the reversed order permutes the dofs
-    A = sp.csr_matrix(-np.array([[2.0, 1.0], [1.0, 3.0]]))
-    x = solve_linear(A, -np.array([3.0, 5.0]), factor(A, np.array([1, 0])))
+    # the factor is -A's Cholesky factor; the reversed order permutes the dofs
+    A = -np.array([[2.0, 1.0], [1.0, 3.0]])
+    order = np.array([1, 0])
+    x = solve_linear(A, -np.array([3.0, 5.0]), BandCholesky(dense_lower_band(-A, order), order))
     assert np.allclose(x, [0.8, 1.4], atol=1e-14)
 
 
 def test_solve_linear_rejects_singular():
     # a factorization that breaks down gives non-finite values
-    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
     breakdown = SimpleNamespace(solve=lambda b: b / np.zeros_like(b))
     with pytest.raises(SolverError, match="singular"):
         solve_linear(A, np.array([1.0, 0.0]), breakdown)
@@ -217,18 +236,20 @@ def test_solve_linear_rejects_singular():
 
 def test_factor_of_singular_matrix_is_a_solver_error():
     # -A is singular: its second pivot is 1 - 1 * 1 = 0
-    A = sp.csr_matrix(-np.array([[1.0, 1.0], [1.0, 1.0]]))
+    neg = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SolverError, match="pivot 2 of 2"):
-        factor(A, np.arange(2))
+        BandCholesky(dense_lower_band(neg, np.arange(2)), np.arange(2))
 
 
 def test_solve_linear_rejects_factor_of_another_matrix():
-    A = sp.csr_matrix(-np.array([[2.0, 1.0], [1.0, 3.0]]))
-    B = sp.csr_matrix(-np.array([[2.0, 1.0], [1.0, 4.0]]))
+    A = -np.array([[2.0, 1.0], [1.0, 3.0]])
+    B = -np.array([[2.0, 1.0], [1.0, 4.0]])
     b = -np.array([3.0, 5.0])
-    assert np.allclose(solve_linear(A, b, factor(A, np.arange(2))), [0.8, 1.4], atol=1e-14)
+    order = np.arange(2)
+    lu_A, lu_B = (BandCholesky(dense_lower_band(-M, order), order) for M in (A, B))
+    assert np.allclose(solve_linear(A, b, lu_A), [0.8, 1.4], atol=1e-14)
     with pytest.raises(SolverError, match="residual"):
-        solve_linear(A, b, factor(B, np.arange(2)))
+        solve_linear(A, b, lu_B)
 
 
 def transport_stage_dual(nt):
@@ -258,10 +279,10 @@ def hand_dual():
     """(matrix, load, pinned, mesh) of a negative definite 4 x 4 matrix on the
     one-element mesh, whose dof 0 is pinned to 0.1 + 0.2, a value that is
     not exactly representable."""
-    A = sp.csr_matrix(-np.array([[2.0, 1.0, 0.0, 0.0],
-                                 [1.0, 3.0, 1.0, 0.0],
-                                 [0.0, 1.0, 2.0, 1.0],
-                                 [0.0, 0.0, 1.0, 3.0]]))
+    A = on_one_element(-np.array([[2.0, 1.0, 0.0, 0.0],
+                                  [1.0, 3.0, 1.0, 0.0],
+                                  [0.0, 1.0, 2.0, 1.0],
+                                  [0.0, 0.0, 1.0, 3.0]]))
     return A, np.array([1.0, 5.0, 6.0, 7.0]), pin(([0], [0.1 + 0.2])), ONE
 
 
@@ -273,51 +294,143 @@ def steady_gauge_dual(nx, nt):
     return (*assemble_heat(problem, mesh), mesh)
 
 
+def csr_reference(A):
+    """A uniform matrix assembled the sparse way: one COO entry per element
+    and local pair, duplicates summed by the conversion to CSR."""
+    edofs = element_dofs(A.mesh, A.n_fields)
+    ndof_e = edofs.shape[1]
+    rows = np.repeat(edofs, ndof_e, axis=1).ravel()
+    cols = np.tile(edofs, (1, ndof_e)).ravel()
+    data = np.tile(A.local.ravel(), A.mesh.n_elements)
+    return sp.coo_matrix((data, (rows, cols)), shape=A.shape).tocsr()
+
+
+def csr_band(C, key):
+    """The lower band of -C for a symmetric CSR matrix C in the numbering
+    ``key`` (dof -> position): every stored (row, col) pair permuted once,
+    an entry and its mirror landing on the same slot."""
+    r = np.repeat(key, np.diff(C.indptr))
+    c = key[C.indices]
+    off = np.abs(r - c)
+    kd = int(off.max(initial=0))
+    band = np.zeros((C.shape[0], kd + 1))
+    band.ravel()[np.minimum(r, c) * (kd + 1) + off] = -C.data
+    return band
+
+
+STENCIL_CASES = {
+    "transport-stages": lambda: transport_stage_dual(55)[0],
+    "transport-4-rows": lambda: transport_stage_dual(4)[0],
+    "heat-2-field": lambda: heat_dual(0.125, 40, 6)[0],
+    "nt-over-nx": lambda: heat_dual(0.6, 3, 8)[0],
+    "one-element": lambda: steady_gauge_dual(1, 1)[0],
+}
+
+
+@pytest.mark.parametrize("case", STENCIL_CASES)
+def test_stencil_band_matches_csr_band(case):
+    # the band written from the local matrix is the band of the CSR matrix
+    # assembled element by element, in the band_key order, to the rounding
+    # of the order in which each entry sums its elements
+    A = STENCIL_CASES[case]()
+    band = A.lower_band()
+    ref = csr_band(csr_reference(A), band_key(A.mesh, A.n_fields))
+    assert band.shape == ref.shape and np.array_equal(band == 0, ref == 0)
+    assert np.abs(band - ref).max() <= 1e-15 * np.abs(ref).max()
+    s = min(A.mesh.nx, A.mesh.nt) + 1
+    assert band.shape[1] - 1 == (s + 2) * A.n_fields - 1
+    assert A.nnz == csr_reference(A).nnz
+
+
+@pytest.mark.parametrize("case", ["transport-4-rows", "heat-2-field", "nt-over-nx",
+                                  "one-element"])
+def test_stencil_matmul_matches_dense(case, rng):
+    # A @ x against the dense element loop, and with pinned dofs against the
+    # dense matrix whose pinned rows and columns are those of -I
+    A = STENCIL_CASES[case]()
+    ref = element_loop(A.mesh, A.local)
+    # each band entry sums its elements in element order, as the loop does
+    assert np.array_equal(A.lower_band(),
+                          dense_lower_band(-ref, np.argsort(band_key(A.mesh, A.n_fields))))
+    x = rng.standard_normal(A.shape[0])
+    assert np.abs(A @ x - ref @ x).max() <= 1e-14 * np.abs(ref).sum(axis=1).max()
+    pinned = np.unique(rng.integers(0, A.shape[0], size=A.shape[0] // 3))
+    ref[pinned] = 0.0
+    ref[:, pinned] = 0.0
+    ref[pinned, pinned] = -1.0
+    got = replace(A, pinned=pinned) @ x
+    assert np.abs(got - ref @ x).max() <= 1e-14 * np.abs(ref).sum(axis=1).max()
+    assert np.array_equal(got[pinned], -x[pinned])
+
+
 @pytest.mark.parametrize("dual", [hand_dual, lambda: steady_gauge_dual(10, 11),
                                   lambda: transport_stage_dual(4)],
                          ids=["hand-4x4", "heat-steady-gauge", "transport-stages"])
-def test_elimination_matches_dense_slicing(dual):
-    # the free block and the lift are bitwise those of the dense matrix, the
-    # lift summed from +0.0 over the pinned columns in order, as a CSR
-    # product does (a zero of the dense row leaves the sum as it is);
-    # solve gives back the pinned values bitwise
+def test_factored_solve_matches_dense_free_block_solve(dual):
+    # the pinned dofs are identity lines of the factored band, and the lift
+    # is the dense -A[free, pinned] @ values; the solution matches a dense
+    # solve of the free block and gives back the pinned values bitwise
     A, load, (cdofs, cvals), mesh = dual()
-    dense = A.toarray()
+    M = element_loop(mesh, A.local)
     free = np.setdiff1d(np.arange(A.shape[0]), cdofs)
-    A_ff, lift, got_free = apply_dirichlet(A, (cdofs, cvals))
-    assert np.array_equal(got_free, free)
-    assert A_ff.toarray().tobytes() == dense[np.ix_(free, free)].tobytes()
-    terms = np.hstack([np.zeros((free.size, 1)), dense[np.ix_(free, cdofs)] * cvals])
-    assert lift.tobytes() == (-np.cumsum(terms, axis=1)[:, -1]).tobytes()
+    key = band_key(mesh, A.n_fields)
+    band = A.lower_band()
+    lift = apply_dirichlet(A, (cdofs, cvals), band, key)
+    pinned = M.copy()
+    pinned[cdofs] = pinned[:, cdofs] = 0.0
+    pinned[cdofs, cdofs] = -1.0
+    ref = dense_lower_band(-pinned, np.argsort(key))
+    assert np.array_equal(band[:, :ref.shape[1]], ref)
+    assert not band[:, ref.shape[1]:].any()
+    want = -(M[np.ix_(free, cdofs)] @ cvals)
+    assert np.abs(lift[free] - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
     assert np.any(lift != 0) == np.any(cvals != 0)      # transport pins zeros
     if dual is hand_dual:
         assert np.array_equal(free, [1, 2, 3])
-        assert np.array_equal(lift, [0.1 + 0.2, 0.0, 0.0])
+        assert np.array_equal(lift[free], [0.1 + 0.2, 0.0, 0.0])
     x = FactoredSystem(A, (cdofs, cvals), mesh).solve(load)
+    ref = np.linalg.solve(M[np.ix_(free, free)], load[free] + want)
+    assert np.abs(x[free] - ref).max() <= 1e-10 * np.abs(ref).max()
     assert x[cdofs].tobytes() == cvals.tobytes()
 
 
-@pytest.mark.parametrize("dual, kd", [(lambda: transport_stage_dual(55), 56),
-                                      (lambda: heat_dual(0.125, 200, 25), 54),
-                                      (lambda: heat_dual(0.25, 200, 50), 104),
-                                      (lambda: heat_dual(0.6, 200, 120), 244),
-                                      (lambda: transport_stage_dual(80), 81)],
+@pytest.mark.parametrize("dual, kd", [(lambda: transport_stage_dual(55), 57),
+                                      (lambda: heat_dual(0.125, 200, 25), 55),
+                                      (lambda: heat_dual(0.25, 200, 50), 105),
+                                      (lambda: heat_dual(0.6, 200, 120), 245),
+                                      (lambda: transport_stage_dual(80), 82)],
                          ids=["transport-stages", "heat-smoothed-jump-beta10", "heat-jump",
                               "heat-jump-large", "transport-nt80"])
 def test_band_and_superlu_solves_agree(dual, kd):
     # on the loads the runs solve, against SuperLU's pivoting factorization
-    # of the same free block; the pinned values are 0, so the reduced
-    # right-hand side is the load's free part
+    # of the free block of the CSR matrix; the pinned values are 0, so the
+    # reduced right-hand side is the load's free part.  The band holds the
+    # pinned dofs too, so kd is (s + 2) n_fields - 1 with s the nodes across
+    # the short axis
     A, load, pinned, mesh = dual()
     system = FactoredSystem(A, pinned, mesh)
     assert system.lu.band.shape[0] - 1 == kd
     assert np.all(pinned[1] == 0.0)
     free = np.setdiff1d(np.arange(A.shape[0]), pinned[0])
     x = system.solve(load)
-    ref = splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+    C = csr_reference(A)
+    ref = splu(C[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                options={"SymmetricMode": True}).solve(load[free])
-    assert np.linalg.norm((A @ x - load)[free]) <= 1e-12 * np.linalg.norm(load[free])
+    assert np.linalg.norm((C @ x - load)[free]) <= 1e-12 * np.linalg.norm(load[free])
     assert np.linalg.norm(x[free] - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_factor_memory_peak_is_near_the_band():
+    # assembling, pinning and factoring the transport-stages stage dual
+    # allocates little beyond the band itself, which dpbtrf factors in place
+    tracemalloc.start()
+    try:
+        A, _, pinned, mesh = transport_stage_dual(55)
+        system = FactoredSystem(A, pinned, mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * system.lu.band.nbytes
 
 
 @pytest.mark.parametrize("n_fields", [1, 2])
@@ -325,14 +438,14 @@ def test_band_and_superlu_solves_agree(dual, kd):
 def test_band_key_half_bandwidth(nx, nt, n_fields):
     # every element couples all its dofs; with s = 4 nodes across the short
     # axis the band key gives half-bandwidth (s + 2) n_fields - 1, the band
-    # that factor stores.  Each element matrix is -(ones + identity), so -A
-    # is positive definite
+    # that lower_band writes.  Each element matrix is -(ones + identity), so
+    # -A is positive definite
     m = build_space_time_mesh(1.0, 1.0, nx, nt)
     ndof_e = 4 * n_fields
     A = assemble_uniform(m, -(np.ones((ndof_e, ndof_e)) + np.eye(ndof_e)))
     order = np.argsort(band_key(m, n_fields))
-    i, j = np.nonzero(A.toarray()[np.ix_(order, order)])
-    lu = factor(A, order)
+    i, j = np.nonzero(dense(A)[np.ix_(order, order)])
+    lu = BandCholesky(A.lower_band(), order)
     assert lu.band.shape[0] - 1 == np.abs(i - j).max() == 6 * n_fields - 1
 
 
@@ -346,18 +459,18 @@ def test_band_route_rejects_a_matrix_whose_negative_is_not_definite():
     # -A is the 1-D Laplacian with its 31st diagonal entry negated: the
     # leading minors of -A are positive up to order 30 and not at 31
     n = 50
-    neg = sp.diags([-np.ones(n - 1), np.full(n, 2.0), -np.ones(n - 1)], [-1, 0, 1]).tolil()
+    neg = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     neg[30, 30] = -2.0
-    A = -neg.tocsr()
     with pytest.raises(SolverError, match="pivot 31 of 50"):
-        factor(A, np.arange(n))
+        BandCholesky(dense_lower_band(neg, np.arange(n)), np.arange(n))
 
 
 def test_factored_system_solves_any_rhs(rng):
-    A = sp.csr_matrix(-np.array([[4.0, -1.0, 0.0, 0.0],
-                                 [-1.0, 4.0, -1.0, 0.0],
-                                 [0.0, -1.0, 4.0, -1.0],
-                                 [0.0, 0.0, -1.0, 4.0]]))
+    M = -np.array([[4.0, -1.0, 0.0, 0.0],
+                   [-1.0, 4.0, -1.0, 0.0],
+                   [0.0, -1.0, 4.0, -1.0],
+                   [0.0, 0.0, -1.0, 4.0]])
+    A = on_one_element(M)
     pinned = pin(([0, 3], [0.1 + 0.2, -2.0]))
     factored = FactoredSystem(A, pinned, ONE)
     for _ in range(3):
@@ -365,15 +478,15 @@ def test_factored_system_solves_any_rhs(rng):
         u = factored.solve(rhs)
         assert np.array_equal(u, solve_system(A, rhs, pinned, ONE))
         assert u[0] == 0.1 + 0.2 and u[3] == -2.0
-        assert np.abs((A @ u)[1:3] - rhs[1:3]).max() < 1e-14
+        assert np.abs((M @ u)[1:3] - rhs[1:3]).max() < 1e-14
 
 
 def test_solve_system_with_constraints():
     # u'' = 0 style toy chain: u0 = 0, u3 = 1 -> u1 = 1/3, u2 = 2/3
-    A = sp.csr_matrix(-np.array([[2.0, -1.0, 0.0, 0.0],
-                                 [-1.0, 2.0, -1.0, 0.0],
-                                 [0.0, -1.0, 2.0, -1.0],
-                                 [0.0, 0.0, -1.0, 2.0]]))
+    A = on_one_element(-np.array([[2.0, -1.0, 0.0, 0.0],
+                                  [-1.0, 2.0, -1.0, 0.0],
+                                  [0.0, -1.0, 2.0, -1.0],
+                                  [0.0, 0.0, -1.0, 2.0]]))
     u = solve_system(A, np.zeros(4), pin(([0, 3], [0.0, 1.0])), ONE)
     assert np.allclose(u, [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-14)
 

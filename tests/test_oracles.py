@@ -111,6 +111,30 @@ def test_fourier_solution_sums_only_live_modes():
     assert np.array_equal(values, sol(x, t))
 
 
+def fourier_direct_sum(sol, x):
+    """The t = 0 series summed mode by mode, 4096 modes at a time."""
+    m = np.arange(1, sol.coefficients.size + 1, dtype=float)
+    out = np.full(x.shape, sol.beta)
+    for s in range(0, m.size, 4096):
+        out += np.sin(2 * np.pi * np.outer(x, m[s:s + 4096])) @ sol.coefficients[s:s + 4096]
+    return out
+
+
+@pytest.mark.parametrize("sol", [
+    FourierHeatSolution.discontinuous(beta=10.0, k=0.1, n_terms=100_000),
+    FourierHeatSolution.smoothed_jump(beta=10.0, eps=0.01, k=0.1, n_terms=100_000),
+], ids=["heat-jump", "heat-smoothed-jump-beta10"])
+def test_fourier_initial_row_folds_modes_on_the_grid(sol):
+    # the t = 0 row on the heat-jump grid x = j / 200 folds the 100 000
+    # modes by m mod 200, and agrees with the direct sum
+    x = np.linspace(0.0, 1.0, 201)
+    assert np.abs(sol(x, 0.0) - fourier_direct_sum(sol, x)).max() <= 1e-10
+    # one point off a grid makes the whole row a direct sum
+    x = np.linspace(0.0, 1.0, 21)
+    x[7] += 1e-3
+    assert np.abs(sol(x, 0.0) - fourier_direct_sum(sol, x)).max() <= 1e-12
+
+
 def test_transport_exact_broadcasts_over_a_grid():
     # one (t, x) broadcast call equals one call per time row, bitwise
     x = np.linspace(0.0, 2.0, 81)

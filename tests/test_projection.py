@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
-from conftest import gauss_points
+from conftest import dense, gauss_points
 from dualfem import projection
 from dualfem.errors import InvalidArgumentError, SolverError
 from dualfem.fem import LINE_N, QUAD_N, assemble_uniform
@@ -85,16 +84,16 @@ def test_pinned_values_exact():
 
 
 def reference_projection(mesh, samples, nodes, values):
-    """Assembled 2-D mass matrix, pinned values moved to the right-hand
-    side, and a sparse direct solve on the free nodes."""
-    M = assemble_uniform(mesh, mass_local(mesh))
+    """Dense 2-D mass matrix, pinned values moved to the right-hand side,
+    and a dense solve on the free nodes."""
+    M = dense(assemble_uniform(mesh, mass_local(mesh)))
     rhs = np.zeros(mesh.n_nodes)
     np.add.at(rhs, mesh.elements.ravel(), (0.25 * mesh.hx * mesh.ht * samples @ QUAD_N).ravel())
     out = np.zeros(mesh.n_nodes)
     out[nodes] = values
     free = np.setdiff1d(np.arange(mesh.n_nodes), nodes)
-    b = rhs[free] - M[free][:, nodes] @ out[nodes]
-    out[free] = spsolve(sp.csc_matrix(M[free][:, free]), b)
+    b = rhs[free] - M[np.ix_(free, nodes)] @ out[nodes]
+    out[free] = np.linalg.solve(M[np.ix_(free, free)], b)
     return out
 
 

@@ -346,17 +346,18 @@ def test_track_jump_matches_per_row_loop(rng, monkeypatch):
 @pytest.mark.parametrize("T_total", [0.25, 0.6])
 def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
     calls = {"factor": 0, "assemble": 0}
-    real_factor, real_assemble = fem.factor, transport.assemble_transport
+    real_assemble = transport.assemble_transport
 
-    def counted_factor(A, order):
-        calls["factor"] += 1
-        return real_factor(A, order)
+    class CountedFactor(fem.BandCholesky):
+        def __init__(self, *args):
+            calls["factor"] += 1
+            super().__init__(*args)
 
     def counted_assemble(*args, **kwargs):
         calls["assemble"] += 1
         return real_assemble(*args, **kwargs)
 
-    monkeypatch.setattr(fem, "factor", counted_factor)
+    monkeypatch.setattr(fem, "BandCholesky", CountedFactor)
     monkeypatch.setattr(transport, "assemble_transport", counted_assemble)
     prob = step_problem(T_total=T_total)
     plan = StagePlan.cover(T_stage=0.15, T_keep=0.1, T_total=T_total)
