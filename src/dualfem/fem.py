@@ -14,6 +14,11 @@ Local element dofs follow the same ordering, dof = field * 4 + local_node.
 A factorization numbers them differently: :func:`band_key` numbers the
 mesh's long axis slowest, its short axis next and the fields innermost, so
 every dual is a band, which :class:`BandCholesky` factors.
+
+The mesh stores no connectivity.  Over every element at once, local dof
+field * 4 + corner is one corner slice of the (field, t, x) node grid
+(:func:`corner_slices`); the DtP values, the matrix product and the band
+are computed from these slices.
 """
 
 from __future__ import annotations
@@ -82,16 +87,24 @@ def gram_matrix(mesh: SpaceTimeMesh, table: np.ndarray) -> np.ndarray:
     return -0.25 * mesh.hx * mesh.ht * (B.T @ B)
 
 
-def element_dofs(mesh: SpaceTimeMesh, n_fields: int) -> np.ndarray:
-    """(n_elems, 4 n_fields) global dofs of every element's local dofs."""
-    fields = mesh.n_nodes * np.arange(n_fields)[:, None]        # (n_fields, 1) offsets
-    return (mesh.elements[:, None] + fields).reshape(mesh.n_elements, 4 * n_fields)
+def corner_slices(mesh: SpaceTimeMesh, n_fields: int = 1) -> list:
+    """The (field, t, x) slice of the node grid that each local dof takes
+    over every element, in local dof order: field * 4 + corner, the corners
+    counter-clockwise.  Element (jt, ix) is entry [jt, ix] of every slice."""
+    nx, nt = mesh.nx, mesh.nt
+    return [(f, slice(dt, dt + nt), slice(dx, dx + nx))
+            for f in range(n_fields) for dx, dt in _CCW]
 
 
 def dtp(mesh: SpaceTimeMesh, table: np.ndarray, sol: np.ndarray) -> np.ndarray:
-    """(n_comp, n_elems, 4) Gauss-point values of a DtP table on a dual vector.
-    The transposed table is copied to C order, which halves the matmul's time."""
-    return sol[element_dofs(mesh, table.shape[-1] // 4)] @ table.transpose(0, 2, 1).copy()
+    """(n_comp, n_elems, 4) Gauss-point values of a DtP table on a dual vector:
+    one matmul of the table with the stacked corner slices of the dual's
+    (field, t, x) node grid."""
+    n_comp, n_q, ndof_e = table.shape
+    X = sol.reshape(ndof_e // 4, mesh.nt + 1, mesh.nx + 1)
+    gathered = np.stack([X[c] for c in corner_slices(mesh, len(X))])
+    values = table.reshape(n_comp * n_q, ndof_e) @ gathered.reshape(ndof_e, -1)
+    return values.reshape(n_comp, n_q, -1).transpose(0, 2, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,13 +138,6 @@ class UniformMatrix:
         # a node couples with its neighbours, itself included, in every field
         return self.n_fields ** 2 * (3 * self.mesh.nx + 1) * (3 * self.mesh.nt + 1)
 
-    def _corners(self):
-        """The (field, t, x) slice of the node grid that each local dof takes
-        over the elements, in local dof order."""
-        nx, nt = self.mesh.nx, self.mesh.nt
-        return [(f, slice(dt, dt + nt), slice(dx, dx + nx))
-                for f in range(self.n_fields) for dx, dt in _CCW]
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         m = self.mesh
         x = np.asarray(x, dtype=float)
@@ -139,7 +145,7 @@ class UniformMatrix:
         if self.pinned.size:
             X = X.copy()
             X.reshape(-1)[self.pinned] = 0.0
-        corners = self._corners()
+        corners = corner_slices(m, self.n_fields)
         gathered = np.stack([X[c] for c in corners]).reshape(len(corners), -1)
         products = (self.local @ gathered).reshape(len(corners), m.nt, m.nx)
         Y = np.zeros_like(X)
@@ -160,8 +166,9 @@ class UniformMatrix:
         once.  ``pinned`` is ignored; :func:`apply_dirichlet` pins the band.
 
         The local dofs are taken in decreasing (t, x) corner offset, so that
-        each entry sums its elements in element order, as an assembled
-        matrix does: the band equals the assembled one entry by entry.
+        each entry sums its element contributions in element order, as an
+        assembled matrix does: the band equals the assembled one entry by
+        entry.
         """
         n_long, n_short, step = _band_axes(self.mesh)
         nf = self.n_fields
@@ -205,15 +212,16 @@ def boundary_load(mesh: SpaceTimeMesh, tag: str, func) -> np.ndarray:
     on each edge segment.
     """
     bnodes = mesh.boundary_nodes(tag)
-    coords = mesh.nodes[bnodes]
-    s = coords[:, 0] if tag in (BOTTOM, TOP) else coords[:, 1]
+    s = mesh.x_coords() if tag in (BOTTOM, TOP) else mesh.t_coords()
     h = s[1:] - s[:-1]
 
-    load = np.zeros(mesh.n_nodes)
+    edge = np.zeros(s.size)
     for n0, n1 in LINE_N:
         g = np.asarray(func(s[:-1] + n1 * h), dtype=float)
-        np.add.at(load, bnodes[:-1], 0.5 * h * n0 * g)
-        np.add.at(load, bnodes[1:], 0.5 * h * n1 * g)
+        edge[:-1] += 0.5 * h * n0 * g
+        edge[1:] += 0.5 * h * n1 * g
+    load = np.zeros(mesh.n_nodes)
+    load[bnodes] = edge
     return load
 
 
@@ -330,17 +338,14 @@ class FactoredSystem:
     matrix, so symmetric, and negative definite once its pinned dofs are
     fixed.  Its band (:meth:`UniformMatrix.lower_band`) takes the pins
     (:func:`apply_dirichlet`) and is factored whole by :class:`BandCholesky`
-    in the :func:`band_key` order of ``mesh``, the mesh A was assembled on.
+    in the :func:`band_key` order of A's mesh.
     :meth:`solve` then takes any full-length right-hand side and returns
     the full solution, the pinned values inserted bitwise; its residual is
     checked against ``matrix``, A with the same identity lines.
     """
 
-    def __init__(self, A: UniformMatrix, pinned, mesh: SpaceTimeMesh):
-        if (A.mesh.nx, A.mesh.nt) != (mesh.nx, mesh.nt):
-            raise InvalidArgumentError(f"a matrix of {A.shape[0]} dofs on a mesh "
-                                       f"of {mesh.n_nodes} nodes")
-        key = band_key(mesh, A.n_fields)
+    def __init__(self, A: UniformMatrix, pinned):
+        key = band_key(A.mesh, A.n_fields)
         band = A.lower_band()
         self._lift = apply_dirichlet(A, pinned, band, key)
         self._pinned = pinned
@@ -358,11 +363,10 @@ class FactoredSystem:
         return x
 
 
-def solve_system(A: UniformMatrix, rhs: np.ndarray, pinned, mesh: SpaceTimeMesh) -> np.ndarray:
+def solve_system(A: UniformMatrix, rhs: np.ndarray, pinned) -> np.ndarray:
     """Solve A x = rhs with the dofs of a :func:`pin` set fixed to their
-    values, and return the full dof vector; ``mesh`` as for
-    :class:`FactoredSystem`."""
-    return FactoredSystem(A, pinned, mesh).solve(rhs)
+    values, and return the full dof vector."""
+    return FactoredSystem(A, pinned).solve(rhs)
 
 
 def q_dual_heat(F: np.ndarray, k: float):

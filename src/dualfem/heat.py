@@ -102,7 +102,7 @@ def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh):
 
 
 def solve_heat(problem: HeatProblem, mesh: SpaceTimeMesh) -> np.ndarray:
-    return solve_system(*assemble_heat(problem, mesh), mesh)
+    return solve_system(*assemble_heat(problem, mesh))
 
 
 def dtp_heat(mesh: SpaceTimeMesh, sol: np.ndarray, k: float) -> np.ndarray:

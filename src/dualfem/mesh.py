@@ -2,8 +2,10 @@
 nodal value grids a run writes.
 
 Node numbering is row-major with x varying fastest, so node ``j*(nx+1)+i``
-sits at ``(i*hx, j*ht)``.  Element ``e = jt*nx + ix`` connects its four
-corner nodes counter-clockwise starting from the lower-left one.
+sits at ``(i*hx, j*ht)``.  A space-time mesh is its four numbers (L, T,
+nx, nt): its elements are the corner slices of the (nt + 1, nx + 1) node
+grid, ``[dt:dt + nt, dx:dx + nx]`` for a corner (dx, dt), which no array
+stores.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ class SpaceTimeMesh:
     T: float
     nx: int
     nt: int
-    nodes: np.ndarray = field(repr=False)      # (n_nodes, 2) columns (x, t)
-    elements: np.ndarray = field(repr=False)   # (n_elems, 4) CCW connectivity
 
     @property
     def n_nodes(self) -> int:
@@ -114,18 +114,7 @@ def build_space_time_mesh(L: float, T: float, nx: int, nt: int) -> SpaceTimeMesh
         raise InvalidArgumentError(f"domain extents must be positive, got L={L}, T={T}")
     if not (nx >= 1 and nt >= 1):
         raise InvalidArgumentError(f"element counts must be >= 1, got nx={nx}, nt={nt}")
-    x = np.linspace(0.0, L, nx + 1)
-    t = np.linspace(0.0, T, nt + 1)
-    X, Tg = np.meshgrid(x, t)                       # t-major, x fastest
-    nodes = np.column_stack([X.ravel(), Tg.ravel()])
-
-    ix = np.arange(nx)
-    jt = np.arange(nt)
-    JT, IX = np.meshgrid(jt, ix, indexing="ij")
-    n00 = JT.ravel() * (nx + 1) + IX.ravel()
-    elements = np.column_stack([n00, n00 + 1, n00 + nx + 2, n00 + nx + 1])
-    return SpaceTimeMesh(L=float(L), T=float(T), nx=int(nx), nt=int(nt),
-                         nodes=nodes, elements=elements.astype(np.int64))
+    return SpaceTimeMesh(L=float(L), T=float(T), nx=int(nx), nt=int(nt))
 
 
 def build_time_mesh(T: float, ne: int) -> TimeMesh:

@@ -157,7 +157,7 @@ def run_time_sliced(problem: TransportProblem, plan: StagePlan,
     u_init = np.asarray(problem.u0(x), dtype=float)
     # the stage matrix and its dual conditions do not change between stages:
     # pin and factor once, then each stage only builds its load
-    dual = FactoredSystem(*assemble_transport(stage_problem, mesh), mesh)
+    dual = FactoredSystem(*assemble_transport(stage_problem, mesh))
 
     rows_u = [u_init[None, :nx + 1].copy()]
     # the first stage's weak term takes the exact (possibly discontinuous)

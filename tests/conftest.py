@@ -32,13 +32,27 @@ def gauss_legendre_integrate_2d(f, ax, bx, at, bt, n=12):
     return xr * tr * acc
 
 
+def nodes_and_elements(mesh):
+    """Reference geometry of a space-time mesh, which the mesh itself does
+    not store: the (x, t) of every node, shape (n_nodes, 2), row-major with
+    x fastest, and the counter-clockwise corner nodes of every element,
+    element e = jt * nx + ix, shape (n_elems, 4), from the lower-left one."""
+    X, T = np.meshgrid(mesh.x_coords(), mesh.t_coords())
+    nodes = np.column_stack([X.ravel(), T.ravel()])
+    nx1 = mesh.nx + 1
+    JT, IX = np.meshgrid(np.arange(mesh.nt), np.arange(mesh.nx), indexing="ij")
+    n00 = (JT * nx1 + IX).ravel()
+    return nodes, np.column_stack([n00, n00 + 1, n00 + nx1 + 1, n00 + nx1])
+
+
 def gauss_points(mesh):
     """Physical Gauss points of every element: (x, t) of the 2x2 points of a
     space-time mesh, shape (n_elems, 4, 2), or the two times of each
     element of a time mesh, shape (ne, 2)."""
     if isinstance(mesh, TimeMesh):
         return mesh.nodes[:-1, None] + 0.5 * (1 + _GAUSS_2D[:2, 0]) * mesh.h
-    lower_left = mesh.nodes[mesh.elements[:, 0]]
+    nodes, elements = nodes_and_elements(mesh)
+    lower_left = nodes[elements[:, 0]]
     return lower_left[:, None, :] + 0.5 * (1 + _GAUSS_2D) * [mesh.hx, mesh.ht]
 
 

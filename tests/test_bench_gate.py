@@ -44,7 +44,8 @@ def test_traced_transport_stages_repetition_passes_the_gate(tmp_path):
     # assembled and its pinned dofs eliminated once per run
     assert bd["fem.solve_linear.dual.calls"] == bd["fem.solve_linear.project.calls"] == 10
     assert bd["fem.apply_dirichlet.calls"] == bd["transport.assemble_transport.calls"] == 1
-    # each projection solves the 216 x 55 free block of the stage grid,
-    # whose kron(M_t, M_x) mass matrix has (3 * 216 - 2) * (3 * 55 - 2) nonzeros
-    assert bd["fem.solve_linear.project.ndof_max"] == 11880
-    assert bd["fem.solve_linear.project.nnz_max"] == 105298
+    # each projection solves the whole 217 x 56 node grid of the stage; in
+    # kron(M_t, M_x) an axis of n nodes has 3 n - 2 nonzeros, and the
+    # identity line of its one pinned end node drops the 2 that couple it
+    assert bd["fem.solve_linear.project.ndof_max"] == 217 * 56
+    assert bd["fem.solve_linear.project.nnz_max"] == (3 * 217 - 4) * (3 * 56 - 4)

@@ -9,14 +9,14 @@ from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, gauss_points
+from conftest import dense, gauss_points, nodes_and_elements
 from dualfem import cli, heat, transport
 from dualfem.cli import make_initial
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
 from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, BandCholesky, FactoredSystem,
                          apply_dirichlet, assemble_uniform, band_key, boundary_load, dtp,
-                         element_dofs, gradient_tables, gram_matrix, pin, q_dual_heat,
-                         q_dual_wave, solve_linear, solve_system)
+                         gradient_tables, gram_matrix, pin, q_dual_heat, q_dual_wave,
+                         solve_linear, solve_system)
 from dualfem.heat import DIRICHLET_THETA, HeatProblem, assemble_heat
 from dualfem.heat import dtp_table as heat_dtp_table
 from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
@@ -59,7 +59,8 @@ def test_physical_gradients_on_stretched_element(rng):
     a, b, c, d = rng.standard_normal(4)
     u = lambda x, t: a + b * x + c * t + d * x * t
     N, gx, gt = gradient_tables(STRETCHED)
-    nodal = u(STRETCHED.nodes[:, 0], STRETCHED.nodes[:, 1])[STRETCHED.elements]
+    nodes, elements = nodes_and_elements(STRETCHED)
+    nodal = u(nodes[:, 0], nodes[:, 1])[elements]
     pts = gauss_points(STRETCHED)
     x, t = pts[..., 0], pts[..., 1]
     assert np.abs(nodal @ N.T - u(x, t)).max() < 1e-14
@@ -73,10 +74,17 @@ def test_line_shapes():
     assert np.abs(LINE_N @ [-1.0, 1.0] - [-GAUSS_1D, GAUSS_1D]).max() < 1e-15
 
 
+def element_dofs(mesh, n_fields):
+    """(n_elems, 4 n_fields) global dofs of every element's local dofs,
+    field-major, through the reference connectivity."""
+    elements = nodes_and_elements(mesh)[1]
+    return np.hstack([f * mesh.n_nodes + elements for f in range(n_fields)])
+
+
 def test_element_dofs_field_major():
     # local dof field * 4 + corner lands on global dof field * n_nodes + node
     one = build_space_time_mesh(1.0, 1.0, 1, 1)
-    assert np.array_equal(one.elements[0], [0, 1, 3, 2])
+    assert np.array_equal(element_dofs(one, 1)[0], [0, 1, 3, 2])
     local = np.arange(64.0).reshape(8, 8) + 1.0     # every entry distinct
     A = dense(assemble_uniform(one, local))
     dofs = [0, 1, 3, 2, 4, 5, 7, 6]
@@ -84,22 +92,18 @@ def test_element_dofs_field_major():
     # on four elements in a row (10 nodes) the right edge, local corners 1
     # and 2 of the last element, is nodes 4 and 9, dofs 4, 9, 14, 19
     m = build_space_time_mesh(1.0, 1.0, 4, 1)
-    assert np.array_equal(m.elements[3], [3, 4, 9, 8])
+    assert np.array_equal(element_dofs(m, 2)[3], [3, 4, 9, 8, 13, 14, 19, 18])
     A = dense(assemble_uniform(m, local))
     edge = [1, 2, 5, 6]
     assert np.array_equal(A[np.ix_([4, 9, 14, 19], [4, 9, 14, 19])],
                           local[np.ix_(edge, edge)])
-    # the same layout is the index that fem.dtp gathers with
-    assert np.array_equal(element_dofs(m, 2)[3], [3, 4, 9, 8, 13, 14, 19, 18])
-    assert np.array_equal(element_dofs(m, 1), m.elements)
 
 
 def element_loop(mesh, local_matrix):
     """Dense element-by-element assembly with field-major local dofs."""
     n, n_fields = mesh.n_nodes, len(local_matrix) // 4
     A = np.zeros((n_fields * n, n_fields * n))
-    for conn in mesh.elements:
-        dofs = np.concatenate([f * n + conn for f in range(n_fields)])
+    for dofs in element_dofs(mesh, n_fields):
         A[np.ix_(dofs, dofs)] += local_matrix
     return A
 
@@ -127,23 +131,21 @@ def test_assemble_uniform_matches_generic():
 
 
 def test_dtp_is_bitwise_the_per_problem_products(rng):
-    # the products heat and transport used to write out, at the sizes of the
-    # transport-stages stage mesh and of heat-jump-large
-    m = build_space_time_mesh(2.16, 0.55, 216, 55)
-    table = transport.dtp_table(m, 0.25)
-    lam = rng.standard_normal(m.n_nodes)
-    old = lam[m.elements] @ table[0].T
-    new = dtp(m, table, lam)
-    assert new.shape == (1, m.n_elements, 4) and new[0].tobytes() == old.tobytes()
-    assert transport.dtp_transport(m, lam, 0.25).tobytes() == old.tobytes()
-
-    m = build_space_time_mesh(1.0, 0.6, 200, 120)
-    table = heat.dtp_table(m, 0.3)
-    p, l = rng.standard_normal((2, m.n_nodes))
-    old = np.hstack([p[m.elements], l[m.elements]]) @ table.transpose(0, 2, 1)
-    new = dtp(m, table, np.concatenate([p, l]))
-    assert new.shape == (2, m.n_elements, 4) and new.tobytes() == old.tobytes()
-    assert heat.dtp_heat(m, np.concatenate([p, l]), 0.3).tobytes() == old.tobytes()
+    # the corner-slice product against the gather of every element's dofs
+    # through the reference connectivity, with both tables, at the sizes of
+    # the transport-stages stage mesh and of heat-jump-large
+    for size in ((2.16, 0.55, 216, 55), (1.0, 0.6, 200, 120)):
+        m = build_space_time_mesh(*size)
+        for table, n_comp in ((transport.dtp_table(m, 0.25), 1), (heat.dtp_table(m, 0.3), 2)):
+            sol = rng.standard_normal(table.shape[-1] // 4 * m.n_nodes)
+            gather = sol[element_dofs(m, table.shape[-1] // 4)] @ table.transpose(0, 2, 1)
+            new = dtp(m, table, sol)
+            assert new.shape == (n_comp, m.n_elements, 4)
+            assert new.tobytes() == gather.tobytes()
+        lam = sol[:m.n_nodes]
+        assert transport.dtp_transport(m, lam, 0.25).tobytes() == \
+            (lam[element_dofs(m, 1)] @ transport.dtp_table(m, 0.25)[0].T).tobytes()
+        assert heat.dtp_heat(m, sol, 0.3).tobytes() == gather.tobytes()
 
 
 def test_assembly_rejects_bad_kernel_output():
@@ -192,7 +194,7 @@ def test_pin_sorts_and_keeps_the_last_value():
 def on_one_element(M):
     """The 4 x 4 matrix M as a uniform matrix on the one-element mesh: its
     local matrix is M in the element's corner order."""
-    corners = ONE.elements[0]
+    corners = element_dofs(ONE, 1)[0]
     return assemble_uniform(ONE, M[np.ix_(corners, corners)])
 
 
@@ -214,7 +216,7 @@ def test_pin_of_nothing_leaves_every_dof_free():
     band = A.lower_band()
     lift = apply_dirichlet(A, pin(), band, band_key(ONE, 1))
     assert np.array_equal(band, A.lower_band()) and np.array_equal(lift, np.zeros(4))
-    x = solve_system(A, -np.array([11.0, 12.0, 13.0, 14.0]), pin(), ONE)
+    x = solve_system(A, -np.array([11.0, 12.0, 13.0, 14.0]), pin())
     assert np.allclose(x, [1.0, 2.0, 3.0, 4.0], atol=1e-14)
 
 
@@ -388,7 +390,7 @@ def test_factored_solve_matches_dense_free_block_solve(dual):
     if dual is hand_dual:
         assert np.array_equal(free, [1, 2, 3])
         assert np.array_equal(lift[free], [0.1 + 0.2, 0.0, 0.0])
-    x = FactoredSystem(A, (cdofs, cvals), mesh).solve(load)
+    x = FactoredSystem(A, (cdofs, cvals)).solve(load)
     ref = np.linalg.solve(M[np.ix_(free, free)], load[free] + want)
     assert np.abs(x[free] - ref).max() <= 1e-10 * np.abs(ref).max()
     assert x[cdofs].tobytes() == cvals.tobytes()
@@ -408,7 +410,7 @@ def test_band_and_superlu_solves_agree(dual, kd):
     # pinned dofs too, so kd is (s + 2) n_fields - 1 with s the nodes across
     # the short axis
     A, load, pinned, mesh = dual()
-    system = FactoredSystem(A, pinned, mesh)
+    system = FactoredSystem(A, pinned)
     assert system.lu.band.shape[0] - 1 == kd
     assert np.all(pinned[1] == 0.0)
     free = np.setdiff1d(np.arange(A.shape[0]), pinned[0])
@@ -426,7 +428,7 @@ def test_factor_memory_peak_is_near_the_band():
     tracemalloc.start()
     try:
         A, _, pinned, mesh = transport_stage_dual(55)
-        system = FactoredSystem(A, pinned, mesh)
+        system = FactoredSystem(A, pinned)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -449,12 +451,6 @@ def test_band_key_half_bandwidth(nx, nt, n_fields):
     assert lu.band.shape[0] - 1 == np.abs(i - j).max() == 6 * n_fields - 1
 
 
-def test_factored_system_rejects_a_mesh_of_another_size():
-    A, _, pinned, _ = transport_stage_dual(55)
-    with pytest.raises(InvalidArgumentError, match="12152 dofs on a mesh of 121 nodes"):
-        FactoredSystem(A, pinned, build_space_time_mesh(1.0, 1.0, 10, 10))
-
-
 def test_band_route_rejects_a_matrix_whose_negative_is_not_definite():
     # -A is the 1-D Laplacian with its 31st diagonal entry negated: the
     # leading minors of -A are positive up to order 30 and not at 31
@@ -472,11 +468,11 @@ def test_factored_system_solves_any_rhs(rng):
                    [0.0, 0.0, -1.0, 4.0]])
     A = on_one_element(M)
     pinned = pin(([0, 3], [0.1 + 0.2, -2.0]))
-    factored = FactoredSystem(A, pinned, ONE)
+    factored = FactoredSystem(A, pinned)
     for _ in range(3):
         rhs = rng.standard_normal(4)
         u = factored.solve(rhs)
-        assert np.array_equal(u, solve_system(A, rhs, pinned, ONE))
+        assert np.array_equal(u, solve_system(A, rhs, pinned))
         assert u[0] == 0.1 + 0.2 and u[3] == -2.0
         assert np.abs((M @ u)[1:3] - rhs[1:3]).max() < 1e-14
 
@@ -487,7 +483,7 @@ def test_solve_system_with_constraints():
                                   [-1.0, 2.0, -1.0, 0.0],
                                   [0.0, -1.0, 2.0, -1.0],
                                   [0.0, 0.0, -1.0, 2.0]]))
-    u = solve_system(A, np.zeros(4), pin(([0, 3], [0.0, 1.0])), ONE)
+    u = solve_system(A, np.zeros(4), pin(([0, 3], [0.0, 1.0])))
     assert np.allclose(u, [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-14)
 
 

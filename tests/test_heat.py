@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gauss_legendre_integrate_2d, gauss_points
+from conftest import gauss_legendre_integrate_2d, gauss_points, nodes_and_elements
 from dualfem import heat as hm
 from dualfem.errors import InvalidArgumentError
 from dualfem.fem import gram_matrix
@@ -59,7 +59,8 @@ def test_local_matrix_against_independent_integration():
     m = build_space_time_mesh(0.4, 0.6, 1, 1)
     k = 0.7
     K = gram_matrix(m, hm.dtp_table(m, k))
-    coords = m.nodes[m.elements[0]]
+    nodes, elements = nodes_and_elements(m)
+    coords = nodes[elements[0]]
     eps = 1e-6
 
     def shapes(a):
@@ -188,7 +189,8 @@ def test_dtp_trivial_and_linear_fields():
     theta, pi = hm.dtp_heat(m, np.zeros(2 * m.n_nodes), 1.0)
     assert np.all(theta == 0.0) and np.all(pi == 0.0)
     # p = x, l = t: theta = d_x p + d_t l = 2 everywhere
-    theta, pi = hm.dtp_heat(m, np.concatenate([m.nodes[:, 0], m.nodes[:, 1]]), 1.0)
+    nodes, _ = nodes_and_elements(m)
+    theta, pi = hm.dtp_heat(m, np.concatenate([nodes[:, 0], nodes[:, 1]]), 1.0)
     assert np.abs(theta - 2.0).max() < 1e-13
 
 
@@ -199,7 +201,8 @@ def test_dtp_of_steady_dual_family_interpolant():
     raw_errs, proj_errs = [], []
     for nx in (8, 16, 32):
         m = build_space_time_mesh(1.0, 1.0, nx, 4)
-        sol = np.concatenate([p_exact(m.nodes[:, 0]), l_exact(m.nodes[:, 0])])
+        x_nodes = nodes_and_elements(m)[0][:, 0]
+        sol = np.concatenate([p_exact(x_nodes), l_exact(x_nodes)])
         theta, pi = hm.dtp_heat(m, sol, 1.0)
         pts_x = gauss_points(m)[..., 0]
         raw_errs.append(np.abs(theta - (3 * pts_x + 1)).max())

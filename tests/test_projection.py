@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from conftest import dense, gauss_points
+from conftest import dense, gauss_points, nodes_and_elements
 from dualfem import projection
 from dualfem.errors import InvalidArgumentError, SolverError
 from dualfem.fem import LINE_N, QUAD_N, assemble_uniform
@@ -42,7 +41,8 @@ def test_quad_points_inside_elements():
     m = build_space_time_mesh(2.0, 1.0, 3, 2)
     pts = gauss_points(m)
     assert pts.shape == (6, 4, 2)
-    corners = m.nodes[m.elements]
+    nodes, elements = nodes_and_elements(m)
+    corners = nodes[elements]
     lo = corners.min(axis=1, keepdims=True)
     hi = corners.max(axis=1, keepdims=True)
     assert np.all(pts > lo) and np.all(pts < hi)
@@ -56,7 +56,7 @@ def test_identity_on_fe_space(rng, pin_rows, pin_cols):
     # its own values pinned on any set of whole lines
     m = build_space_time_mesh(1.0, 1.0, 6, 5)
     grid = rng.standard_normal((m.nt + 1, m.nx + 1))
-    samples = grid.ravel()[m.elements] @ QUAD_N.T
+    samples = grid.ravel()[nodes_and_elements(m)[1]] @ QUAD_N.T
     rows = {i: grid[i].copy() for i in pin_rows}
     cols = {j: grid[:, j] for j in pin_cols}
     if rows and cols:       # the row disagrees at a shared corner; the column wins
@@ -88,7 +88,8 @@ def reference_projection(mesh, samples, nodes, values):
     and a dense solve on the free nodes."""
     M = dense(assemble_uniform(mesh, mass_local(mesh)))
     rhs = np.zeros(mesh.n_nodes)
-    np.add.at(rhs, mesh.elements.ravel(), (0.25 * mesh.hx * mesh.ht * samples @ QUAD_N).ravel())
+    np.add.at(rhs, nodes_and_elements(mesh)[1].ravel(),
+              (0.25 * mesh.hx * mesh.ht * samples @ QUAD_N).ravel())
     out = np.zeros(mesh.n_nodes)
     out[nodes] = values
     free = np.setdiff1d(np.arange(mesh.n_nodes), nodes)
@@ -121,32 +122,112 @@ def test_kronecker_solve_matches_assembled_mass_matrix(rng, pins):
     assert np.array_equal(out[nodes], values.ravel()[nodes])
 
 
+def axis_mass(ne, h):
+    """Dense mass matrix of ne linear elements of length h, element by element."""
+    M = np.zeros((ne + 1, ne + 1))
+    for e in range(ne):
+        M[e:e + 2, e:e + 2] += h * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+    return M
+
+
 def band_matrix(ab):
-    return sp.dia_matrix((ab, [1, 0, -1]), shape=(ab.shape[1], ab.shape[1]))
+    """Dense symmetric tridiagonal matrix of a lower band (diagonal, subdiagonal)."""
+    return np.diag(ab[0]) + np.diag(ab[1, :-1], -1) + np.diag(ab[1, :-1], 1)
 
 
-@pytest.mark.parametrize("free_rows, free_cols", [
-    (np.arange(1, 8), np.arange(1, 5)),       # transport: initial row, inflow column
-    (np.arange(8), np.arange(1, 4)),          # heat: the two lateral columns
-    (np.array([1, 2, 5, 6, 7]), np.array([0, 1, 3, 4])),   # interior gaps
+@pytest.mark.parametrize("pinned_rows, pinned_cols", [
+    ((0,), (0,)),             # transport: initial row, inflow column
+    ((), (0, 4)),             # heat: the two lateral columns
+    ((0, 3, 4), (2,)),        # interior lines
 ], ids=["transport", "heat", "gaps"])
-def test_kron_mass_operator_matches_assembled_kron(rng, free_rows, free_cols):
-    # the matrix-free free block applies and counts like sp.kron of its bands
-    t = _axis(7, 0.15, tuple(np.setdiff1d(np.arange(8), free_rows).tolist()))
-    x = _axis(4, 0.325, tuple(np.setdiff1d(np.arange(5), free_cols).tolist()))
-    assert np.array_equal(t.free, free_rows) and np.array_equal(x.free, free_cols)
+def test_kron_mass_operator_matches_assembled_kron(rng, pinned_rows, pinned_cols):
+    # each axis is its mass matrix with identity lines at its pinned nodes,
+    # and the matrix-free operator applies, counts and solves like the kron
+    # of the two
+    t = _axis(7, 0.15, pinned_rows)
+    x = _axis(4, 0.325, pinned_cols)
+    for axis, ne, h, pinned in ((t, 7, 0.15, pinned_rows), (x, 4, 0.325, pinned_cols)):
+        M = axis_mass(ne, h)
+        M[list(pinned)] = 0.0
+        M[:, list(pinned)] = 0.0
+        M[list(pinned), list(pinned)] = 1.0
+        assert np.abs(band_matrix(axis.lines) - M).max() <= 1e-16
+        assert np.array_equal(band_matrix(axis.band) == 0, axis_mass(ne, h) == 0)
     op = _KronMass(t, x)
-    K = sp.kron(band_matrix(t.free_bands), band_matrix(x.free_bands), format="coo")
+    K = np.kron(band_matrix(t.lines), band_matrix(x.lines))
     v = rng.standard_normal(K.shape[0])
     ref = K @ v
-    assert op.shape == K.shape
+    assert op.shape == K.shape == (40, 40)
     assert np.abs(op @ v - ref).max() <= 1e-14 * np.abs(ref).max()
-    assert op.nnz == K.nnz
+    assert op.nnz == np.count_nonzero(K)
     assert np.abs(K @ op.solve(ref) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def free_block_projection(mesh, samples, rows, cols):
+    """The projection by elimination: the pinned values moved to the
+    right-hand side, and the free block kron(M_t[fr, fr], M_x[fc, fc]) solved
+    along each axis by dense solves."""
+    shape = (mesh.nt + 1, mesh.nx + 1)
+    rhs = np.bincount(nodes_and_elements(mesh)[1].ravel(),
+                      weights=(0.25 * mesh.hx * mesh.ht * samples @ QUAD_N).ravel(),
+                      minlength=mesh.n_nodes).reshape(shape)
+    Mt, Mx = axis_mass(mesh.nt, mesh.ht), axis_mass(mesh.nx, mesh.hx)
+    U = np.zeros(shape)
+    for i, v in rows.items():
+        U[i] = v
+    for j, v in cols.items():
+        U[:, j] = v
+    B = rhs - Mt @ U @ Mx
+    fr = np.setdiff1d(np.arange(shape[0]), list(rows))
+    fc = np.setdiff1d(np.arange(shape[1]), list(cols))
+    X = np.linalg.solve(Mt[np.ix_(fr, fr)], B[np.ix_(fr, fc)])
+    U[np.ix_(fr, fc)] = np.linalg.solve(Mx[np.ix_(fc, fc)], X.T).T
+    return U
+
+
+@pytest.mark.parametrize("size", [(2.16, 0.55, 216, 55), (1.0, 0.6, 200, 120)],
+                         ids=["transport-stages", "heat-jump-large"])
+@pytest.mark.parametrize("pins", ["transport", "heat-dirichlet", "heat-one-column"])
+def test_projection_matches_free_block_elimination(rng, size, pins):
+    # the identity-line solve of the whole grid against the elimination of
+    # the pinned lines, at the run sizes and with each run's pins
+    m = build_space_time_mesh(*size)
+    samples = rng.standard_normal((m.n_elements, 4))
+    col = lambda: rng.standard_normal(m.nt + 1)
+    rows, cols = {
+        "transport": ({0: rng.standard_normal(m.nx + 1)}, {0: col()}),
+        "heat-dirichlet": ({}, {0: col(), m.nx: col()}),
+        "heat-one-column": ({}, {0: col()}),
+    }[pins]
+    ref = free_block_projection(m, samples, rows, cols)
+    out = l2_project(m, samples, rows, cols)
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert out[list(rows)].tobytes() == ref[list(rows)].tobytes()
+    assert out[:, list(cols)].tobytes() == ref[:, list(cols)].tobytes()
+
+
+@pytest.mark.parametrize("size", [(2.16, 0.55, 216, 55), (1.0, 0.6, 200, 120),
+                                  (1.0, 1.1, 50, 55)],
+                         ids=["transport-stages", "heat-jump-large", "50x55"])
+def test_projection_rhs_is_bitwise_the_bincount(rng, monkeypatch, size):
+    # the corner slices, added in the order 2, 3, 1, 0, sum each node's
+    # elements in element order, as np.bincount over the connectivity does;
+    # with nothing pinned the solved right-hand side is that sum
+    m = build_space_time_mesh(*size)
+    samples = rng.standard_normal((m.n_elements, 4))
+    solved, solve = [], projection.solve_linear
+    monkeypatch.setattr(projection, "solve_linear",
+                        lambda A, b, lu: solved.append(b) or solve(A, b, lu))
+    l2_project(m, samples, {}, {})
+    ref = np.bincount(nodes_and_elements(m)[1].ravel(),
+                      weights=(0.25 * m.hx * m.ht * samples @ QUAD_N).ravel(),
+                      minlength=m.n_nodes)
+    assert len(solved) == 1 and solved[0].tobytes() == ref.tobytes()
+
+
 def test_projection_residual_guard_fires_without_an_assembled_matrix(rng, monkeypatch):
-    # a solve that misses the mass matrix is caught by solve_linear's check
+    # a solve that misses the identity-line mass operator is caught by
+    # solve_linear's check
     m = build_space_time_mesh(1.0, 1.0, 5, 4)
     samples = rng.standard_normal((m.n_elements, 4))
     exact_solve = _KronMass.solve
@@ -217,8 +298,10 @@ def test_best_approximation_property(rng):
     proj = l2_project(m, samples, {}, {}).ravel()
     wdet = 0.25 * m.hx * m.ht
 
+    elements = nodes_and_elements(m)[1]
+
     def dist(nodal):
-        vals = nodal[m.elements] @ QUAD_N.T
+        vals = nodal[elements] @ QUAD_N.T
         return np.sqrt(wdet * np.sum((vals - samples) ** 2))
 
     d0 = dist(proj)

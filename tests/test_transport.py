@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import gauss_legendre_integrate_2d
+from conftest import gauss_legendre_integrate_2d, nodes_and_elements
 from dualfem import fem, transport
 from dualfem.cli import make_initial
 from dualfem.errors import InvalidArgumentError, SingularDtPError
@@ -30,7 +30,7 @@ def step_problem(c=0.25, L=2.0, T_total=1.0):
 
 def solve_single_stage(prob, m):
     """One stage from the problem's own initial datum, pinned at its nodal values."""
-    dual = FactoredSystem(*assemble_transport(prob, m), m)
+    dual = FactoredSystem(*assemble_transport(prob, m))
     return solve_transport_stage(prob, m, dual, prob.u0, prob.u0(m.x_coords()))
 
 
@@ -54,7 +54,8 @@ def test_local_matrix_against_independent_integration():
     c = 0.7
     m = build_space_time_mesh(1.5, 0.9, 5, 4)
     K = gram_matrix(m, dtp_table(m, c))
-    coords = m.nodes[m.elements[0]]
+    nodes, elements = nodes_and_elements(m)
+    coords = nodes[elements[0]]
     x0, t0 = coords[0]
     x1, t1 = coords[2]
     eps = 1e-6
@@ -124,7 +125,8 @@ def test_mesh_length_mismatch_rejected():
 def test_dtp_of_linear_dual_field():
     m = build_space_time_mesh(1.0, 1.0, 5, 4)
     c = 0.3
-    lam = m.nodes[:, 1] + m.nodes[:, 0]        # lambda = t + x
+    nodes, _ = nodes_and_elements(m)
+    lam = nodes[:, 1] + nodes[:, 0]            # lambda = t + x
     u_q = dtp_transport(m, lam, c)
     assert np.abs(u_q - (1.0 + c)).max() < 1e-13
 
@@ -198,14 +200,15 @@ def test_recovered_field_is_projection_of_exact_solution():
 
     # integral u_q D N_A: the integrand is exact under the 2x2 Gauss rule
     _, gx, gt = gradient_tables(m)
+    nodes, elements = nodes_and_elements(m)
     proj = np.zeros(m.n_nodes)
-    np.add.at(proj, m.elements, 0.25 * m.hx * m.ht * u_q @ (gt + c * gx))
+    np.add.at(proj, elements, 0.25 * m.hx * m.ht * u_q @ (gt + c * gx))
 
     # integral u D N_A by direct quadrature, element by element
     exact = np.zeros(m.n_nodes)
     sx, st = CORNERS[:, 0], CORNERS[:, 1]
-    for conn in m.elements:
-        (x0, t0), (x1, t1) = m.nodes[conn[0]], m.nodes[conn[2]]
+    for conn in elements:
+        (x0, t0), (x1, t1) = nodes[conn[0]], nodes[conn[2]]
 
         def integrand(x, t):
             xi = 2 * (x - x0) / m.hx - 1
@@ -221,7 +224,7 @@ def test_recovered_field_is_projection_of_exact_solution():
     assert np.abs(proj - exact)[free].max() < 1e-11 * scale
     # u itself is not in the space, so the projection error is not zero:
     # u_q is affine per element, its Gauss-point mean is its centre value
-    centres = m.nodes[m.elements].mean(axis=1)
+    centres = nodes[elements].mean(axis=1)
     gap = np.abs(u_q.mean(axis=1) - u_exact(centres[:, 0], centres[:, 1])).max()
     assert gap > 1e-4
 
@@ -380,7 +383,7 @@ def test_time_sliced_factors_the_dual_matrix_once(monkeypatch, T_total):
     u0 = prob.u0
     rows = [u_init[None, :nx + 1]]
     for s in range(plan.n_stages):
-        dual = FactoredSystem(*assemble_transport(stage_prob, mesh), mesh)
+        dual = FactoredSystem(*assemble_transport(stage_prob, mesh))
         lam, u = solve_transport_stage(stage_prob, mesh, dual, u0, u_init)
         assert np.abs(lam - duals[s]).max() <= 1e-10 * np.abs(lam).max()
         rows.append(u[1:keep + 1, :nx + 1])
