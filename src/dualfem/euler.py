@@ -15,9 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbsv
-
+from ._lapack import dgbmv, dgbsv
 from .errors import (InvalidArgumentError, NonconvergenceError, SingularDtPError,
                      SolverError, in_stage)
 from .fem import LINE_N as _N

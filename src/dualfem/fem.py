@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from ._lapack import dpbtrf, dpbtrs
 from .errors import AssemblyError, InvalidArgumentError, SolverError
 from .mesh import BOTTOM, TOP, SpaceTimeMesh
 

@@ -26,10 +26,11 @@ from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from ._lapack import dpbtrf, dpbtrs
 from .errors import InvalidArgumentError
-# solve_system stays importable from here for existing callers
+# solve_system is re-exported only for the alias test of bench/test_bench.py;
+# it goes with that test, in the next change to the benchmark
 from .fem import LINE_N, QUAD_N, corner_slices, solve_linear, solve_system  # noqa: F401
 from .mesh import SpaceTimeMesh, TimeMesh
 

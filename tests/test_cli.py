@@ -451,10 +451,12 @@ def test_out_of_memory_exits_solver(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_out_the_sparse_solvers():
-    # every factorization is LAPACK band Cholesky, from scipy.linalg, and no
-    # matrix is assembled in a sparse format: no scipy.sparse module loads
-    code = ("import sys, dualfem.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    # every factorization is LAPACK band Cholesky or band LU, whose compiled
+    # routines dualfem._lapack loads straight from scipy's extension files,
+    # and no matrix is assembled in a sparse format: neither scipy.sparse nor
+    # scipy.linalg loads
+    code = ("import sys, dualfem.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.sparse', 'scipy.linalg'))))")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
