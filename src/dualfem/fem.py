@@ -5,15 +5,16 @@ shape functions at the 2-point and 2x2 Gauss points, the dual element
 matrix of a dual-to-primal (DtP) table and its Gauss-point values, the
 matrix of one shared element matrix on a uniform mesh, applied and written
 into a band without assembly (:class:`UniformMatrix`), boundary loads,
-prescribed dofs as sorted ``(dofs, values)`` arrays (:func:`pin`), which
+pinned grid lines as ``(mask, values)`` node grids (:func:`pin`), which
 become identity lines of the band, and a residual-checked linear solve by
 a factorization that serves every right-hand side.
 
-Global degrees of freedom are blocked by field: dof = field * n_nodes + node.
-Local element dofs follow the same ordering, dof = field * 4 + local_node.
-A factorization numbers them differently: :func:`band_key` numbers the
-mesh's long axis slowest, its short axis next and the fields innermost, so
-every dual is a band, which :class:`BandCholesky` factors.
+Global degrees of freedom are blocked by field: dof = field * n_nodes + node,
+the row-major (field, t, x) node grid.  Local element dofs follow the same
+ordering, dof = field * 4 + local_node.  A factorization numbers them by a
+transpose of that grid (:func:`_band_axes`): the mesh's long axis slowest,
+its short axis next and the fields innermost, so every dual is a band,
+which :class:`BandCholesky` factors.
 
 The mesh stores no connectivity.  Over every element at once, local dof
 field * 4 + corner is one corner slice of the (field, t, x) node grid
@@ -23,7 +24,7 @@ are computed from these slices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,29 +56,30 @@ def gradient_tables(mesh: SpaceTimeMesh):
             LINE_N[_QX, _AX] * dline[_AT] / mesh.ht)
 
 
-def pin(*pairs):
-    """Merge ``(dofs, values)`` pairs into one ``(dofs, values)`` pin set,
-    sorted by dof; the values of a pair broadcast to its dofs.
+def pin(shape, *fields, col_name: str = "column"):
+    """The ``(mask, values)`` pin set of grid lines: two node grids of shape
+    (n_fields,) + ``shape``, True and the pinned value on a pinned node,
+    False and 0 elsewhere.
 
-    A dof given more than once keeps its last value, and all its values
-    must agree to 1e-12.
+    Each field gives a ``(rows, cols)`` pair: ``rows`` maps a row index of
+    the ``shape`` grid to the shape[1] values pinned on that row, ``cols`` a
+    column index to its shape[0] values; a scalar broadcasts and ``{}`` pins
+    none.  A node on a pinned row and a pinned column takes the column's
+    value.  A line of another length is an :class:`InvalidArgumentError`
+    naming it.
     """
-    dofs = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        np.atleast_1d(np.asarray(d, dtype=np.int64)) for d, _ in pairs])
-    values = np.concatenate([np.zeros(0)] + [
-        np.broadcast_to(np.asarray(v, dtype=float), np.shape(np.atleast_1d(d)))
-        for d, v in pairs])
-    order = np.argsort(dofs, kind="stable")
-    dofs, values = dofs[order], values[order]
-    repeat = dofs[1:] == dofs[:-1]
-    clash = repeat & ~np.isclose(values[1:], values[:-1], rtol=1e-12, atol=1e-12)
-    if clash.any():
-        i = int(np.argmax(clash))
-        raise InvalidArgumentError(f"conflicting constraints on dof {dofs[i]}: "
-                                   f"{values[i]} vs {values[i + 1]}")
-    last = np.ones(dofs.size, dtype=bool)      # the last entry of each dof
-    last[:-1] = ~repeat
-    return dofs[last], values[last]
+    mask = np.zeros((len(fields),) + tuple(shape), dtype=bool)
+    values = np.zeros(mask.shape)
+    for f, (rows, cols) in enumerate(fields):
+        # rows first, so that a column overwrites the nodes it shares with a row
+        for lines, name, M, V in ((rows, "row", mask[f], values[f]),
+                                  (cols, col_name, mask[f].T, values[f].T)):
+            for i, line in lines.items():
+                if np.ndim(line) and np.shape(line) != V.shape[1:]:
+                    raise InvalidArgumentError(f"pinned {name} {i} has shape {np.shape(line)}, "
+                                               f"expected {V.shape[1]} values")
+                M[i], V[i] = True, line
+    return mask, values
 
 
 def gram_matrix(mesh: SpaceTimeMesh, table: np.ndarray) -> np.ndarray:
@@ -116,13 +118,14 @@ class UniformMatrix:
     (row, column) pair counted once.  ``@`` applies the local matrix to the
     four corner slices of the node grid and adds the products back, with no
     index arrays; :meth:`lower_band` writes the lower band of -A.  A
-    matrix with ``pinned`` dofs has their rows and columns replaced by those
-    of -I, the matrix :class:`FactoredSystem` factors.
+    ``pinned`` mask, the (field, t, x) grid of a :func:`pin` set (default
+    False: none), replaces the rows and columns of the pinned dofs by those
+    of -I, giving the matrix :class:`FactoredSystem` factors.
     """
 
     mesh: SpaceTimeMesh
     local: np.ndarray
-    pinned: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    pinned: np.ndarray | bool = False
 
     @property
     def n_fields(self) -> int:
@@ -142,22 +145,21 @@ class UniformMatrix:
         m = self.mesh
         x = np.asarray(x, dtype=float)
         X = x.reshape(self.n_fields, m.nt + 1, m.nx + 1)
-        if self.pinned.size:
-            X = X.copy()
-            X.reshape(-1)[self.pinned] = 0.0
+        free = X.copy()
+        free[self.pinned] = 0.0
         corners = corner_slices(m, self.n_fields)
-        gathered = np.stack([X[c] for c in corners]).reshape(len(corners), -1)
+        gathered = np.stack([free[c] for c in corners]).reshape(len(corners), -1)
         products = (self.local @ gathered).reshape(len(corners), m.nt, m.nx)
         Y = np.zeros_like(X)
         for c, p in zip(corners, products):
             Y[c] += p
-        y = Y.reshape(-1)
-        y[self.pinned] = -x[self.pinned]
-        return y
+        Y[self.pinned] = -X[self.pinned]
+        return Y.reshape(-1)
 
     def lower_band(self) -> np.ndarray:
-        """The lower band of -A in :func:`band_key` order, (n, kd + 1): row j
-        holds column j, band[j, i - j] = -A[i, j] for i >= j.
+        """The lower band of -A in band order, (n, kd + 1): row j holds
+        column j, band[j, i - j] = -A[i, j] for i >= j, the dofs numbered as
+        the node grid transposed by :func:`_band_axes`.
 
         An element's local dofs sit at fixed band offsets from each other,
         so each local pair (a, b) with a non-negative offset adds
@@ -170,7 +172,7 @@ class UniformMatrix:
         assembled matrix does: the band equals the assembled one entry by
         entry.
         """
-        n_long, n_short, step = _band_axes(self.mesh)
+        n_long, n_short, step, _ = _band_axes(self.mesh)
         nf = self.n_fields
         field_of, corner = np.divmod(np.arange(4 * nf), 4)
         # band position of each local dof, less that of the element's first
@@ -225,20 +227,19 @@ def boundary_load(mesh: SpaceTimeMesh, tag: str, func) -> np.ndarray:
     return load
 
 
-def apply_dirichlet(A: UniformMatrix, pinned, band: np.ndarray, key: np.ndarray):
+def apply_dirichlet(A: UniformMatrix, pinned, band: np.ndarray):
     """Pin the dofs of a :func:`pin` set in ``band``, the
-    :meth:`UniformMatrix.lower_band` of A in the numbering ``key``
-    (:func:`band_key`): zero their rows and columns and put 1 on their
-    diagonal, so that they are identity lines of -A.
+    :meth:`UniformMatrix.lower_band` of A: zero their rows and columns and
+    put 1 on their diagonal, so that they are identity lines of -A.
 
-    Returns the lift -A v, v holding the pinned values and zero elsewhere,
+    Returns the lift -A v, v the pinned values grid, zero off the pins,
     which every right-hand side shares on the free dofs.
     """
-    n = A.shape[0]
-    cdofs, cvals = pinned
-    if cdofs.size and (cdofs.min() < 0 or cdofs.max() >= n):
-        raise InvalidArgumentError("constraint dof out of range")
-    rows = key[cdofs]
+    mask, values = pinned
+    grid = (A.n_fields, A.mesh.nt + 1, A.mesh.nx + 1)
+    if mask.shape != grid:
+        raise InvalidArgumentError(f"pin grid of shape {mask.shape}, expected {grid}")
+    rows = np.flatnonzero(mask.transpose(_band_axes(A.mesh)[-1]))
     band[rows] = 0.0
     band[rows, 0] = 1.0
     # row p of -A left of the diagonal: entry (p, p - k) is band[p - k, k]
@@ -246,47 +247,37 @@ def apply_dirichlet(A: UniformMatrix, pinned, band: np.ndarray, key: np.ndarray)
     above = rows[:, None] - k
     inside = above >= 0
     band[above[inside], np.broadcast_to(k, above.shape)[inside]] = 0.0
-    v = np.zeros(n)
-    v[cdofs] = cvals
-    return -(A @ v)
+    return -(A @ values)
 
 
 def _band_axes(mesh: SpaceTimeMesh):
     """(long nodes, short nodes, the (long, short) offsets of the four
-    corners in counter-clockwise order) of the banded numbering; the x axis
-    is long when nx >= nt."""
-    if mesh.nx >= mesh.nt:
-        return mesh.nx + 1, mesh.nt + 1, _CCW
-    return mesh.nt + 1, mesh.nx + 1, _CCW[:, ::-1]
-
-
-def band_key(mesh: SpaceTimeMesh, n_fields: int) -> np.ndarray:
-    """Position of every dof in the banded numbering: the mesh's long axis
-    slowest, its short axis next and the fields innermost.
+    corners in counter-clockwise order, the transpose that takes the
+    (field, t, x) node grid to (long, short, field)) of the banded
+    numbering; the x axis is long when nx >= nt.
 
     A matrix coupling all dofs of each element then has half-bandwidth
     (s + 2) n_fields - 1, s being the number of nodes across the short
     axis.
     """
-    nx1, nt1 = mesh.nx + 1, mesh.nt + 1
-    node = np.arange(mesh.n_nodes)
-    if mesh.nx >= mesh.nt:                       # x long: t numbered fastest
-        node = node % nx1 * nt1 + node // nx1
-    return (node * n_fields + np.arange(n_fields)[:, None]).ravel()
+    if mesh.nx >= mesh.nt:
+        return mesh.nx + 1, mesh.nt + 1, _CCW, (2, 1, 0)
+    return mesh.nt + 1, mesh.nx + 1, _CCW[:, ::-1], (1, 2, 0)
 
 
 class BandCholesky:
     """Cholesky factor of -A, a symmetric matrix, from its lower band in the
-    numbering ``order``: row j of ``band`` holds column j of -A, band[j,
-    i - j] = -A[order[i], order[j]] for i >= j.  :meth:`solve` works in A's
-    own numbering.
+    numbering of a node grid of ``shape`` transposed by ``axes``: row j of
+    ``band`` holds column j of -A, band[j, i - j] = -A[dof i, dof j] for
+    i >= j, dof j the j-th entry of the transposed grid.  :meth:`solve`
+    works in A's own numbering, the grid's row-major order.
 
     The band is factored in place by LAPACK ``dpbtrf`` and solved by
     ``dpbtrs``; it takes (kd + 1) n 8 bytes.  A matrix whose negative is
     not definite is a :class:`SolverError` naming the failed pivot.
     """
 
-    def __init__(self, band: np.ndarray, order):
+    def __init__(self, band: np.ndarray, shape: tuple, axes: tuple):
         # band.T is LAPACK's (kd + 1, n) lower band storage
         self.band, info = dpbtrf(band.T, lower=1, overwrite_ab=1)
         if info > 0:
@@ -294,13 +285,14 @@ class BandCholesky:
                               f"the matrix is not negative definite")
         if info < 0:
             raise SolverError(f"dpbtrf rejected argument {-info}")
-        self.order = order
+        self.shape, self.axes = shape, axes
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y, _ = dpbtrs(self.band, b[self.order], lower=1)
-        x = np.empty_like(y)
-        x[self.order] = -y                               # A x = b is (-A) x = -b
-        return x
+        B = b.reshape(self.shape).transpose(self.axes)
+        y, _ = dpbtrs(self.band, B.reshape(-1), lower=1)
+        x = np.empty(self.shape)
+        x.transpose(self.axes)[...] = -y.reshape(B.shape)      # A x = b is (-A) x = -b
+        return x.reshape(-1)
 
 
 def solve_linear(A, b, lu) -> np.ndarray:
@@ -338,28 +330,25 @@ class FactoredSystem:
     matrix, so symmetric, and negative definite once its pinned dofs are
     fixed.  Its band (:meth:`UniformMatrix.lower_band`) takes the pins
     (:func:`apply_dirichlet`) and is factored whole by :class:`BandCholesky`
-    in the :func:`band_key` order of A's mesh.
+    in the band order of A's mesh.
     :meth:`solve` then takes any full-length right-hand side and returns
     the full solution, the pinned values inserted bitwise; its residual is
     checked against ``matrix``, A with the same identity lines.
     """
 
     def __init__(self, A: UniformMatrix, pinned):
-        key = band_key(A.mesh, A.n_fields)
+        mask, values = pinned
         band = A.lower_band()
-        self._lift = apply_dirichlet(A, pinned, band, key)
-        self._pinned = pinned
-        self.matrix = replace(A, pinned=pinned[0])
-        order = np.empty_like(key)
-        order[key] = np.arange(key.size)
-        self.lu = BandCholesky(band, order)
+        self._lift = apply_dirichlet(A, pinned, band)
+        self._mask, self._values = mask, values[mask]
+        self.matrix = replace(A, pinned=mask)
+        self.lu = BandCholesky(band, mask.shape, _band_axes(A.mesh)[-1])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        cdofs, cvals = self._pinned
         b = np.asarray(rhs, dtype=float) + self._lift
-        b[cdofs] = -cvals                       # the identity lines of -A
+        b.reshape(self._mask.shape)[self._mask] = -self._values   # the identity lines of -A
         x = solve_linear(self.matrix, b, self.lu)
-        x[cdofs] = cvals
+        x.reshape(self._mask.shape)[self._mask] = self._values
         return x
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .fem import (assemble_uniform, boundary_load, dtp, gradient_tables, gram_matrix,
                   pin, solve_system)
-from .mesh import BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh
+from .mesh import BOTTOM, LEFT, RIGHT, SpaceTimeMesh
 from .projection import l2_project
 
 NEUMANN_PI = "neumann_pi"
@@ -77,7 +77,9 @@ def dtp_table(mesh: SpaceTimeMesh, k: float) -> np.ndarray:
 
 def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh):
     """Assemble the two-field dual system including boundary data terms;
-    returns ``(matrix, rhs, pinned)``, ``pinned`` a :func:`pin` set."""
+    returns ``(matrix, rhs, pinned)``, ``pinned`` the :func:`pin` set of the
+    dual traces: l on the top row and the left column, and the right column
+    of p (neumann_pi) or of l (dirichlet_theta)."""
     _check_mesh(problem, mesh)
     matrix = assemble_uniform(mesh, gram_matrix(mesh, dtp_table(mesh, problem.k)))
     n = mesh.n_nodes
@@ -85,19 +87,19 @@ def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh):
     # dof = field * n + node, field 0 = p, field 1 = l
     rhs = np.zeros(2 * n)
     rhs[:n] += boundary_load(mesh, LEFT, problem.theta_left)
-    t, right = mesh.t_coords(), mesh.boundary_nodes(RIGHT)
+    t = mesh.t_coords()
+    p_cols, l_cols = {}, {0: problem.l_left(t)}
     if problem.right_mode == NEUMANN_PI:
         rhs[n:] += boundary_load(
             mesh, RIGHT, lambda t: problem.k * np.asarray(problem.pi_right(t)))
-        right_pin = (right, problem.p_right(t))
+        p_cols[mesh.nx] = problem.p_right(t)
     else:
         rhs[:n] -= boundary_load(mesh, RIGHT, problem.theta_right)
-        right_pin = (n + right, problem.l_right(t))
+        l_cols[mesh.nx] = problem.l_right(t)
     rhs[n:] += boundary_load(mesh, BOTTOM, problem.theta0)
 
-    pinned = pin((n + mesh.boundary_nodes(LEFT), problem.l_left(t)),
-                 (n + mesh.boundary_nodes(TOP), problem.l_top(mesh.x_coords())),
-                 right_pin)
+    pinned = pin((mesh.nt + 1, mesh.nx + 1), ({}, p_cols),
+                 ({mesh.nt: problem.l_top(mesh.x_coords())}, l_cols))
     return matrix, rhs, pinned
 
 

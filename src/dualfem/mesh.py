@@ -10,7 +10,7 @@ stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,15 +69,19 @@ class SpaceTimeMesh:
 
 @dataclass(frozen=True)
 class TimeMesh:
-    """Uniform 1-D mesh of (0, T) for the rigid-body stages."""
+    """Uniform 1-D mesh of (0, T) for the rigid-body stages: its two numbers
+    (T, ne)."""
 
     T: float
     ne: int
-    nodes: np.ndarray = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.ne + 1
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(0.0, self.T, self.ne + 1)
 
     @property
     def h(self) -> float:
@@ -123,4 +127,4 @@ def build_time_mesh(T: float, ne: int) -> TimeMesh:
         raise InvalidArgumentError(f"stage length must be positive, got T={T}")
     if ne < 1:
         raise InvalidArgumentError(f"element count must be >= 1, got ne={ne}")
-    return TimeMesh(T=float(T), ne=int(ne), nodes=np.linspace(0.0, T, ne + 1))
+    return TimeMesh(T=float(T), ne=int(ne))

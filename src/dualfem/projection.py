@@ -2,9 +2,9 @@
 
 The mass-matrix right-hand side is integrated with the same 2x2 (or
 2-point) rule that produced the samples; known primal data is pinned and
-moved to the right-hand side.  The space-time projection pins whole grid
-lines, time rows and space columns given by index; the 1-D projection pins
-nodes.
+moved to the right-hand side.  The pins are grid lines, a :func:`fem.pin`
+set as in the dual solves: time rows and space columns of the space-time
+grid, and node columns of the (component, node) grid of the 1-D projection.
 
 Both projections rest on one per-axis table, :func:`_axis`, built once per
 (ne, h, pinned node ids): the tridiagonal mass matrix of the axis, the
@@ -31,7 +31,7 @@ from ._lapack import dpbtrf, dpbtrs
 from .errors import InvalidArgumentError
 # solve_system is re-exported only for the alias test of bench/test_bench.py;
 # it goes with that test, in the next change to the benchmark
-from .fem import LINE_N, QUAD_N, corner_slices, solve_linear, solve_system  # noqa: F401
+from .fem import LINE_N, QUAD_N, corner_slices, pin, solve_linear, solve_system  # noqa: F401
 from .mesh import SpaceTimeMesh, TimeMesh
 
 
@@ -122,24 +122,6 @@ class _KronMass:
         return _band_solve(self.x.factor, X.T).T.ravel()       # ... M_x^-1
 
 
-def _pinned_grid(shape: tuple, rows: dict, cols: dict, col_name: str = "column") -> np.ndarray:
-    """Zero grid of ``shape`` holding the pinned rows, then the pinned
-    columns, so that a node on both takes its column's value.  A line pins
-    one value, or all of its own (a row shape[1], a column shape[0]); other
-    lengths are an :class:`InvalidArgumentError` naming the line."""
-    for lines, name, n in ((rows, "row", shape[1]), (cols, col_name, shape[0])):
-        for i, values in lines.items():
-            if np.ndim(values) and np.shape(values) != (n,):
-                raise InvalidArgumentError(f"pinned {name} {i} has shape "
-                                           f"{np.shape(values)}, expected {n} values")
-    U = np.zeros(shape)
-    for i, values in rows.items():
-        U[i] = values
-    for j, values in cols.items():
-        U[:, j] = values
-    return U
-
-
 def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, rows: dict, cols: dict) -> np.ndarray:
     """Project element Gauss-point samples (n_elems, 4) onto the (nt + 1,
     nx + 1) grid of nodal values.
@@ -156,11 +138,10 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, rows: dict, cols: dict)
     if samples.shape != (mesh.n_elements, 4):
         raise InvalidArgumentError(
             f"samples shape {samples.shape}, expected {(mesh.n_elements, 4)}")
-    r, c = sorted(rows), sorted(cols)
-    t = _axis(mesh.nt, mesh.ht, tuple(r))
-    x = _axis(mesh.nx, mesh.hx, tuple(c))
+    t = _axis(mesh.nt, mesh.ht, tuple(sorted(rows)))
+    x = _axis(mesh.nx, mesh.hx, tuple(sorted(cols)))
     shape = (mesh.nt + 1, mesh.nx + 1)
-    U = _pinned_grid(shape, rows, cols)
+    (mask,), (U,) = pin(shape, (rows, cols))
 
     # rhs_A = sum_e sum_q w detJ N^A(q) u(q), by corner slices in the order
     # 2, 3, 1, 0 in which a node's element contributions come in element order
@@ -170,10 +151,10 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, rows: dict, cols: dict)
     for a in (2, 3, 1, 0):
         rhs[corners[a]] += contrib[..., a]
     b = rhs[0] - _kron_matvec(t.band, x.band, U)             # move the pins to the rhs
-    b[r], b[:, c] = U[r], U[:, c]                            # the identity lines
+    b[mask] = U[mask]                                        # the identity lines
     M = _KronMass(t, x)
     V = solve_linear(M, b.ravel(), lu=M).reshape(shape)
-    V[r], V[:, c] = U[r], U[:, c]
+    V[mask] = U[mask]
     return V
 
 
@@ -192,15 +173,14 @@ def l2_project_time(mesh: TimeMesh, samples: np.ndarray, nodes: dict) -> np.ndar
             f"with optional leading components")
 
     h = mesh.h
-    p = sorted(nodes)
-    axis = _axis(mesh.ne, h, tuple(p))
+    axis = _axis(mesh.ne, h, tuple(sorted(nodes)))
     contrib = 0.5 * h * S @ LINE_N               # (n_comp, ne, 2a)
     rhs = np.zeros((S.shape[0], mesh.n_nodes))
     rhs[:, :-1] += contrib[..., 0]
     rhs[:, 1:] += contrib[..., 1]
 
-    out = _pinned_grid(rhs.shape, {}, nodes, col_name="node")
+    (mask,), (out,) = pin(rhs.shape, ({}, nodes), col_name="node")
     rhs = rhs - _band_matvec(axis.band, out.T).T
-    rhs[:, p] = out[:, p]                        # the identity lines give them back bitwise
+    rhs[mask] = out[mask]                        # the identity lines give them back bitwise
     out = _band_solve(axis.factor, rhs.T).T
     return out[0] if samples.ndim == 2 else out

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgumentError, in_stage
 from .fem import (FactoredSystem, assemble_uniform, boundary_load, dtp, gradient_tables,
                   gram_matrix, pin)
-from .mesh import BOTTOM, LEFT, RIGHT, TOP, NodalGrid, SpaceTimeMesh, build_space_time_mesh
+from .mesh import BOTTOM, LEFT, NodalGrid, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
 
 #: half-width, in elements, of the window around the jump that track_jump reads
@@ -89,7 +89,7 @@ def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh):
         raise InvalidArgumentError(
             f"mesh length {mesh.L} does not match problem length {problem.L}")
     matrix = assemble_uniform(mesh, gram_matrix(mesh, dtp_table(mesh, problem.c)))
-    pinned = pin((mesh.boundary_nodes(TOP), 0.0), (mesh.boundary_nodes(RIGHT), 0.0))
+    pinned = pin((mesh.nt + 1, mesh.nx + 1), ({mesh.nt: 0.0}, {mesh.nx: 0.0}))
     return matrix, pinned
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualfem.fem import _band_axes
 from dualfem.mesh import TimeMesh
 
 # the 2x2 Gauss points of [-1, 1]^2 in the counter-clockwise order of the
@@ -43,6 +44,13 @@ def nodes_and_elements(mesh):
     JT, IX = np.meshgrid(np.arange(mesh.nt), np.arange(mesh.nx), indexing="ij")
     n00 = (JT * nx1 + IX).ravel()
     return nodes, np.column_stack([n00, n00 + 1, n00 + nx1 + 1, n00 + nx1])
+
+
+def band_order(mesh, n_fields):
+    """The dof at each position of the band numbering of a space-time mesh:
+    the (field, t, x) grid of dof ids transposed by ``fem._band_axes``."""
+    dofs = np.arange(n_fields * mesh.n_nodes).reshape(n_fields, mesh.nt + 1, mesh.nx + 1)
+    return dofs.transpose(_band_axes(mesh)[-1]).ravel()
 
 
 def gauss_points(mesh):

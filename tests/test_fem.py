@@ -9,12 +9,12 @@ from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, gauss_points, nodes_and_elements
+from conftest import band_order, dense, gauss_points, nodes_and_elements
 from dualfem import cli, heat, transport
 from dualfem.cli import make_initial
 from dualfem.errors import AssemblyError, InvalidArgumentError, SolverError
-from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, BandCholesky, FactoredSystem,
-                         apply_dirichlet, assemble_uniform, band_key, boundary_load, dtp,
+from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, BandCholesky, FactoredSystem, _band_axes,
+                         apply_dirichlet, assemble_uniform, boundary_load, dtp,
                          gradient_tables, gram_matrix, pin, q_dual_heat, q_dual_wave,
                          solve_linear, solve_system)
 from dualfem.heat import DIRICHLET_THETA, HeatProblem, assemble_heat
@@ -177,18 +177,27 @@ def test_boundary_load_linear_exact():
     assert load[bn[2]] == pytest.approx(1.5, rel=1e-13)
 
 
-def test_constrain_conflicts_rejected():
-    dofs, values = pin(([1], [2.0]), ([1, 3], [2.0, 5.0]))    # identical re-prescription is fine
-    assert np.array_equal(dofs, [1, 3]) and np.array_equal(values, [2.0, 5.0])
-    with pytest.raises(InvalidArgumentError, match="dof 7"):
-        pin(([0, 7], [2.0, 1.0]), ([7], [3.0]))
+def test_pin_marks_grid_lines_and_a_column_wins_where_they_meet():
+    # two fields on a 3 x 4 grid: a row and a broadcast column of the first,
+    # one column of the second
+    mask, values = pin((3, 4), ({2: [1.0, 2.0, 3.0, 4.0]}, {0: -1.0}),
+                       ({}, {3: [5.0, 6.0, 0.1 + 0.2]}))
+    assert mask.dtype == bool and mask.shape == values.shape == (2, 3, 4)
+    assert np.array_equal(mask[0], [[1, 0, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1]])
+    assert np.array_equal(values[0], [[-1, 0, 0, 0], [-1, 0, 0, 0], [-1, 2, 3, 4]])
+    assert np.array_equal(mask[1], [[0, 0, 0, 1]] * 3)
+    assert values[1, 2, 3] == 0.1 + 0.2                   # bitwise
+    assert not values[~mask].any()
 
 
-def test_pin_sorts_and_keeps_the_last_value():
-    dofs, values = pin(([5, 1], 0.3), ([1], [0.1 + 0.2]), (np.arange(1), -1.0))
-    assert dofs.dtype == np.int64 and np.array_equal(dofs, [0, 1, 5])
-    assert values[1] == 0.1 + 0.2 and values[1] != 0.3    # bitwise, the last one
-    assert np.array_equal(values[[0, 2]], [-1.0, 0.3])
+def dof_pins(A, dofs, values):
+    """The (mask, values) pin set of single dofs of A, which grid lines
+    cannot pin."""
+    mask = np.zeros((A.n_fields, A.mesh.nt + 1, A.mesh.nx + 1), dtype=bool)
+    grid = np.zeros(mask.shape)
+    mask.flat[dofs] = True
+    grid.flat[dofs] = values
+    return mask, grid
 
 
 def on_one_element(M):
@@ -209,23 +218,31 @@ def dense_lower_band(M, order):
 
 
 def test_pin_of_nothing_leaves_every_dof_free():
-    dofs, values = pin()
-    assert dofs.shape == values.shape == (0,)
+    nothing = pin((2, 2), ({}, {}))
+    assert not nothing[0].any() and not nothing[1].any()
     # every dof of a one-element dual, -(ones + identity), is solved for
     A = assemble_uniform(ONE, -(np.ones((4, 4)) + np.eye(4)))
     band = A.lower_band()
-    lift = apply_dirichlet(A, pin(), band, band_key(ONE, 1))
+    lift = apply_dirichlet(A, nothing, band)
     assert np.array_equal(band, A.lower_band()) and np.array_equal(lift, np.zeros(4))
-    x = solve_system(A, -np.array([11.0, 12.0, 13.0, 14.0]), pin())
+    with pytest.raises(InvalidArgumentError, match=r"shape \(2, 2, 2\), expected \(1, 2, 2\)"):
+        apply_dirichlet(A, pin((2, 2), ({}, {}), ({}, {})), band)
+    x = solve_system(A, -np.array([11.0, 12.0, 13.0, 14.0]), nothing)
     assert np.allclose(x, [1.0, 2.0, 3.0, 4.0], atol=1e-14)
 
 
 def test_hand_solved_two_by_two():
-    # the factor is -A's Cholesky factor; the reversed order permutes the dofs
-    A = -np.array([[2.0, 1.0], [1.0, 3.0]])
-    order = np.array([1, 0])
-    x = solve_linear(A, -np.array([3.0, 5.0]), BandCholesky(dense_lower_band(-A, order), order))
-    assert np.allclose(x, [0.8, 1.4], atol=1e-14)
+    # two hand-solved 2 x 2 systems, on dofs (0, 2) and (1, 3) of a 2 x 2
+    # grid; the transposed grid numbers them 0, 2, 1, 3, so that each pair
+    # is adjacent and the band of -A has half-bandwidth 1
+    A = -np.array([[2.0, 0.0, 1.0, 0.0],
+                   [0.0, 2.0, 0.0, 1.0],
+                   [1.0, 0.0, 3.0, 0.0],
+                   [0.0, 1.0, 0.0, 3.0]])
+    band = dense_lower_band(-A, [0, 2, 1, 3])
+    assert band.shape == (4, 2)
+    x = solve_linear(A, -np.array([3.0, 4.0, 5.0, 7.0]), BandCholesky(band, (2, 2), (1, 0)))
+    assert np.allclose(x, [0.8, 1.0, 1.4, 2.0], atol=1e-14)
 
 
 def test_solve_linear_rejects_singular():
@@ -240,15 +257,14 @@ def test_factor_of_singular_matrix_is_a_solver_error():
     # -A is singular: its second pivot is 1 - 1 * 1 = 0
     neg = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SolverError, match="pivot 2 of 2"):
-        BandCholesky(dense_lower_band(neg, np.arange(2)), np.arange(2))
+        BandCholesky(dense_lower_band(neg, np.arange(2)), (2,), (0,))
 
 
 def test_solve_linear_rejects_factor_of_another_matrix():
     A = -np.array([[2.0, 1.0], [1.0, 3.0]])
     B = -np.array([[2.0, 1.0], [1.0, 4.0]])
     b = -np.array([3.0, 5.0])
-    order = np.arange(2)
-    lu_A, lu_B = (BandCholesky(dense_lower_band(-M, order), order) for M in (A, B))
+    lu_A, lu_B = (BandCholesky(dense_lower_band(-M, np.arange(2)), (2,), (0,)) for M in (A, B))
     assert np.allclose(solve_linear(A, b, lu_A), [0.8, 1.4], atol=1e-14)
     with pytest.raises(SolverError, match="residual"):
         solve_linear(A, b, lu_B)
@@ -285,7 +301,7 @@ def hand_dual():
                                   [1.0, 3.0, 1.0, 0.0],
                                   [0.0, 1.0, 2.0, 1.0],
                                   [0.0, 0.0, 1.0, 3.0]]))
-    return A, np.array([1.0, 5.0, 6.0, 7.0]), pin(([0], [0.1 + 0.2])), ONE
+    return A, np.array([1.0, 5.0, 6.0, 7.0]), dof_pins(A, [0], [0.1 + 0.2]), ONE
 
 
 def steady_gauge_dual(nx, nt):
@@ -307,12 +323,13 @@ def csr_reference(A):
     return sp.coo_matrix((data, (rows, cols)), shape=A.shape).tocsr()
 
 
-def csr_band(C, key):
+def csr_band(C, order):
     """The lower band of -C for a symmetric CSR matrix C in the numbering
-    ``key`` (dof -> position): every stored (row, col) pair permuted once,
+    ``order`` (position -> dof): every stored (row, col) pair permuted once,
     an entry and its mirror landing on the same slot."""
-    r = np.repeat(key, np.diff(C.indptr))
-    c = key[C.indices]
+    C = C[order][:, order]
+    r = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    c = C.indices
     off = np.abs(r - c)
     kd = int(off.max(initial=0))
     band = np.zeros((C.shape[0], kd + 1))
@@ -332,11 +349,11 @@ STENCIL_CASES = {
 @pytest.mark.parametrize("case", STENCIL_CASES)
 def test_stencil_band_matches_csr_band(case):
     # the band written from the local matrix is the band of the CSR matrix
-    # assembled element by element, in the band_key order, to the rounding
+    # assembled element by element, in the band order, to the rounding
     # of the order in which each entry sums its elements
     A = STENCIL_CASES[case]()
     band = A.lower_band()
-    ref = csr_band(csr_reference(A), band_key(A.mesh, A.n_fields))
+    ref = csr_band(csr_reference(A), band_order(A.mesh, A.n_fields))
     assert band.shape == ref.shape and np.array_equal(band == 0, ref == 0)
     assert np.abs(band - ref).max() <= 1e-15 * np.abs(ref).max()
     s = min(A.mesh.nx, A.mesh.nt) + 1
@@ -353,14 +370,14 @@ def test_stencil_matmul_matches_dense(case, rng):
     ref = element_loop(A.mesh, A.local)
     # each band entry sums its elements in element order, as the loop does
     assert np.array_equal(A.lower_band(),
-                          dense_lower_band(-ref, np.argsort(band_key(A.mesh, A.n_fields))))
+                          dense_lower_band(-ref, band_order(A.mesh, A.n_fields)))
     x = rng.standard_normal(A.shape[0])
     assert np.abs(A @ x - ref @ x).max() <= 1e-14 * np.abs(ref).sum(axis=1).max()
     pinned = np.unique(rng.integers(0, A.shape[0], size=A.shape[0] // 3))
     ref[pinned] = 0.0
     ref[:, pinned] = 0.0
     ref[pinned, pinned] = -1.0
-    got = replace(A, pinned=pinned) @ x
+    got = replace(A, pinned=dof_pins(A, pinned, 0.0)[0]) @ x
     assert np.abs(got - ref @ x).max() <= 1e-14 * np.abs(ref).sum(axis=1).max()
     assert np.array_equal(got[pinned], -x[pinned])
 
@@ -372,16 +389,16 @@ def test_factored_solve_matches_dense_free_block_solve(dual):
     # the pinned dofs are identity lines of the factored band, and the lift
     # is the dense -A[free, pinned] @ values; the solution matches a dense
     # solve of the free block and gives back the pinned values bitwise
-    A, load, (cdofs, cvals), mesh = dual()
+    A, load, pins, mesh = dual()
+    cdofs, free = np.flatnonzero(pins[0]), np.flatnonzero(~pins[0])
+    cvals = pins[1].ravel()[cdofs]
     M = element_loop(mesh, A.local)
-    free = np.setdiff1d(np.arange(A.shape[0]), cdofs)
-    key = band_key(mesh, A.n_fields)
     band = A.lower_band()
-    lift = apply_dirichlet(A, (cdofs, cvals), band, key)
+    lift = apply_dirichlet(A, pins, band)
     pinned = M.copy()
     pinned[cdofs] = pinned[:, cdofs] = 0.0
     pinned[cdofs, cdofs] = -1.0
-    ref = dense_lower_band(-pinned, np.argsort(key))
+    ref = dense_lower_band(-pinned, band_order(mesh, A.n_fields))
     assert np.array_equal(band[:, :ref.shape[1]], ref)
     assert not band[:, ref.shape[1]:].any()
     want = -(M[np.ix_(free, cdofs)] @ cvals)
@@ -390,7 +407,7 @@ def test_factored_solve_matches_dense_free_block_solve(dual):
     if dual is hand_dual:
         assert np.array_equal(free, [1, 2, 3])
         assert np.array_equal(lift[free], [0.1 + 0.2, 0.0, 0.0])
-    x = FactoredSystem(A, (cdofs, cvals)).solve(load)
+    x = FactoredSystem(A, pins).solve(load)
     ref = np.linalg.solve(M[np.ix_(free, free)], load[free] + want)
     assert np.abs(x[free] - ref).max() <= 1e-10 * np.abs(ref).max()
     assert x[cdofs].tobytes() == cvals.tobytes()
@@ -413,7 +430,7 @@ def test_band_and_superlu_solves_agree(dual, kd):
     system = FactoredSystem(A, pinned)
     assert system.lu.band.shape[0] - 1 == kd
     assert np.all(pinned[1] == 0.0)
-    free = np.setdiff1d(np.arange(A.shape[0]), pinned[0])
+    free = np.flatnonzero(~pinned[0])
     x = system.solve(load)
     C = csr_reference(A)
     ref = splu(C[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
@@ -437,17 +454,17 @@ def test_factor_memory_peak_is_near_the_band():
 
 @pytest.mark.parametrize("n_fields", [1, 2])
 @pytest.mark.parametrize("nx, nt", [(7, 3), (3, 7)])
-def test_band_key_half_bandwidth(nx, nt, n_fields):
+def test_band_order_half_bandwidth(nx, nt, n_fields):
     # every element couples all its dofs; with s = 4 nodes across the short
-    # axis the band key gives half-bandwidth (s + 2) n_fields - 1, the band
+    # axis the band order gives half-bandwidth (s + 2) n_fields - 1, the band
     # that lower_band writes.  Each element matrix is -(ones + identity), so
     # -A is positive definite
     m = build_space_time_mesh(1.0, 1.0, nx, nt)
     ndof_e = 4 * n_fields
     A = assemble_uniform(m, -(np.ones((ndof_e, ndof_e)) + np.eye(ndof_e)))
-    order = np.argsort(band_key(m, n_fields))
+    order = band_order(m, n_fields)
     i, j = np.nonzero(dense(A)[np.ix_(order, order)])
-    lu = BandCholesky(A.lower_band(), order)
+    lu = BandCholesky(A.lower_band(), (n_fields, nt + 1, nx + 1), _band_axes(m)[-1])
     assert lu.band.shape[0] - 1 == np.abs(i - j).max() == 6 * n_fields - 1
 
 
@@ -458,7 +475,7 @@ def test_band_route_rejects_a_matrix_whose_negative_is_not_definite():
     neg = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     neg[30, 30] = -2.0
     with pytest.raises(SolverError, match="pivot 31 of 50"):
-        BandCholesky(dense_lower_band(neg, np.arange(n)), np.arange(n))
+        BandCholesky(dense_lower_band(neg, np.arange(n)), (n,), (0,))
 
 
 def test_factored_system_solves_any_rhs(rng):
@@ -467,7 +484,7 @@ def test_factored_system_solves_any_rhs(rng):
                    [0.0, -1.0, 4.0, -1.0],
                    [0.0, 0.0, -1.0, 4.0]])
     A = on_one_element(M)
-    pinned = pin(([0, 3], [0.1 + 0.2, -2.0]))
+    pinned = dof_pins(A, [0, 3], [0.1 + 0.2, -2.0])
     factored = FactoredSystem(A, pinned)
     for _ in range(3):
         rhs = rng.standard_normal(4)
@@ -483,7 +500,7 @@ def test_solve_system_with_constraints():
                                   [-1.0, 2.0, -1.0, 0.0],
                                   [0.0, -1.0, 2.0, -1.0],
                                   [0.0, 0.0, -1.0, 2.0]]))
-    u = solve_system(A, np.zeros(4), pin(([0, 3], [0.0, 1.0])))
+    u = solve_system(A, np.zeros(4), dof_pins(A, [0, 3], [0.0, 1.0]))
     assert np.allclose(u, [0.0, 1 / 3, 2 / 3, 1.0], atol=1e-14)
 
 

@@ -5,7 +5,7 @@ from conftest import gauss_legendre_integrate_2d, gauss_points, nodes_and_elemen
 from dualfem import heat as hm
 from dualfem.errors import InvalidArgumentError
 from dualfem.fem import gram_matrix
-from dualfem.mesh import LEFT, RIGHT, TOP, build_space_time_mesh
+from dualfem.mesh import LEFT, RIGHT, build_space_time_mesh
 from dualfem.projection import l2_project
 from dualfem.oracles import heat_steady, heat_transient
 
@@ -28,13 +28,13 @@ def steady_problem(**dual_bc):
         pi_right=ZERO, theta_right=const(4.0), **bc)
 
 
-def transient_problem():
+def transient_problem(**dual_bc):
     return hm.HeatProblem(
         k=0.2, L=1.0, T=1.1,
         theta0=lambda x: np.sin(0.5 * np.pi * np.asarray(x, dtype=float)) + 1.0,
         theta_left=const(1.0),
         right_mode=hm.NEUMANN_PI,
-        pi_right=ZERO)
+        pi_right=ZERO, **dual_bc)
 
 
 def shape_interp(coords, nodal):
@@ -131,40 +131,42 @@ def test_dirichlet_right_rhs_carries_negative_theta_r_term():
     assert rhs[n + i] == pytest.approx(expect, rel=1e-13)
 
 
+def lines(m, row=None, cols=()):
+    """(nt + 1, nx + 1) mask of one time row and some space columns."""
+    mask = np.zeros((m.nt + 1, m.nx + 1), dtype=bool)
+    if row is not None:
+        mask[row] = True
+    mask[:, list(cols)] = True
+    return mask
+
+
 def test_constraint_layout_per_mode():
     m = build_space_time_mesh(1.0, 1.1, 3, 3)
-    n = m.n_nodes
-    _, _, pinned = hm.assemble_heat(steady_problem(), m)
-    # Dirichlet-theta mode constrains l on left, top, right; p is free
-    constrained = set(pinned[0].tolist())
-    for node in m.boundary_nodes(RIGHT):
-        assert n + node in constrained
-        assert node not in constrained
-    _, _, pinned = hm.assemble_heat(transient_problem(), m)
-    constrained = set(pinned[0].tolist())
-    for node in m.boundary_nodes(RIGHT):
-        assert node in constrained           # p pinned in neumann_pi mode
-        if node not in m.boundary_nodes(TOP):
-            assert n + node not in constrained
+    # dirichlet_theta mode pins l on the left, top and right lines; p is free
+    (p, l), _ = hm.assemble_heat(steady_problem(), m)[2]
+    assert not p.any() and np.array_equal(l, lines(m, m.nt, (0, m.nx)))
+    # neumann_pi mode pins p on the right column, l on the left and top lines
+    (p, l), _ = hm.assemble_heat(transient_problem(), m)[2]
+    assert np.array_equal(p, lines(m, cols=(m.nx,)))
+    assert np.array_equal(l, lines(m, m.nt, (0,)))
 
 
 @pytest.mark.parametrize("make_problem", [steady_problem, transient_problem])
 def test_heat_pins_each_corner_once(make_problem):
-    # the top corners lie on two pinned edges each, but are pinned once
+    # the top corners of l lie on a pinned row and a pinned column; they
+    # take the column's value, which need only agree with the row's to 1e-12
     m = build_space_time_mesh(1.0, 1.1, 3, 3)
-    n = m.n_nodes
-    problem = make_problem()
-    _, _, (dofs, values) = hm.assemble_heat(problem, m)
-    assert np.all(np.diff(dofs) > 0)              # sorted, no dof twice
-    top = m.boundary_nodes(TOP)
+    top = lambda x: np.full_like(x, 1.0 + 1e-13)
+    problem = make_problem(l_left=const(1.0), l_top=top, l_right=const(1.0), p_right=const(2.0))
+    mask, values = hm.assemble_heat(problem, m)[2]
     neumann = problem.right_mode == hm.NEUMANN_PI
-    # l at both top corners, and p at the top-right one in neumann_pi mode
-    corners = [n + top[0], n + top[-1]] + ([top[-1]] if neumann else [])
-    for d in corners:
-        assert np.count_nonzero(dofs == d) == 1
+    assert values[1, -1, 0] == 1.0 and values[1, -1, 1] == 1.0 + 1e-13
+    assert values[1, -1, -1] == (1.0 + 1e-13 if neumann else 1.0)
+    assert np.all(values[0][mask[0]] == 2.0)
+    assert not values[~mask].any()
     # two columns and a row, less the corners they share
     shared = 1 if neumann else 2
-    assert dofs.size == values.size == 2 * (m.nt + 1) + (m.nx + 1) - shared
+    assert np.count_nonzero(mask) == 2 * (m.nt + 1) + (m.nx + 1) - shared
 
 
 def test_mesh_extent_mismatch_rejected():
@@ -178,10 +180,15 @@ def test_problem_validation():
     with pytest.raises(InvalidArgumentError):
         hm.HeatProblem(k=1.0, L=1.0, T=1.0, theta0=ZERO, theta_left=ZERO,
                        right_mode="robin")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match=r"l_top\(0\) == l_left\(T\)"):
         # corner mismatch: l_left(T) = 1 but l_top(0) = 0
         hm.HeatProblem(k=1.0, L=1.0, T=1.0, theta0=ZERO, theta_left=ZERO,
                        l_left=const(1.0), l_top=ZERO)
+    with pytest.raises(InvalidArgumentError, match=r"l_top\(L\) == l_right\(T\)"):
+        # top-right corner mismatch in dirichlet_theta mode: l_right(T) = 1e-11
+        # but l_top(L) = 0
+        hm.HeatProblem(k=1.0, L=1.0, T=1.0, theta0=ZERO, theta_left=ZERO,
+                       right_mode=hm.DIRICHLET_THETA, l_right=const(1e-11))
 
 
 def test_dtp_trivial_and_linear_fields():

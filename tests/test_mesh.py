@@ -5,8 +5,8 @@ import pytest
 
 from conftest import nodes_and_elements
 from dualfem.errors import InvalidArgumentError
-from dualfem.mesh import (BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, build_space_time_mesh,
-                          build_time_mesh)
+from dualfem.mesh import (BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, TimeMesh,
+                          build_space_time_mesh, build_time_mesh)
 
 
 def test_node_coordinates_row_major():
@@ -79,6 +79,15 @@ def test_space_time_mesh_is_its_four_numbers():
     twin = build_space_time_mesh(2.16, 0.55, 216, 55)
     assert m == twin and hash(m) == hash(twin)
     assert m != build_space_time_mesh(2.16, 0.55, 216, 56)
+
+
+def test_time_mesh_is_its_two_numbers():
+    m = build_time_mesh(1.0, 4)
+    assert tuple(f.name for f in fields(TimeMesh)) == ("T", "ne")
+    twin = build_time_mesh(1.0, 4)
+    assert m == twin and hash(m) == hash(twin)
+    assert m != build_time_mesh(1.0, 5)
+    assert m.nodes.tobytes() == np.linspace(0.0, 1.0, 5).tobytes()
 
 
 def test_coordinate_vectors():
