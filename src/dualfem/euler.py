@@ -9,6 +9,7 @@ elements of every stage are discarded before chaining.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -125,12 +126,13 @@ def _mesh_tables(ne: int, h: float):
 
     Returns the rate table Ndot [q, a], the Jacobian's shape-function weights
     W [a b, s t q] (N for (val, lambda), Ndot for (dot, lambdadot)) and the
-    flat band index of every element entry [a, b, i, j, e] for ``np.bincount``.
+    flat index column * 11 + band row of every element entry [a, b, i, j, e]
+    for ``np.bincount``.
     """
     Ndot = np.array([[-1.0, 1.0], [-1.0, 1.0]]) / h              # [q, a]
     phi = np.stack([_N, Ndot])                                    # [s, q, a]
     W = np.einsum("sqa,tqb->abstq", phi, phi).reshape(4, 8)
-    band = (_ELEM_BAND * (3 * (ne + 1)) + _ELEM_COL + 3 * np.arange(ne)).ravel()
+    band = ((_ELEM_COL + 3 * np.arange(ne)) * 11 + _ELEM_BAND).ravel()
     for table in (Ndot, W, band):
         table.flags.writeable = False
     return Ndot, W, band
@@ -144,7 +146,9 @@ def _dtp_at_gauss(mesh: TimeMesh, lam: np.ndarray, base, config: EulerConfig):
     (3, 2 q, ne) and the rate table Ndot of shape (2 q, 2 a).
     """
     Ndot = _mesh_tables(mesh.ne, mesh.h)[0]
-    lam_e = np.stack([lam[:, :-1], lam[:, 1:]], axis=1)          # (3, 2a, ne)
+    # np.stack(axis=1) builds the same array in twice the time
+    lam_e = np.empty((3, 2, mesh.ne))                             # (3, 2a, ne)
+    lam_e[:, 0], lam_e[:, 1] = lam[:, :-1], lam[:, 1:]
     return dtp_euler(_N @ lam_e, Ndot @ lam_e, base, config) + (Ndot,)
 
 
@@ -172,8 +176,9 @@ def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> np.ndarray:
 
     ``gauss`` is the Gauss-point state returned by :func:`_dtp_at_gauss`.
     Dofs are node-major, 3 A + i, the order of ``R.T.ravel()``.  Returns the
-    (11, 3 n_nodes) band of the block-tridiagonal matrix: entry (row, col)
-    sits at [5 + row - col, col], offsets 5 .. -5 from the top row down.
+    (11, 3 n_nodes) band of the block-tridiagonal matrix, Fortran-ordered:
+    entry (row, col) sits at [5 + row - col, col], offsets 5 .. -5 from the
+    top row down.
     """
     I, c, nu, n, ne = config.I, config.c, config.nu, mesh.n_nodes, mesh.ne
     omega, dwl, dwld, _ = gauss
@@ -184,12 +189,13 @@ def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> np.ndarray:
     # derivatives d omega_m / d(lambda_j, lambdadot_j): M[s, t, q, i, j, e]
     dval = (omega[_OTHER].reshape(3, 3, 2, ne) * (c[:, None] * _OFFDIAG)[..., None, None]
             + np.diag(nu * I)[..., None, None])
-    trial = np.stack([dwl, dwld])                                 # [t, m, j, q, e]
-    M = np.stack([np.einsum("imqe,tmjqe->tqije", dval, trial),
+    # np.array stacks as np.stack does, in a third of its time
+    trial = np.array([dwl, dwld])                                 # [t, m, j, q, e]
+    M = np.array([np.einsum("imqe,tmjqe->tqije", dval, trial),
                   -I[:, None, None] * trial.transpose(0, 3, 1, 2, 4)])
     ke = 0.5 * mesh.h * (W @ M.reshape(8, -1))                    # [a b, i j e]
 
-    return np.bincount(band, ke.ravel(), minlength=11 * 3 * n).reshape(11, 3 * n)
+    return np.bincount(band, ke.ravel(), minlength=11 * 3 * n).reshape(3 * n, 11).T
 
 
 def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -199,21 +205,22 @@ def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     m = 3 (n - 1) rows and columns, the free block, go to one LAPACK
     ``dgbsv``: the first m band columns, placed in rows 5 .. 15 of a zeroed
     (16, m) array (the five extra rows hold the LU fill-in).  One BLAS
-    ``dgbmv`` on the same m band columns checks the step.  Band entries of
-    the lambda(T) rows fall below the m x m block, where LAPACK never reads;
-    the BLAS wrapper asks for at least 11 rows, so for m < 11 (under four
-    elements) it also forms rows m .. 10 of the product, which are dropped.
+    ``dgbmv`` on the same m band columns checks the step; they are the first
+    11 m entries of the Fortran-ordered band, so no copy is made.  Band
+    entries of the lambda(T) rows fall below the m x m block, where LAPACK
+    never reads.
     """
     m = R.size - 3
     ab = np.zeros((16, m), order="F")
     ab[5:] = J[:, :m]
-    rhs = R.T.ravel()
-    _, _, step, info = dgbsv(5, 5, ab, -rhs[:m], overwrite_ab=True, overwrite_b=True)
+    rhs = R.T.ravel()[:m]
+    _, _, step, info = dgbsv(5, 5, ab, -rhs, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise SolverError(f"Newton matrix is singular: zero pivot at free dof "
                           f"{info - 1} of {m}")
-    lin_res = np.linalg.norm(dgbmv(max(m, 11), m, 5, 5, 1.0, J[:, :m], step)[:m] + rhs[:m])
-    bound = 1e-8 * np.linalg.norm(rhs[:m])
+    r = dgbmv(m, m, 5, 5, 1.0, J[:, :m], step) + rhs
+    lin_res = math.sqrt(r @ r)                  # np.linalg.norm, bitwise
+    bound = 1e-8 * math.sqrt(rhs @ rhs)
     if not lin_res <= bound:                    # a non-finite step fails too
         raise SolverError(
             f"Newton step residual {lin_res:.3e} exceeds 1e-8 |R| = {bound:.3e}")

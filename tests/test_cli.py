@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dualfem import cli
+from dualfem import _lapack, cli
 from dualfem.cli import (EXIT_BRANCH, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, ConfigError,
                          _write_csv, main, make_initial, run_config)
 from dualfem.errors import InvalidArgumentError
@@ -450,17 +450,49 @@ def test_out_of_memory_exits_solver(tmp_path, capsys, monkeypatch):
     assert not (out / "summary.json").exists()
 
 
+def run_python(code, *args):
+    """``python -c code args`` with this checkout's dualfem on the path."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True)
+
+
+needs_numpy_openblas = pytest.mark.skipif(
+    _lapack._openblas() is None,
+    reason="numpy's BLAS does not export scipy_<routine>_64_, so dualfem._lapack "
+           "takes the four routines from scipy's extensions")
+
+
 def test_cli_import_leaves_out_the_sparse_solvers():
     # every factorization is LAPACK band Cholesky or band LU, whose compiled
-    # routines dualfem._lapack loads straight from scipy's extension files,
-    # and no matrix is assembled in a sparse format: neither scipy.sparse nor
-    # scipy.linalg loads
-    code = ("import sys, dualfem.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.sparse', 'scipy.linalg'))))")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert run.stdout == "[]\n"
+    # routines dualfem._lapack takes from numpy's OpenBLAS or, failing that,
+    # from scipy's extension files, and no matrix is assembled in a sparse
+    # format: neither scipy.sparse nor scipy.linalg loads
+    run = run_python("import sys, dualfem.cli; print(sorted(m for m in sys.modules "
+                     "if m.startswith(('scipy.sparse', 'scipy.linalg'))))")
+    assert (run.returncode, run.stdout) == (0, "[]\n")
+
+
+@needs_numpy_openblas
+def test_cli_import_loads_no_scipy_module():
+    # the four routines are called in the OpenBLAS numpy already loaded
+    run = run_python("import sys, dualfem.cli; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert (run.returncode, run.stdout) == (0, "[]\n")
+
+
+@needs_numpy_openblas
+def test_presets_run_with_scipy_unimportable(tmp_path):
+    # a rigid-body and a transport run, with every import of scipy failing
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from dualfem.cli import main\n"
+            "sys.exit(max(main(['preset', name, '--out', sys.argv[1] + '/' + name])\n"
+            "             for name in ('euler-damped', 'transport-step')))")
+    run = run_python(code, str(tmp_path))
+    assert run.returncode == 0, run.stderr
+    for name in ("euler-damped", "transport-step"):
+        assert (tmp_path / name / "summary.json").is_file()
 
 
 def test_make_initial_families(tmp_path):

@@ -141,6 +141,8 @@ def test_jacobian_matches_finite_difference_residual(rng):
     gauss = lambda lam: euler._dtp_at_gauss(mesh, lam, base, cfg)
     J = jacobian(gauss(lam), cfg, mesh)
     assert type(J) is np.ndarray and J.shape == (11, 3 * n)
+    # Fortran-ordered, so the Newton step's band columns need no copy
+    assert J.flags.f_contiguous
     J = dense_band(J)[np.ix_(p, p)]
     eps = 1e-7
     for dof in range(3 * n):
@@ -200,8 +202,8 @@ def test_newton_step_ignores_the_final_node_band(rng):
 
 @pytest.mark.parametrize("ne", [1, 2, 3])
 def test_newton_step_on_stages_narrower_than_the_band(rng, ne):
-    # under four elements the free block has fewer than 11 rows, the least
-    # the BLAS band product takes; the step still matches a dense solve
+    # under four elements the free block has fewer rows than the band's 11;
+    # the step still matches a dense solve and passes its band product check
     cfg = EulerConfig(I=(1.0, 2.0, 5.0), omega0=(0.3, 1.0, 0.2), nu=0.2,
                       T_stage=0.3, ne_per_stage=ne, N_c=0)
     mesh = build_time_mesh(cfg.T_stage, ne)
