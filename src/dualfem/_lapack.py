@@ -48,7 +48,10 @@ _UPLO = (b"U", b"L")
 
 def _openblas():
     """The ``ctypes`` functions of the four routines in numpy's OpenBLAS,
-    or None if the library does not export them all."""
+    or None if the library does not export them all or an array's address
+    cannot be read from the array object."""
+    if _OFFSET is None:
+        return None
     try:
         from numpy._core import _multiarray_umath
     except ImportError:                         # numpy 1.x
@@ -186,7 +189,7 @@ def _routines():
     """(dpbtrf, dpbtrs, dgbsv, dgbmv), from numpy's OpenBLAS if it exports
     them, else from scipy."""
     functions = _openblas()
-    if functions is None or _OFFSET is None:
+    if functions is None:
         return _from_scipy()
     return _from_openblas(*functions)
 

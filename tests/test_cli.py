@@ -459,8 +459,8 @@ def run_python(code, *args):
 
 needs_numpy_openblas = pytest.mark.skipif(
     _lapack._openblas() is None,
-    reason="numpy's BLAS does not export scipy_<routine>_64_, so dualfem._lapack "
-           "takes the four routines from scipy's extensions")
+    reason="numpy's BLAS does not export scipy_<routine>_64_, or the interpreter is "
+           "not CPython, so dualfem._lapack takes the routines from scipy's extensions")
 
 
 def test_cli_import_leaves_out_the_sparse_solvers():

@@ -76,7 +76,7 @@ def test_loaded_routines_match_scipy_linalg_bitwise():
     # where numpy's OpenBLAS exports the routines, they are called there
     # through ctypes wrappers, else scipy's f2py routines serve; either way
     # they compute exactly what scipy.linalg's routines compute
-    wrapped = _lapack._openblas() is not None and _lapack._OFFSET is not None
+    wrapped = _lapack._openblas() is not None
     kinds = {type(f).__name__ for f in (_lapack.dpbtrf, _lapack.dpbtrs, _lapack.dgbsv)}
     assert kinds == {"function" if wrapped else "fortran"}
     routines = (_lapack.dpbtrf, _lapack.dpbtrs, _lapack.dgbsv, _lapack.dgbmv)
@@ -84,7 +84,7 @@ def test_loaded_routines_match_scipy_linalg_bitwise():
     assert_bitwise(got, band_results(scipy_routines(), np.random.default_rng(7)))
 
 
-@pytest.mark.skipif(_lapack._OFFSET is None or _lapack._openblas() is None,
+@pytest.mark.skipif(_lapack._openblas() is None,
                     reason="the routines come from scipy's extensions")
 def test_ctypes_arguments_are_checked():
     # read from the array object, for owners, views, read-only and empty arrays
