@@ -4,17 +4,18 @@ One reference-element table of linear (interval) and bilinear (space-time)
 shape functions at the 2-point and 2x2 Gauss points, the dual element
 matrix of a dual-to-primal (DtP) table and its Gauss-point values, the
 matrix of one shared element matrix on a uniform mesh, applied and written
-into a band without assembly (:class:`UniformMatrix`), boundary loads,
-pinned grid lines as ``(mask, values)`` node grids (:func:`pin`), which
-become identity lines of the band, and a residual-checked linear solve by
-a factorization that serves every right-hand side.
+into a band without assembly (:class:`UniformMatrix`), boundary loads on
+grid lines (:func:`boundary_load`), pinned grid lines as ``(mask, values)``
+node grids (:func:`pin`), which become identity lines of the band, and a
+residual-checked linear solve by a factorization that serves every
+right-hand side.
 
-Global degrees of freedom are blocked by field: dof = field * n_nodes + node,
-the row-major (field, t, x) node grid.  Local element dofs follow the same
-ordering, dof = field * 4 + local_node.  A factorization numbers them by a
-transpose of that grid (:func:`_band_axes`): the mesh's long axis slowest,
-its short axis next and the fields innermost, so every dual is a band,
-which :class:`BandCholesky` factors.
+Global degrees of freedom are the (field, t, x) node grid, flattened
+row-major; loads and pins are lines of that grid.  Local element dofs are
+blocked by field too, dof = field * 4 + corner.  A factorization numbers
+them by a transpose of that grid (:func:`_band_axes`): the mesh's long
+axis slowest, its short axis next and the fields innermost, so every dual
+is a band, which :class:`BandCholesky` factors.
 
 The mesh stores no connectivity.  Over every element at once, local dof
 field * 4 + corner is one corner slice of the (field, t, x) node grid
@@ -24,13 +25,14 @@ are computed from these slices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._lapack import dpbtrf, dpbtrs
 from .errors import AssemblyError, InvalidArgumentError, SolverError
-from .mesh import BOTTOM, TOP, SpaceTimeMesh
+from .mesh import SpaceTimeMesh
 
 #: 2-point Gauss abscissa on [-1, 1]; both weights are 1
 GAUSS_1D = 1.0 / np.sqrt(3.0)
@@ -206,25 +208,30 @@ def assemble_uniform(mesh: SpaceTimeMesh, local_matrix: np.ndarray) -> UniformMa
     return UniformMatrix(mesh, local_matrix)
 
 
-def boundary_load(mesh: SpaceTimeMesh, tag: str, func) -> np.ndarray:
-    """Line integral of N^A * func along a tagged boundary, per node.
+def boundary_load(mesh: SpaceTimeMesh, *fields) -> np.ndarray:
+    """The flat load vector of the (field, t, x) node grid: the line
+    integral of N^A * func along grid lines, per node.
 
-    ``func`` takes the coordinate that varies along the edge (x on
-    bottom/top, t on left/right) and may be vectorized.  Uses 2-point Gauss
-    on each edge segment.
+    Each field gives a ``(rows, cols)`` pair, as :func:`pin` takes them:
+    ``rows`` maps a time-row index to a function of x, ``cols`` a
+    space-column index to a function of t; each may be vectorized, and
+    ``{}`` loads none.  Each line is integrated into its own edge vector by
+    2-point Gauss on every segment and only then added to the grid, so a
+    node where a row meets a column sums the two finished integrals.
     """
-    bnodes = mesh.boundary_nodes(tag)
-    s = mesh.x_coords() if tag in (BOTTOM, TOP) else mesh.t_coords()
-    h = s[1:] - s[:-1]
-
-    edge = np.zeros(s.size)
-    for n0, n1 in LINE_N:
-        g = np.asarray(func(s[:-1] + n1 * h), dtype=float)
-        edge[:-1] += 0.5 * h * n0 * g
-        edge[1:] += 0.5 * h * n1 * g
-    load = np.zeros(mesh.n_nodes)
-    load[bnodes] = edge
-    return load
+    load = np.zeros((len(fields), mesh.nt + 1, mesh.nx + 1))
+    for f, (rows, cols) in enumerate(fields):
+        for lines, s, grid in ((rows, mesh.x_coords(), load[f]),
+                               (cols, mesh.t_coords(), load[f].T)):
+            h = s[1:] - s[:-1]
+            for i, func in lines.items():
+                edge = np.zeros(s.size)
+                for n0, n1 in LINE_N:
+                    g = np.asarray(func(s[:-1] + n1 * h), dtype=float)
+                    edge[:-1] += 0.5 * h * n0 * g
+                    edge[1:] += 0.5 * h * n1 * g
+                grid[i] += edge
+    return load.reshape(-1)
 
 
 def apply_dirichlet(A: UniformMatrix, pinned, band: np.ndarray):
@@ -314,12 +321,18 @@ def solve_linear(A, b, lu) -> np.ndarray:
         x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SolverError("singular matrix: direct factorization produced non-finite values")
-    resid = np.linalg.norm(A @ x - b)
-    scale = np.linalg.norm(b)
+    # a sum of squares that calls no BLAS and makes no temporary: a threaded
+    # ddot can stall for milliseconds right after another BLAS call
+    resid = _norm(A @ x - b)
+    scale = _norm(b)
     rel = resid / scale if scale > 0 else resid
     if rel > 1e-8:
         raise SolverError(f"linear solve residual too large: {rel:.3e} > 1e-8")
     return x
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.einsum("i,i", v, v))
 
 
 class FactoredSystem:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .fem import (assemble_uniform, boundary_load, dtp, gradient_tables, gram_matrix,
                   pin, solve_system)
-from .mesh import BOTTOM, LEFT, RIGHT, SpaceTimeMesh
+from .mesh import SpaceTimeMesh
 from .projection import l2_project
 
 NEUMANN_PI = "neumann_pi"
@@ -82,21 +82,18 @@ def assemble_heat(problem: HeatProblem, mesh: SpaceTimeMesh):
     of p (neumann_pi) or of l (dirichlet_theta)."""
     _check_mesh(problem, mesh)
     matrix = assemble_uniform(mesh, gram_matrix(mesh, dtp_table(mesh, problem.k)))
-    n = mesh.n_nodes
 
-    # dof = field * n + node, field 0 = p, field 1 = l
-    rhs = np.zeros(2 * n)
-    rhs[:n] += boundary_load(mesh, LEFT, problem.theta_left)
+    # field 0 = p, field 1 = l
+    p_loads, l_loads = {0: problem.theta_left}, {}
     t = mesh.t_coords()
     p_cols, l_cols = {}, {0: problem.l_left(t)}
     if problem.right_mode == NEUMANN_PI:
-        rhs[n:] += boundary_load(
-            mesh, RIGHT, lambda t: problem.k * np.asarray(problem.pi_right(t)))
+        l_loads[mesh.nx] = lambda t: problem.k * np.asarray(problem.pi_right(t))
         p_cols[mesh.nx] = problem.p_right(t)
     else:
-        rhs[:n] -= boundary_load(mesh, RIGHT, problem.theta_right)
+        p_loads[mesh.nx] = lambda t: -np.asarray(problem.theta_right(t), dtype=float)
         l_cols[mesh.nx] = problem.l_right(t)
-    rhs[n:] += boundary_load(mesh, BOTTOM, problem.theta0)
+    rhs = boundary_load(mesh, ({}, p_loads), ({0: problem.theta0}, l_loads))
 
     pinned = pin((mesh.nt + 1, mesh.nx + 1), ({}, p_cols),
                  ({mesh.nt: problem.l_top(mesh.x_coords())}, l_cols))

@@ -1,11 +1,10 @@
 """Structured meshes: space-time quadrilateral grids, 1-D time grids and the
 nodal value grids a run writes.
 
-Node numbering is row-major with x varying fastest, so node ``j*(nx+1)+i``
-sits at ``(i*hx, j*ht)``.  A space-time mesh is its four numbers (L, T,
-nx, nt): its elements are the corner slices of the (nt + 1, nx + 1) node
-grid, ``[dt:dt + nt, dx:dx + nx]`` for a corner (dx, dt), which no array
-stores.
+A space-time mesh is its four numbers (L, T, nx, nt): node [j, i] of its
+(nt + 1, nx + 1) node grid sits at ``(i*hx, j*ht)``, and its elements are
+the corner slices of that grid, ``[dt:dt + nt, dx:dx + nx]`` for a corner
+(dx, dt), which no array stores.
 """
 
 from __future__ import annotations
@@ -15,11 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-LEFT = "left"
-RIGHT = "right"
-BOTTOM = "bottom"
-TOP = "top"
 
 
 @dataclass(frozen=True)
@@ -46,19 +40,6 @@ class SpaceTimeMesh:
     @property
     def ht(self) -> float:
         return self.T / self.nt
-
-    def boundary_nodes(self, tag: str) -> np.ndarray:
-        """Node ids on one of the four boundary lines, in index order."""
-        nx1, nt1 = self.nx + 1, self.nt + 1
-        if tag == LEFT:
-            return np.arange(nt1) * nx1
-        if tag == RIGHT:
-            return np.arange(nt1) * nx1 + self.nx
-        if tag == BOTTOM:
-            return np.arange(nx1)
-        if tag == TOP:
-            return self.nt * nx1 + np.arange(nx1)
-        raise InvalidArgumentError(f"unknown boundary tag {tag!r}")
 
     def x_coords(self) -> np.ndarray:
         return np.linspace(0.0, self.L, self.nx + 1)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidArgumentError, in_stage
 from .fem import (FactoredSystem, assemble_uniform, boundary_load, dtp, gradient_tables,
                   gram_matrix, pin)
-from .mesh import BOTTOM, LEFT, NodalGrid, SpaceTimeMesh, build_space_time_mesh
+from .mesh import NodalGrid, SpaceTimeMesh, build_space_time_mesh
 from .projection import l2_project
 
 #: half-width, in elements, of the window around the jump that track_jump reads
@@ -72,10 +72,8 @@ def transport_load(problem: TransportProblem, mesh: SpaceTimeMesh,
     natural boundary condition enforces u(0, t) = u_left(t); see the notes
     in the package README on this point.
     """
-    rhs = problem.c * boundary_load(
-        mesh, LEFT, lambda t: np.asarray(problem.u_left(t), dtype=float))
-    rhs += boundary_load(mesh, BOTTOM, u0)
-    return rhs
+    inflow = lambda t: problem.c * np.asarray(problem.u_left(t), dtype=float)
+    return boundary_load(mesh, ({0: u0}, {0: inflow}))
 
 
 def assemble_transport(problem: TransportProblem, mesh: SpaceTimeMesh):

@@ -19,7 +19,7 @@ from dualfem.fem import (GAUSS_1D, LINE_N, QUAD_N, BandCholesky, FactoredSystem,
                          solve_linear, solve_system)
 from dualfem.heat import DIRICHLET_THETA, HeatProblem, assemble_heat
 from dualfem.heat import dtp_table as heat_dtp_table
-from dualfem.mesh import BOTTOM, LEFT, build_space_time_mesh
+from dualfem.mesh import build_space_time_mesh
 from dualfem.presets import get_preset
 from dualfem.transport import TransportProblem, assemble_transport
 
@@ -159,22 +159,40 @@ def test_assembly_rejects_bad_kernel_output():
 
 def test_boundary_load_constant():
     m = build_space_time_mesh(2.0, 1.5, 4, 3)
-    load = boundary_load(m, BOTTOM, lambda x: np.ones_like(x))
+    load = boundary_load(m, ({0: lambda x: np.ones_like(x)}, {}))
+    assert load.shape == (m.n_nodes,)
     # integral of each hat along the bottom: h at interior, h/2 at corners
-    bn = m.boundary_nodes(BOTTOM)
+    grid = load.reshape(m.nt + 1, m.nx + 1)
     assert load.sum() == pytest.approx(2.0, rel=1e-13)
-    assert load[bn[0]] == pytest.approx(0.25)
-    assert load[bn[1]] == pytest.approx(0.5)
-    off_edge = np.setdiff1d(np.arange(m.n_nodes), bn)
-    assert np.all(load[off_edge] == 0.0)
+    assert grid[0, 0] == pytest.approx(0.25)
+    assert grid[0, 1] == pytest.approx(0.5)
+    assert np.all(grid[1:] == 0.0)
 
 
 def test_boundary_load_linear_exact():
     m = build_space_time_mesh(1.0, 2.0, 2, 4)
-    load = boundary_load(m, LEFT, lambda t: 3.0 * t)
+    grid = boundary_load(m, ({}, {0: lambda t: 3.0 * t})).reshape(m.nt + 1, m.nx + 1)
     # hat at node t=1.0 (h=0.5): integral 3t*N = 3 * t_node * h = 1.5
-    bn = m.boundary_nodes(LEFT)
-    assert load[bn[2]] == pytest.approx(1.5, rel=1e-13)
+    assert grid[2, 0] == pytest.approx(1.5, rel=1e-13)
+    assert np.all(grid[:, 1:] == 0.0)
+
+
+def test_boundary_load_corner_sums_the_two_edge_integrals_bitwise():
+    # two fields: the first loads a row and a column that meet at a corner,
+    # the second one column; each line alone is its own edge integral.  With
+    # these data, adding the column's Gauss terms one by one onto the
+    # finished row integral rounds the corner differently
+    m = STRETCHED
+    row = np.cos
+    col = lambda t: np.sqrt(t + 0.3)
+    shape = (2, m.nt + 1, m.nx + 1)
+    both = boundary_load(m, ({m.nt: row}, {m.nx: col}), ({}, {1: col})).reshape(shape)
+    only_row = boundary_load(m, ({m.nt: row}, {})).reshape(m.nt + 1, m.nx + 1)
+    only_col = boundary_load(m, ({}, {m.nx: col})).reshape(m.nt + 1, m.nx + 1)
+    assert both[0, m.nt, m.nx] == only_row[m.nt, m.nx] + only_col[m.nt, m.nx]
+    assert np.array_equal(both[0], only_row + only_col)
+    assert np.array_equal(both[1, :, 1], only_col[:, m.nx])
+    assert not np.delete(both[1], 1, axis=1).any()
 
 
 def test_pin_marks_grid_lines_and_a_column_wins_where_they_meet():

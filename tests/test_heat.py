@@ -5,7 +5,7 @@ from conftest import gauss_legendre_integrate_2d, gauss_points, nodes_and_elemen
 from dualfem import heat as hm
 from dualfem.errors import InvalidArgumentError
 from dualfem.fem import gram_matrix
-from dualfem.mesh import LEFT, RIGHT, build_space_time_mesh
+from dualfem.mesh import build_space_time_mesh
 from dualfem.projection import l2_project
 from dualfem.oracles import heat_steady, heat_transient
 
@@ -116,19 +116,28 @@ def test_dirichlet_right_rhs_carries_negative_theta_r_term():
     prob = steady_problem()
     m = build_space_time_mesh(1.0, 1.1, 4, 4)
     _, rhs, _ = hm.assemble_heat(prob, m)
-    n = m.n_nodes
-    right = m.boundary_nodes(RIGHT)
-    left = m.boundary_nodes(LEFT)
+    p, l = rhs.reshape(2, m.nt + 1, m.nx + 1)
     # p-block rhs at interior right nodes: -integral N * 4 = -4 * ht
-    assert rhs[right[1]] == pytest.approx(-4.0 * m.ht, rel=1e-13)
+    assert p[1, m.nx] == pytest.approx(-4.0 * m.ht, rel=1e-13)
     # and + theta_l = +1 weighting on the left
-    assert rhs[left[1]] == pytest.approx(1.0 * m.ht, rel=1e-13)
+    assert p[1, 0] == pytest.approx(1.0 * m.ht, rel=1e-13)
     # l-block rhs at an interior bottom node: integral N * theta0
     theta0 = lambda x: 3.0 * x + 1.0
     i = 2
     x_i = m.x_coords()[i]
     expect = theta0(x_i) * m.hx           # exact for linear data on uniform hats
-    assert rhs[n + i] == pytest.approx(expect, rel=1e-13)
+    assert l[0, i] == pytest.approx(expect, rel=1e-13)
+
+
+def test_neumann_right_rhs_carries_k_pi_r_on_the_l_field():
+    prob = hm.HeatProblem(k=0.2, L=1.0, T=1.1, theta0=ZERO, theta_left=ZERO,
+                          right_mode=hm.NEUMANN_PI, pi_right=const(2.0))
+    m = build_space_time_mesh(1.0, 1.1, 4, 4)
+    _, rhs, _ = hm.assemble_heat(prob, m)
+    p, l = rhs.reshape(2, m.nt + 1, m.nx + 1)
+    # l-block rhs at interior right nodes: integral N * k * pi_r = k * 2 * ht
+    assert l[1:-1, m.nx] == pytest.approx(0.2 * 2.0 * m.ht, rel=1e-13)
+    assert not p[:, m.nx].any()
 
 
 def lines(m, row=None, cols=()):
@@ -252,11 +261,8 @@ def test_solved_dual_fields_nearly_steady_with_family_bcs():
 def test_prescribed_dual_values_exact():
     prob = steady_problem()
     m = build_space_time_mesh(1.0, 1.1, 10, 11)
-    l = hm.solve_heat(prob, m)[m.n_nodes:]
-    for node in m.boundary_nodes(LEFT):
-        assert l[node] == 0.0
-    for node in m.boundary_nodes(RIGHT):
-        assert l[node] == 0.0
+    _, l = hm.solve_heat(prob, m).reshape(2, m.nt + 1, m.nx + 1)
+    assert np.all(l[:, [0, m.nx]] == 0.0)
 
 
 def test_steady_primal_recovery_small_mesh():

@@ -5,8 +5,7 @@ import pytest
 
 from conftest import nodes_and_elements
 from dualfem.errors import InvalidArgumentError
-from dualfem.mesh import (BOTTOM, LEFT, RIGHT, TOP, SpaceTimeMesh, TimeMesh,
-                          build_space_time_mesh, build_time_mesh)
+from dualfem.mesh import SpaceTimeMesh, TimeMesh, build_space_time_mesh, build_time_mesh
 
 
 def test_node_coordinates_row_major():
@@ -48,29 +47,6 @@ def test_every_interior_node_shared_by_four_elements():
     assert np.all(counts[interior] == 4)
     corners = [0, 4, 20, 24]
     assert np.all(counts[corners] == 1)
-
-
-def test_boundary_nodes_and_tags():
-    m = build_space_time_mesh(1.0, 2.0, 3, 5)
-    nodes, elements = nodes_and_elements(m)
-    left = m.boundary_nodes(LEFT)
-    assert np.allclose(nodes[left, 0], 0.0)
-    assert len(left) == 6
-    right = m.boundary_nodes(RIGHT)
-    assert np.allclose(nodes[right, 0], 1.0)
-    bottom = m.boundary_nodes(BOTTOM)
-    assert np.allclose(nodes[bottom, 1], 0.0)
-    top = m.boundary_nodes(TOP)
-    assert np.allclose(nodes[top, 1], 2.0)
-    # the lower-left corners of the first element row and column
-    assert np.array_equal(elements[:m.nx, 0], bottom[:-1])
-    assert np.array_equal(elements[::m.nx, 0], left[:-1])
-    # corner nodes lie on both of their lines, interior nodes on none
-    assert left[0] == bottom[0] == 0
-    assert right[-1] == top[-1] == m.n_nodes - 1
-    assert 9 not in np.concatenate([left, right, bottom, top])      # (1, 2)
-    with pytest.raises(InvalidArgumentError):
-        m.boundary_nodes("front")
 
 
 def test_space_time_mesh_is_its_four_numbers():
