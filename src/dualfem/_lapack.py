@@ -22,20 +22,14 @@ keeps a call to a few microseconds more than f2py's.
 If numpy's library does not export the four symbols (numpy's macOS arm64
 wheels use Accelerate, conda builds may link MKL, and on Windows a ``.pyd``
 handle does not search its dependencies), or the interpreter is not
-CPython, scipy's extensions serve instead: ``scipy/linalg/_flapack`` and
-``_fblas`` loaded straight from their files under dualfem's own names,
-without running ``scipy.linalg``'s ``__init__``, which loads some 85 scipy
-modules; and if a file is not there or does not load, the public
-``scipy.linalg.lapack`` and ``scipy.linalg.blas`` modules.  The two
-OpenBLAS builds agree bitwise on the rigid-body and transport bands; the
-blocked Cholesky of bands wider than 64 differs between them in round-off.
+CPython, the f2py routines of ``scipy.linalg.lapack`` and
+``scipy.linalg.blas`` serve instead, imported with this module; importing
+them loads some 85 scipy modules in about 0.25 s.  The two OpenBLAS
+builds agree bitwise on the rigid-body and transport bands; the blocked
+Cholesky of bands wider than 64 differs between them in round-off.
 """
 
 import ctypes
-import importlib
-import importlib.machinery
-import importlib.util
-import os
 import sys
 
 import numpy as np
@@ -147,42 +141,16 @@ def _from_openblas(pbtrf, pbtrs, gbsv, gbmv):
     return dpbtrf, dpbtrs, dgbsv, dgbmv
 
 
-def _path(stem):
-    """File of the extension scipy/linalg/<stem>, or None."""
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None or scipy.origin is None:
-        return None
-    folder = os.path.join(os.path.dirname(scipy.origin), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if os.path.isfile(path := os.path.join(folder, stem + suffix)):
-            return path
-    return None
-
-
-def _load(stem, public):
-    """The extension module scipy/linalg/<stem>, else scipy.linalg.<public>."""
-    path = _path(stem)
-    if path is not None:
-        try:
-            spec = importlib.util.spec_from_file_location(f"{__name__}.{stem}", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-        except ImportError:
-            pass
-    return importlib.import_module(f"scipy.linalg.{public}")
-
-
 def _from_scipy():
-    """The four routines from scipy's f2py extensions."""
-    flapack, fblas = _load("_flapack", "lapack"), _load("_fblas", "blas")
+    """The four routines from ``scipy.linalg``'s f2py wrappers."""
+    from scipy.linalg import blas, lapack
 
     def dgbmv(m, n, kl, ku, alpha, a, x):
         # the f2py wrapper asks for m >= kl + ku + 1 rows; the extra rows
         # of the product are dropped
-        return fblas.dgbmv(max(m, kl + ku + 1), n, kl, ku, alpha, a, x)[:m]
+        return blas.dgbmv(max(m, kl + ku + 1), n, kl, ku, alpha, a, x)[:m]
 
-    return flapack.dpbtrf, flapack.dpbtrs, flapack.dgbsv, dgbmv
+    return lapack.dpbtrf, lapack.dpbtrs, lapack.dgbsv, dgbmv
 
 
 def _routines():

@@ -67,8 +67,8 @@ def pin(shape, *fields, col_name: str = "column"):
     the ``shape`` grid to the shape[1] values pinned on that row, ``cols`` a
     column index to its shape[0] values; a scalar broadcasts and ``{}`` pins
     none.  A node on a pinned row and a pinned column takes the column's
-    value.  A line of another length is an :class:`InvalidArgumentError`
-    naming it.
+    value.  A line index outside the grid, or a line of another length, is
+    an :class:`InvalidArgumentError` naming the line.
     """
     mask = np.zeros((len(fields),) + tuple(shape), dtype=bool)
     values = np.zeros(mask.shape)
@@ -76,12 +76,21 @@ def pin(shape, *fields, col_name: str = "column"):
         # rows first, so that a column overwrites the nodes it shares with a row
         for lines, name, M, V in ((rows, "row", mask[f], values[f]),
                                   (cols, col_name, mask[f].T, values[f].T)):
-            for i, line in lines.items():
+            for i, line in _lines(lines, len(V), f"pinned {name}").items():
                 if np.ndim(line) and np.shape(line) != V.shape[1:]:
                     raise InvalidArgumentError(f"pinned {name} {i} has shape {np.shape(line)}, "
                                                f"expected {V.shape[1]} values")
                 M[i], V[i] = True, line
     return mask, values
+
+
+def _lines(lines: dict, n: int, name: str) -> dict:
+    """``lines`` itself, once every line index in it is checked to lie in
+    0..n - 1; an index outside is an :class:`InvalidArgumentError`."""
+    for i in lines:
+        if not 0 <= i < n:
+            raise InvalidArgumentError(f"{name} {i} out of range 0..{n - 1}")
+    return lines
 
 
 def gram_matrix(mesh: SpaceTimeMesh, table: np.ndarray) -> np.ndarray:
@@ -217,14 +226,15 @@ def boundary_load(mesh: SpaceTimeMesh, *fields) -> np.ndarray:
     space-column index to a function of t; each may be vectorized, and
     ``{}`` loads none.  Each line is integrated into its own edge vector by
     2-point Gauss on every segment and only then added to the grid, so a
-    node where a row meets a column sums the two finished integrals.
+    node where a row meets a column sums the two finished integrals.  A
+    line index outside the grid is an :class:`InvalidArgumentError`.
     """
     load = np.zeros((len(fields), mesh.nt + 1, mesh.nx + 1))
     for f, (rows, cols) in enumerate(fields):
-        for lines, s, grid in ((rows, mesh.x_coords(), load[f]),
-                               (cols, mesh.t_coords(), load[f].T)):
+        for lines, name, s, grid in ((rows, "row", mesh.x_coords(), load[f]),
+                                     (cols, "column", mesh.t_coords(), load[f].T)):
             h = s[1:] - s[:-1]
-            for i, func in lines.items():
+            for i, func in _lines(lines, len(grid), f"loaded {name}").items():
                 edge = np.zeros(s.size)
                 for n0, n1 in LINE_N:
                     g = np.asarray(func(s[:-1] + n1 * h), dtype=float)
@@ -246,15 +256,21 @@ def apply_dirichlet(A: UniformMatrix, pinned, band: np.ndarray):
     grid = (A.n_fields, A.mesh.nt + 1, A.mesh.nx + 1)
     if mask.shape != grid:
         raise InvalidArgumentError(f"pin grid of shape {mask.shape}, expected {grid}")
-    rows = np.flatnonzero(mask.transpose(_band_axes(A.mesh)[-1]))
+    identity_lines(band, np.flatnonzero(mask.transpose(_band_axes(A.mesh)[-1])))
+    return -(A @ values)
+
+
+def identity_lines(band: np.ndarray, rows: np.ndarray) -> None:
+    """Make the dofs ``rows`` identity lines of the symmetric matrix whose
+    lower band is ``band``, (n, kd + 1) with band[j, i - j] = M[i, j]: zero
+    their rows and columns and put 1 on their diagonal, in place."""
     band[rows] = 0.0
     band[rows, 0] = 1.0
-    # row p of -A left of the diagonal: entry (p, p - k) is band[p - k, k]
+    # row p left of the diagonal: entry (p, p - k) is band[p - k, k]
     k = np.arange(1, band.shape[1])
     above = rows[:, None] - k
     inside = above >= 0
     band[above[inside], np.broadcast_to(k, above.shape)[inside]] = 0.0
-    return -(A @ values)
 
 
 def _band_axes(mesh: SpaceTimeMesh):
@@ -315,8 +331,6 @@ def solve_linear(A, b, lu) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise InvalidArgumentError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    if A.shape[0] == 0:
-        return np.zeros(0)
     with np.errstate(all="ignore"):
         x = lu.solve(b)
     if not np.all(np.isfinite(x)):

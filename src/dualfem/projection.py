@@ -8,16 +8,16 @@ grid, and node columns of the (component, node) grid of the 1-D projection.
 
 Both projections rest on one per-axis table, :func:`_axis`, built once per
 (ne, h, pinned node ids): the tridiagonal mass matrix of the axis, the
-same matrix with identity lines at the pinned nodes, as the dual solves
-pin, and the LAPACK ``dpbtrf`` Cholesky factor of the latter.  The 1-D
-projection solves with that factor directly, without a residual check.  On
-the uniform space-time grid the mass matrix is exactly kron(M_t, M_x); the
-kron of the two identity-line axes is never assembled: it is applied as
-M_t V M_x on the node grid V, for the residual check of
-:func:`fem.solve_linear`, and solved by one ``dpbtrs`` solve along each
-axis with the axis's cached factor (Lynch, Rice & Thomas, Numer. Math. 6,
-1964).  Its free nodes couple only with each other, so the pinned values
-are written back after the solve.
+same matrix with identity lines at the pinned nodes, made as the dual
+solves make theirs (:func:`fem.identity_lines`), and the LAPACK ``dpbtrf``
+Cholesky factor of the latter.  The 1-D projection solves with that factor
+directly, without a residual check.  On the uniform space-time grid the
+mass matrix is exactly kron(M_t, M_x); the kron of the two identity-line
+axes is never assembled: it is applied as M_t V M_x on the node grid V,
+for the residual check of :func:`fem.solve_linear`, and solved by one
+``dpbtrs`` solve along each axis with the axis's cached factor (Lynch,
+Rice & Thomas, Numer. Math. 6, 1964).  Its free nodes couple only with
+each other, so the pinned values are written back after the solve.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ import numpy as np
 
 from ._lapack import dpbtrf, dpbtrs
 from .errors import InvalidArgumentError
+from .fem import LINE_N, QUAD_N, corner_slices, identity_lines, pin, solve_linear
 # solve_system is re-exported only for the alias test of bench/test_bench.py;
 # it goes with that test, in the next change to the benchmark
-from .fem import LINE_N, QUAD_N, corner_slices, pin, solve_linear, solve_system  # noqa: F401
+from .fem import solve_system  # noqa: F401
 from .mesh import SpaceTimeMesh, TimeMesh
 
 
@@ -56,11 +57,6 @@ def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return y
 
 
-def _band_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with an :func:`_axis` factor for each column of b (n, k)."""
-    return dpbtrs(factor, b, lower=1)[0]
-
-
 _Axis = namedtuple("_Axis", "band lines factor")
 
 
@@ -77,10 +73,7 @@ def _axis(ne: int, h: float, pinned: tuple) -> _Axis:
         raise InvalidArgumentError(f"pinned node ids {bad} out of range 0..{ne}")
     band = _mass_band(ne, h)
     lines = band.copy()
-    p = np.asarray(pinned, dtype=np.int64)
-    lines[0, p] = 1.0
-    lines[1, p] = 0.0                          # column p below the diagonal
-    lines[1, p[p > 0] - 1] = 0.0               # row p left of the diagonal
+    identity_lines(lines.T, np.asarray(pinned, dtype=np.int64))
     factor, _ = dpbtrf(lines, lower=1)
     for table in (band, lines, factor):
         table.flags.writeable = False
@@ -118,8 +111,8 @@ class _KronMass:
         return _kron_matvec(self.t.lines, self.x.lines, v.reshape(self.grid)).ravel()
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        X = _band_solve(self.t.factor, b.reshape(self.grid))   # M_t^-1 B
-        return _band_solve(self.x.factor, X.T).T.ravel()       # ... M_x^-1
+        X, _ = dpbtrs(self.t.factor, b.reshape(self.grid), lower=1)   # M_t^-1 B
+        return dpbtrs(self.x.factor, X.T, lower=1)[0].T.ravel()       # ... M_x^-1
 
 
 def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, rows: dict, cols: dict) -> np.ndarray:
@@ -161,26 +154,23 @@ def l2_project(mesh: SpaceTimeMesh, samples: np.ndarray, rows: dict, cols: dict)
 def l2_project_time(mesh: TimeMesh, samples: np.ndarray, nodes: dict) -> np.ndarray:
     """1-D analogue of :func:`l2_project` for stage time meshes.
 
-    ``samples`` has shape (ne, 2) or (n_comp, ne, 2); all components are
-    solved together.  ``nodes`` maps a node index to its pinned value, or to
-    one value per component; ``{}`` pins none.
+    ``samples`` has shape (n_comp, ne, 2); all components are solved
+    together.  ``nodes`` maps a node index to its pinned value, or to one
+    value per component; ``{}`` pins none.
     """
     samples = np.asarray(samples, dtype=float)
-    S = samples[None] if samples.ndim == 2 else samples
-    if S.ndim != 3 or S.shape[1:] != (mesh.ne, 2):
+    if samples.ndim != 3 or samples.shape[1:] != (mesh.ne, 2):
         raise InvalidArgumentError(
-            f"samples shape {samples.shape}, expected {(mesh.ne, 2)} "
-            f"with optional leading components")
+            f"samples shape {samples.shape}, expected (n_comp, {mesh.ne}, 2)")
 
     h = mesh.h
     axis = _axis(mesh.ne, h, tuple(sorted(nodes)))
-    contrib = 0.5 * h * S @ LINE_N               # (n_comp, ne, 2a)
-    rhs = np.zeros((S.shape[0], mesh.n_nodes))
+    contrib = 0.5 * h * samples @ LINE_N         # (n_comp, ne, 2a)
+    rhs = np.zeros((len(samples), mesh.n_nodes))
     rhs[:, :-1] += contrib[..., 0]
     rhs[:, 1:] += contrib[..., 1]
 
     (mask,), (out,) = pin(rhs.shape, ({}, nodes), col_name="node")
     rhs = rhs - _band_matvec(axis.band, out.T).T
     rhs[mask] = out[mask]                        # the identity lines give them back bitwise
-    out = _band_solve(axis.factor, rhs.T).T
-    return out[0] if samples.ndim == 2 else out
+    return dpbtrs(axis.factor, rhs.T, lower=1)[0].T

@@ -460,14 +460,15 @@ def run_python(code, *args):
 needs_numpy_openblas = pytest.mark.skipif(
     _lapack._openblas() is None,
     reason="numpy's BLAS does not export scipy_<routine>_64_, or the interpreter is "
-           "not CPython, so dualfem._lapack takes the routines from scipy's extensions")
+           "not CPython, so dualfem._lapack takes the routines from scipy.linalg")
 
 
+@needs_numpy_openblas
 def test_cli_import_leaves_out_the_sparse_solvers():
     # every factorization is LAPACK band Cholesky or band LU, whose compiled
-    # routines dualfem._lapack takes from numpy's OpenBLAS or, failing that,
-    # from scipy's extension files, and no matrix is assembled in a sparse
-    # format: neither scipy.sparse nor scipy.linalg loads
+    # routines dualfem._lapack takes from numpy's OpenBLAS, and no matrix is
+    # assembled in a sparse format: neither scipy.sparse nor scipy.linalg
+    # loads
     run = run_python("import sys, dualfem.cli; print(sorted(m for m in sys.modules "
                      "if m.startswith(('scipy.sparse', 'scipy.linalg'))))")
     assert (run.returncode, run.stdout) == (0, "[]\n")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -206,6 +207,22 @@ def test_pin_marks_grid_lines_and_a_column_wins_where_they_meet():
     assert np.array_equal(mask[1], [[0, 0, 0, 1]] * 3)
     assert values[1, 2, 3] == 0.1 + 0.2                   # bitwise
     assert not values[~mask].any()
+
+
+@pytest.mark.parametrize("rows, cols, line", [
+    ({-1: 1.0}, {}, "row -1 out of range 0..2"),
+    ({3: 1.0}, {}, "row 3 out of range 0..2"),
+    ({}, {-1: 1.0}, "column -1 out of range 0..3"),
+    ({}, {4: 1.0}, "column 4 out of range 0..3"),
+], ids=["negative-row", "row-past-the-end", "negative-column", "column-past-the-end"])
+def test_line_indices_outside_the_grid_are_rejected(rows, cols, line):
+    # the 3 x 4 node grid of nt = 2, nx = 3: a negative index would wrap to
+    # the last line, and one past the end is no line at all
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape('pinned ' + line)}$"):
+        pin((3, 4), (rows, cols))
+    m = build_space_time_mesh(0.9, 1.4, 3, 2)
+    with pytest.raises(InvalidArgumentError, match=f"^{re.escape('loaded ' + line)}$"):
+        boundary_load(m, ({i: np.cos for i in rows}, {j: np.cos for j in cols}))
 
 
 def dof_pins(A, dofs, values):

@@ -1,9 +1,10 @@
-import importlib.machinery
+import copy
 
 import numpy as np
 import pytest
 
-from dualfem import _lapack
+from dualfem import _lapack, cli, euler, fem, projection
+from dualfem.presets import get_preset
 
 
 def spd_band(rng, n=9, kd=2):
@@ -85,7 +86,7 @@ def test_loaded_routines_match_scipy_linalg_bitwise():
 
 
 @pytest.mark.skipif(_lapack._openblas() is None,
-                    reason="the routines come from scipy's extensions")
+                    reason="the routines come from scipy.linalg")
 def test_ctypes_arguments_are_checked():
     # read from the array object, for owners, views, read-only and empty arrays
     a = np.zeros((11, 30), order="F")
@@ -100,22 +101,58 @@ def test_ctypes_arguments_are_checked():
             _lapack.dgbmv(6, 6, 5, 5, 1.0, a, x)
 
 
-@pytest.mark.parametrize("extension", ["found", "missing", "not an extension"])
-def test_fallback_gives_the_same_routines(monkeypatch, tmp_path, extension):
-    # with a symbol missing from numpy's library, scipy's extension file
-    # serves; with no file found, or a file that does not load, the public
-    # scipy.linalg modules do; and the results do not change
+def fallback_routines(monkeypatch):
+    """The routines ``_routines`` gives when numpy's library exports none
+    of the four symbols: scipy.linalg's f2py routines."""
     monkeypatch.setattr(_lapack, "_SYMBOL", "dualfem_absent_{}_64_")
     assert _lapack._openblas() is None
-    bogus = tmp_path / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
-    bogus.write_bytes(b"not a shared object")
-    if extension != "found":
-        monkeypatch.setattr(_lapack, "_path",
-                            lambda stem: None if extension == "missing" else str(bogus))
-    want = "dualfem._lapack._flapack" if extension == "found" else "scipy.linalg.lapack"
-    assert _lapack._load("_flapack", "lapack").__name__ == want
-    fallback = _lapack._routines()
-    assert {type(f).__name__ for f in fallback[:3]} == {"fortran"}
+    routines = _lapack._routines()
+    assert {type(f).__name__ for f in routines[:3]} == {"fortran"}
+    return routines
+
+
+def test_fallback_gives_the_same_routines(monkeypatch):
+    # with a symbol missing from numpy's library, scipy.linalg's routines
+    # serve, and the results do not change
+    fallback = fallback_routines(monkeypatch)
     direct = (_lapack.dpbtrf, _lapack.dpbtrs, _lapack.dgbsv, _lapack.dgbmv)
     assert_bitwise(band_results(fallback, np.random.default_rng(11)),
                    band_results(direct, np.random.default_rng(11)))
+
+
+def run_artifacts(cfg):
+    """Every artifact grid of a run of ``cfg``, by name, and its summary."""
+    summary, artifacts = cli.RUNNERS[cfg["problem"]](copy.deepcopy(cfg))
+    grids = {name: getattr(rows, "values", rows) for name, (_, rows) in artifacts.items()}
+    return grids, summary
+
+
+# heat bands stay at half-bandwidth <= 64, where LAPACK's dpbtrf is unblocked
+# and the OpenBLAS builds of numpy and scipy agree bitwise
+@pytest.mark.parametrize("name, sizes", [
+    ("heat-transient", {"nx": 20, "nt": 22}),
+    ("heat-jump", {"nx": 40, "nt": 10}),
+    ("transport-step", {"nx": 40, "nt": 11, "T_total": 1.0}),
+    ("euler-damped", {"T_total": 1.0}),
+])
+def test_fallback_runs_are_bitwise_the_numpy_route(monkeypatch, name, sizes):
+    # a heat, a transport and a rigid-body run, each with every dual solve,
+    # projection and Newton step on scipy.linalg's routines, write the same
+    # grids as on the routines of numpy's OpenBLAS
+    cfg = get_preset(name) | sizes
+    want = run_artifacts(cfg)
+    dpbtrf, dpbtrs, dgbsv, dgbmv = fallback_routines(monkeypatch)
+    for module, names in ((fem, {"dpbtrf": dpbtrf, "dpbtrs": dpbtrs}),
+                          (projection, {"dpbtrf": dpbtrf, "dpbtrs": dpbtrs}),
+                          (euler, {"dgbsv": dgbsv, "dgbmv": dgbmv})):
+        for attr, routine in names.items():
+            monkeypatch.setattr(module, attr, routine)
+    projection._axis.cache_clear()          # the projection axes factor anew
+    try:
+        got = run_artifacts(cfg)
+    finally:
+        projection._axis.cache_clear()
+    assert got[1] == want[1]
+    assert got[0].keys() == want[0].keys()
+    for artifact, grid in got[0].items():
+        assert grid.tobytes() == want[0][artifact].tobytes(), artifact

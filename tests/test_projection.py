@@ -249,7 +249,7 @@ def test_out_of_range_pins_rejected_before_any_solve(monkeypatch):
     tm = build_time_mesh(1.0, 4)
     for node in (tm.n_nodes, -1):
         with pytest.raises(InvalidArgumentError, match="out of range"):
-            l2_project_time(tm, np.ones((tm.ne, 2)), {node: 1.0})
+            l2_project_time(tm, np.ones((1, tm.ne, 2)), {node: 1.0})
     assert solves == []
 
 
@@ -263,7 +263,7 @@ def test_wrong_length_pins_rejected_before_any_solve(monkeypatch, line, message)
     # node holds one value per component
     solves = []
     monkeypatch.setattr(projection, "solve_linear", lambda *args, **kw: solves.append(args))
-    monkeypatch.setattr(projection, "_band_solve", lambda *args: solves.append(args))
+    monkeypatch.setattr(projection, "dpbtrs", lambda *args, **kw: solves.append(args))
     m = build_space_time_mesh(1.0, 1.0, 4, 3)
     samples = np.ones((m.n_elements, 4))
     with pytest.raises(InvalidArgumentError) as info:
@@ -321,18 +321,19 @@ def test_time_projection_identity(rng):
     nodal = rng.standard_normal(m.n_nodes)
     pts = gauss_points(m)
     # linear interpolation at the Gauss points of each interval
-    samples = np.empty((m.ne, 2))
+    samples = np.empty((1, m.ne, 2))
     for e in range(m.ne):
-        samples[e] = np.interp(pts[e], m.nodes, nodal)
+        samples[0, e] = np.interp(pts[e], m.nodes, nodal)
     out = l2_project_time(m, samples, {})
-    assert np.abs(out - nodal).max() < 1e-10
+    assert np.abs(out[0] - nodal).max() < 1e-10
 
 
 def test_time_projection_identity_with_end_pins():
     # a linear field is recovered exactly with its first and last node pinned
     m = build_time_mesh(0.5, 10)
     f = lambda t: 2.0 - 3.0 * t
-    out = l2_project_time(m, f(gauss_points(m)), {0: f(m.nodes[0]), m.ne: f(m.nodes[-1])})
+    (out,) = l2_project_time(m, f(gauss_points(m))[None],
+                             {0: f(m.nodes[0]), m.ne: f(m.nodes[-1])})
     assert np.abs(out - f(m.nodes)).max() < 1e-12
     assert out[0] == f(m.nodes[0]) and out[-1] == f(m.nodes[-1])
 
