@@ -72,6 +72,8 @@ class StageResult:
 # (d0, d1, d2, K01, K02, K12), and of the component 3 - i - k for i != k
 _SYM = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
 _OTHER = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+# components i + 1 and i + 2, indices mod 3
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 _OFFDIAG = 1.0 - np.eye(3)
 # element entry [a, b, i, j] of the node-major Jacobian lies in column
 # 3 (e + b) + j, band row 5 + row - column (LAPACK band storage)
@@ -87,26 +89,32 @@ def _inv3(lam: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
     r = c0 lam0; det K is expanded along row 0.
     """
     x = lam[::-1] * c[::-1, None]                               # (p, q, r)
-    adj = np.concatenate([a * a - x[::-1] ** 2,                  # a^2 - (r^2, q^2, p^2)
-                          x[[1, 0, 0]] * x[[2, 2, 1]] - a * x])  # K01, K02, K12
+    adj = np.empty((6,) + x.shape[1:])
+    np.square(x[::-1], out=adj[:3])
+    np.subtract(a * a, adj[:3], out=adj[:3])                    # a^2 - (r^2, q^2, p^2)
+    np.multiply(x[1::-1], x[2], out=adj[3:5])                   # q r, p r
+    np.multiply(x[0], x[1], out=adj[5])                         # p q
+    np.subtract(adj[3:], a * x, out=adj[3:])                    # K01, K02, K12
     det = a * adj[0] + x[0] * adj[3] + x[1] * adj[4]
     bad = np.abs(det) < 1e-12 * a ** 3
     if bad.any():
         raise SingularDtPError(f"DtP matrix singular at quadrature point "
                                f"{np.argmax(bad)}, det={det[bad][0]:.3e}")
-    return (adj / det)[_SYM].reshape((3, 3) + lam.shape[1:])
+    np.divide(adj, det, out=adj)
+    return adj.take(_SYM, axis=0).reshape((3, 3) + lam.shape[1:])
 
 
 def dtp_euler(lam, lamdot, base, config: EulerConfig):
     """DtP map and its derivatives at one or many quadrature points.
 
-    lam and lamdot have shape (3, ...), base (3,) or (3, ...).  Returns
+    lam and lamdot have shape (3, ...), base (3,) or (3, ...); lamdot and
+    base are arrays.  Returns
     (omega, domega_dlam, domega_dlamdot), omega shaped like lam and the
     derivatives (3, 3, ...) indexed [i, k] = d omega_i / d lambda_k.
     """
     lam = np.asarray(lam, dtype=float)
-    shape = lam.shape
-    lam, lamdot, base = (np.reshape(v, (3, -1)) for v in (lam, lamdot, base))
+    shape, tail = lam.shape, lam.shape[1:]
+    lam, lamdot, base = lam.reshape(3, -1), lamdot.reshape(3, -1), base.reshape(3, -1)
     I, c, nu = config.I[:, None], config.c, config.nu
 
     Kinv = _inv3(lam, c, config.a)
@@ -115,9 +123,13 @@ def dtp_euler(lam, lamdot, base, config: EulerConfig):
     # d omega / d lambda_k = Kinv f_k, f[i, k] = -nu I_k delta_ik - c_k w_{3-i-k}:
     # the dK/dlambda_k cross terms acting on (omega - base)
     dwld = Kinv * I
-    dwl = -np.einsum("ijm,jkm->ikm", Kinv, w[_OTHER].reshape(3, 3, -1)
-                     * (c * _OFFDIAG)[..., None]) - nu * dwld
-    return tuple(v.reshape(v.shape[:-1] + shape[1:]) for v in (base + w, dwl, dwld))
+    F = w.take(_OTHER, axis=0).reshape(3, 3, -1)
+    F *= (c * _OFFDIAG)[..., None]
+    dwl = np.einsum("ijm,jkm->ikm", Kinv, F)
+    np.negative(dwl, out=dwl)
+    dwl -= nu * dwld
+    w += base
+    return w.reshape(shape), dwl.reshape((3, 3) + tail), dwld.reshape((3, 3) + tail)
 
 
 @lru_cache(maxsize=8)
@@ -162,7 +174,7 @@ def residual(gauss: tuple, config: EulerConfig, mesh: TimeMesh,
     omega, _, _, Ndot = gauss
 
     # integrands against Ndot and N; Gauss weights are 1
-    val = c * omega[[1, 2, 0]] * omega[[2, 0, 1]] + nu * I * omega
+    val = c * omega.take(_NEXT, axis=0) * omega.take(_AFTER, axis=0) + nu * I * omega
     contrib = 0.5 * mesh.h * (Ndot.T @ (-I * omega) + _N.T @ val)   # (3, 2a, ne)
     R = np.zeros((3, mesh.n_nodes))
     R[:, :-1] += contrib[:, 0]
@@ -187,13 +199,16 @@ def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> np.ndarray:
     # d val_i / d omega_m = nu I_i delta_im + c_i omega_{3-i-m} (i != m) and
     # d dot_i / d omega_m = -I_i delta_im, each applied to the trial
     # derivatives d omega_m / d(lambda_j, lambdadot_j): M[s, t, q, i, j, e]
-    dval = (omega[_OTHER].reshape(3, 3, 2, ne) * (c[:, None] * _OFFDIAG)[..., None, None]
-            + np.diag(nu * I)[..., None, None])
+    dval = omega.take(_OTHER, axis=0).reshape(3, 3, 2, ne)
+    dval *= (c[:, None] * _OFFDIAG)[..., None, None]
+    dval += np.diag(nu * I)[..., None, None]
     # np.array stacks as np.stack does, in a third of its time
     trial = np.array([dwl, dwld])                                 # [t, m, j, q, e]
-    M = np.array([np.einsum("imqe,tmjqe->tqije", dval, trial),
-                  -I[:, None, None] * trial.transpose(0, 3, 1, 2, 4)])
-    ke = 0.5 * mesh.h * (W @ M.reshape(8, -1))                    # [a b, i j e]
+    M = np.empty((2, 2, 2, 3, 3, ne))
+    np.einsum("imqe,tmjqe->tqije", dval, trial, out=M[0])
+    np.multiply(-I[:, None, None], trial.transpose(0, 3, 1, 2, 4), out=M[1])
+    ke = W @ M.reshape(8, -1)                                     # [a b, i j e]
+    ke *= 0.5 * mesh.h
 
     return np.bincount(band, ke.ravel(), minlength=11 * 3 * n).reshape(3 * n, 11).T
 
@@ -224,7 +239,9 @@ def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     if not lin_res <= bound:                    # a non-finite step fails too
         raise SolverError(
             f"Newton step residual {lin_res:.3e} exceeds 1e-8 |R| = {bound:.3e}")
-    return np.concatenate([step, np.zeros(3)]).reshape(-1, 3).T
+    out = np.zeros(R.size)
+    out[:m] = step
+    return out.reshape(-1, 3).T
 
 
 def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
@@ -241,7 +258,7 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
         gauss = _dtp_at_gauss(mesh, lam, base, config)
         R = residual(gauss, config, mesh, omega0_stage)
         dlam = _newton_step(jacobian(gauss, config, mesh), R)
-        lam = lam + dlam
+        lam += dlam
         d = float(np.abs(dlam).max())
         increments.append(d)
         if d < config.tol:

@@ -85,9 +85,12 @@ def pin(shape, *fields, col_name: str = "column"):
 
 
 def _lines(lines: dict, n: int, name: str) -> dict:
-    """``lines`` itself, once every line index in it is checked to lie in
-    0..n - 1; an index outside is an :class:`InvalidArgumentError`."""
+    """``lines`` itself, once every line index in it is checked to be an
+    integer in 0..n - 1; a bool, any other non-integer or an index outside
+    is an :class:`InvalidArgumentError`."""
     for i in lines:
+        if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+            raise InvalidArgumentError(f"{name} {i} is not an integer line index")
         if not 0 <= i < n:
             raise InvalidArgumentError(f"{name} {i} out of range 0..{n - 1}")
     return lines

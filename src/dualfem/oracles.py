@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -244,8 +243,9 @@ def euler_free_exact(t, I, omega0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # adaptive embedded Runge-Kutta 4(5), Dormand-Prince coefficients
 #
-# The integrator works on lists of Python floats: on the three components
-# of the rigid-body system a NumPy call costs far more than its arithmetic.
+# The integrator works on the three components of the rigid-body system as
+# Python floats, each stage sum written out: on three components a NumPy
+# call, or a loop over the components, costs far more than the arithmetic.
 
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
@@ -263,12 +263,6 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_DENSE = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
              -10690763975 / 1880347072, 701980252875 / 199316789632,
              -1453857185 / 822651844, 69997945 / 29380423)
-
-
-def _advance(y, h, weights, k):
-    """y_i + h sum_s weights[s] k_i[s] for each component i; ``k[i]`` holds
-    component i of every stage, and only the first len(weights) are read."""
-    return [yi + h * sum(map(mul, weights, ki)) for yi, ki in zip(y, k)]
 
 
 def euler_rhs(I, nu):
@@ -306,44 +300,88 @@ class DenseOutput:
 
 def rk45_integrate(rhs, t_span, y0, rtol: float = 1e-10, atol: float = 1e-12,
                    max_steps: int = 1_000_000) -> DenseOutput:
-    """Adaptive Dormand-Prince 4(5) integration with dense output.
+    """Adaptive Dormand-Prince 4(5) integration of a three-component system,
+    with dense output.
 
-    ``rhs(t, y)`` takes the state as a list of floats and returns a float
-    sequence of the same length.
+    ``rhs(t, y)`` takes the state as a tuple of three floats and returns
+    three floats.  Each stage sum is written out per component and added
+    left to right in tableau order, ``0 + a_0 k_0 + a_1 k_1 + ...`` with
+    the zero weights kept; the error norm is the root mean square over the
+    three components.
     """
+    y = np.asarray(y0, dtype=float)
+    if y.shape != (3,):
+        raise InvalidArgumentError(f"the state must have three components, got shape {y.shape}")
+    y0, y1, y2 = y.tolist()
     t0, t1 = float(t_span[0]), float(t_span[1])
-    y = np.asarray(y0, dtype=float).tolist()
     t = t0
     h = (t1 - t0) * 1e-3
     t_grid = [t0]
     rcont = []
-    k = [[d] + [0.0] * 6 for d in rhs(t, y)]      # k[i][s]: component i of stage s
+    _, c1, c2, c3, c4, c5, c6 = _DP_C
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+        (a50, a51, a52, a53, a54), (b0, b1, b2, b3, b4, b5) = _DP_A[1:]
+    e0, e1, e2, e3, e4, e5, e6 = _DP_B4
+    d0, d1, d2, d3, d4, d5, d6 = _DP_DENSE
+    # k<s><i>: component i of stage s
+    k00, k01, k02 = rhs(t, (y0, y1, y2))
     for _ in range(max_steps):
         if t >= t1:
             break
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise SolverError("step size underflow in RK45 (stiffness?)")
-        for s in range(1, 7):
-            ys = _advance(y, h, _DP_A[s], k)
-            for ki, d in zip(k, rhs(t + _DP_C[s] * h, ys)):
-                ki[s] = d
-        y5 = ys
-        y4 = _advance(y, h, _DP_B4, k)
-        err = math.sqrt(sum(
-            ((b - c) / (atol + rtol * max(abs(a), abs(b)))) ** 2
-            for a, b, c in zip(y, y5, y4)) / len(y))
+        k10, k11, k12 = rhs(t + c1 * h, (y0 + h * (0 + a10 * k00),
+                                         y1 + h * (0 + a10 * k01),
+                                         y2 + h * (0 + a10 * k02)))
+        k20, k21, k22 = rhs(t + c2 * h, (y0 + h * (0 + a20 * k00 + a21 * k10),
+                                         y1 + h * (0 + a20 * k01 + a21 * k11),
+                                         y2 + h * (0 + a20 * k02 + a21 * k12)))
+        k30, k31, k32 = rhs(t + c3 * h,
+                            (y0 + h * (0 + a30 * k00 + a31 * k10 + a32 * k20),
+                             y1 + h * (0 + a30 * k01 + a31 * k11 + a32 * k21),
+                             y2 + h * (0 + a30 * k02 + a31 * k12 + a32 * k22)))
+        k40, k41, k42 = rhs(t + c4 * h,
+                            (y0 + h * (0 + a40 * k00 + a41 * k10 + a42 * k20 + a43 * k30),
+                             y1 + h * (0 + a40 * k01 + a41 * k11 + a42 * k21 + a43 * k31),
+                             y2 + h * (0 + a40 * k02 + a41 * k12 + a42 * k22 + a43 * k32)))
+        k50, k51, k52 = rhs(t + c5 * h,
+                            (y0 + h * (0 + a50 * k00 + a51 * k10 + a52 * k20 + a53 * k30
+                                       + a54 * k40),
+                             y1 + h * (0 + a50 * k01 + a51 * k11 + a52 * k21 + a53 * k31
+                                       + a54 * k41),
+                             y2 + h * (0 + a50 * k02 + a51 * k12 + a52 * k22 + a53 * k32
+                                       + a54 * k42)))
+        # the fifth-order state (v0, v1, v2) is the last stage's
+        v0 = y0 + h * (0 + b0 * k00 + b1 * k10 + b2 * k20 + b3 * k30 + b4 * k40 + b5 * k50)
+        v1 = y1 + h * (0 + b0 * k01 + b1 * k11 + b2 * k21 + b3 * k31 + b4 * k41 + b5 * k51)
+        v2 = y2 + h * (0 + b0 * k02 + b1 * k12 + b2 * k22 + b3 * k32 + b4 * k42 + b5 * k52)
+        k60, k61, k62 = rhs(t + c6 * h, (v0, v1, v2))
+        u0 = y0 + h * (0 + e0 * k00 + e1 * k10 + e2 * k20 + e3 * k30 + e4 * k40 + e5 * k50
+                       + e6 * k60)
+        u1 = y1 + h * (0 + e0 * k01 + e1 * k11 + e2 * k21 + e3 * k31 + e4 * k41 + e5 * k51
+                       + e6 * k61)
+        u2 = y2 + h * (0 + e0 * k02 + e1 * k12 + e2 * k22 + e3 * k32 + e4 * k42 + e5 * k52
+                       + e6 * k62)
+        err = math.sqrt((0 + ((v0 - u0) / (atol + rtol * max(abs(y0), abs(v0)))) ** 2
+                         + ((v1 - u1) / (atol + rtol * max(abs(y1), abs(v1)))) ** 2
+                         + ((v2 - u2) / (atol + rtol * max(abs(y2), abs(v2)))) ** 2) / 3)
         if err <= 1.0:
-            dy = [b - a for a, b in zip(y, y5)]
-            r3 = [h * ki[0] - d for ki, d in zip(k, dy)]
-            r4 = [d - h * ki[6] - r for d, ki, r in zip(dy, k, r3)]
-            r5 = [h * sum(map(mul, _DP_DENSE, ki)) for ki in k]
-            rcont.append((y, dy, r3, r4, r5))
+            dy0, dy1, dy2 = v0 - y0, v1 - y1, v2 - y2
+            r30, r31, r32 = h * k00 - dy0, h * k01 - dy1, h * k02 - dy2
+            rcont.append((
+                (y0, y1, y2), (dy0, dy1, dy2), (r30, r31, r32),
+                (dy0 - h * k60 - r30, dy1 - h * k61 - r31, dy2 - h * k62 - r32),
+                (h * (0 + d0 * k00 + d1 * k10 + d2 * k20 + d3 * k30 + d4 * k40 + d5 * k50
+                      + d6 * k60),
+                 h * (0 + d0 * k01 + d1 * k11 + d2 * k21 + d3 * k31 + d4 * k41 + d5 * k51
+                      + d6 * k61),
+                 h * (0 + d0 * k02 + d1 * k12 + d2 * k22 + d3 * k32 + d4 * k42 + d5 * k52
+                      + d6 * k62))))
             t += h
             t_grid.append(t)
-            y = y5
-            for ki in k:         # first-same-as-last
-                ki[0] = ki[6]
+            y0, y1, y2 = v0, v1, v2
+            k00, k01, k02 = k60, k61, k62     # first same as last
         factor = 0.9 * (err + 1e-300) ** -0.2
         h *= min(5.0, max(0.2, factor))
     else:

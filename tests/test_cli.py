@@ -464,19 +464,11 @@ needs_numpy_openblas = pytest.mark.skipif(
 
 
 @needs_numpy_openblas
-def test_cli_import_leaves_out_the_sparse_solvers():
-    # every factorization is LAPACK band Cholesky or band LU, whose compiled
-    # routines dualfem._lapack takes from numpy's OpenBLAS, and no matrix is
-    # assembled in a sparse format: neither scipy.sparse nor scipy.linalg
-    # loads
-    run = run_python("import sys, dualfem.cli; print(sorted(m for m in sys.modules "
-                     "if m.startswith(('scipy.sparse', 'scipy.linalg'))))")
-    assert (run.returncode, run.stdout) == (0, "[]\n")
-
-
-@needs_numpy_openblas
 def test_cli_import_loads_no_scipy_module():
-    # the four routines are called in the OpenBLAS numpy already loaded
+    # every factorization is LAPACK band Cholesky or band LU, no matrix is
+    # assembled in a sparse format, and the four routines are called in the
+    # OpenBLAS numpy already loaded: neither scipy.sparse nor scipy.linalg,
+    # nor any other scipy module, loads
     run = run_python("import sys, dualfem.cli; "
                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert (run.returncode, run.stdout) == (0, "[]\n")

@@ -214,10 +214,17 @@ def test_pin_marks_grid_lines_and_a_column_wins_where_they_meet():
     ({3: 1.0}, {}, "row 3 out of range 0..2"),
     ({}, {-1: 1.0}, "column -1 out of range 0..3"),
     ({}, {4: 1.0}, "column 4 out of range 0..3"),
-], ids=["negative-row", "row-past-the-end", "negative-column", "column-past-the-end"])
+    ({True: 1.0}, {}, "row True is not an integer line index"),
+    ({1.5: 1.0}, {}, "row 1.5 is not an integer line index"),
+    ({}, {np.False_: 1.0}, "column False is not an integer line index"),
+    ({}, {2.0: 1.0}, "column 2.0 is not an integer line index"),
+], ids=["negative-row", "row-past-the-end", "negative-column", "column-past-the-end",
+        "bool-row", "fractional-row", "numpy-bool-column", "float-column"])
 def test_line_indices_outside_the_grid_are_rejected(rows, cols, line):
     # the 3 x 4 node grid of nt = 2, nx = 3: a negative index would wrap to
-    # the last line, and one past the end is no line at all
+    # the last line, and one past the end is no line at all; NumPy would
+    # take a bool key as a mask over every line and fail a float key with
+    # its own IndexError
     with pytest.raises(InvalidArgumentError, match=f"^{re.escape('pinned ' + line)}$"):
         pin((3, 4), (rows, cols))
     m = build_space_time_mesh(0.9, 1.4, 3, 2)

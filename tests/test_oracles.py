@@ -1,3 +1,7 @@
+import math
+from functools import reduce
+from operator import add, mul
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from dualfem.oracles import (AlgebraicDualResult, FourierHeatSolution,
                              fourier_jump_coefficients, heat_steady,
                              heat_transient, jacobi_am, jacobi_sn_cn_dn,
                              rk45_integrate, rk45_reference, transport_exact)
+from dualfem.oracles import _DP_A, _DP_B4, _DP_C, _DP_DENSE
 
 
 def smoothed_jump_profile(x, beta, eps):
@@ -212,19 +217,91 @@ def test_euler_free_exact_satisfies_the_ode():
 
 
 def test_rk45_on_linear_oscillator():
-    # y'' = -y integrated as a system; exact solution (cos t, -sin t)
-    rhs = lambda t, y: np.array([y[1], -y[0]])
-    sol = rk45_integrate(rhs, (0.0, 10.0), np.array([1.0, 0.0]))
+    # y'' = -y integrated as a system, with a constant third component;
+    # exact solution (cos t, -sin t, 2)
+    rhs = lambda t, y: (y[1], -y[0], 0.0)
+    sol = rk45_integrate(rhs, (0.0, 10.0), np.array([1.0, 0.0, 2.0]))
     t = np.linspace(0.0, 10.0, 200)
     y = sol(t)
     assert np.abs(y[0] - np.cos(t)).max() < 1e-8
     assert np.abs(y[1] + np.sin(t)).max() < 1e-8
+    assert np.abs(y[2] - 2.0).max() < 1e-8
 
 
 def test_rk45_step_budget_guard():
     rhs = lambda t, y: [-v for v in y]
     with pytest.raises(SolverError):
-        rk45_integrate(rhs, (0.0, 1.0), np.array([1.0]), max_steps=2)
+        rk45_integrate(rhs, (0.0, 1.0), np.array([1.0, 2.0, 3.0]), max_steps=2)
+
+
+def test_rk45_takes_three_components():
+    rhs = lambda t, y: [-v for v in y]
+    for y0 in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(InvalidArgumentError):
+            rk45_integrate(rhs, (0.0, 1.0), y0)
+
+
+def _generic_rk45(rhs, t_span, y0, rtol=1e-10, atol=1e-12):
+    """The Dormand-Prince loop over any number of components, each stage
+    sum a loop over the tableau weights: the reference that the written-out
+    three-component sums of ``rk45_integrate`` must match bitwise.  Sums
+    run left to right from 0, as ``sum`` adds floats before Python 3.12
+    (which compensates)."""
+    def total(terms):
+        return reduce(add, terms, 0)
+
+    def advance(y, h, weights, k):
+        return [yi + h * total(map(mul, weights, ki)) for yi, ki in zip(y, k)]
+
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y = np.asarray(y0, dtype=float).tolist()
+    t = t0
+    h = (t1 - t0) * 1e-3
+    t_grid = [t0]
+    rcont = []
+    k = [[d] + [0.0] * 6 for d in rhs(t, y)]      # k[i][s]: component i of stage s
+    while t < t1:
+        h = min(h, t1 - t)
+        for s in range(1, 7):
+            ys = advance(y, h, _DP_A[s], k)
+            for ki, d in zip(k, rhs(t + _DP_C[s] * h, ys)):
+                ki[s] = d
+        y5 = ys
+        y4 = advance(y, h, _DP_B4, k)
+        err = math.sqrt(total(
+            ((b - c) / (atol + rtol * max(abs(a), abs(b)))) ** 2
+            for a, b, c in zip(y, y5, y4)) / len(y))
+        if err <= 1.0:
+            dy = [b - a for a, b in zip(y, y5)]
+            r3 = [h * ki[0] - d for ki, d in zip(k, dy)]
+            r4 = [d - h * ki[6] - r for d, ki, r in zip(dy, k, r3)]
+            r5 = [h * total(map(mul, _DP_DENSE, ki)) for ki in k]
+            rcont.append((y, dy, r3, r4, r5))
+            t += h
+            t_grid.append(t)
+            y = y5
+            for ki in k:         # first-same-as-last
+                ki[0] = ki[6]
+        factor = 0.9 * (err + 1e-300) ** -0.2
+        h *= min(5.0, max(0.2, factor))
+    return np.asarray(t_grid), np.asarray(rcont)
+
+
+@pytest.mark.parametrize("I, omega0, nu, T, min_steps", [
+    # repetition 1 of the euler-newton benchmark workload under seed 1
+    ((1.0, 2.0, 5.0), (5.019191, 2.942795, -0.049294), 0.416273, 15.0, 300),
+    # the euler-damped preset
+    ((1.0, 2.0, 5.0), (5.0, 3.0, 0.0), 0.4, 5.0, 200),
+    # the euler-free preset's rotation, long enough for 3000 steps
+    ((1.0, 2.0, 3.0), (1.0, 0.0, 3.0), 0.0, 34.0, 3000),
+])
+def test_rk45_matches_the_generic_loop_bitwise(I, omega0, nu, T, min_steps):
+    sol = rk45_reference(I, np.array(omega0), nu, T)
+    t_grid, rcont = _generic_rk45(euler_rhs(I, nu), (0.0, T), omega0)
+    assert len(sol.rcont) >= min_steps
+    assert sol.t_grid.tobytes() == t_grid.tobytes()
+    assert sol.rcont.shape == rcont.shape
+    assert sol.rcont.tobytes() == rcont.tobytes()
 
 
 def test_rk45_agrees_with_elliptic_solution():
