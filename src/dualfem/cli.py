@@ -348,6 +348,10 @@ def run_euler_cfg(cfg: dict):
         raise ConfigError(f"config field 'reference' is not valid: the 'elliptic' "
                           f"reference is undamped and needs nu = 0, got nu={cfg['nu']}")
     config = euler_mod.EulerConfig(**cfg)
+    short = [ne for ne in refinements if not config.N_c < ne]
+    if short:
+        raise ConfigError(f"config field 'refinements' is not valid: entry {short[0]} "
+                          f"needs more than N_c = {config.N_c} elements per stage")
     # one config per mesh, the main one first, each checked before any solve
     configs = {config.ne_per_stage: config,
                **{ne: replace(config, ne_per_stage=ne) for ne in refinements}}

@@ -10,6 +10,7 @@ elements of every stage are discarded before chaining.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -38,6 +39,8 @@ class EulerConfig:
     max_iter: int = 50
     # inertia differences c_i = I_{i+2} - I_{i+1}, indices mod 3
     c: np.ndarray = field(init=False, repr=False)
+    # read-only constants of the DtP map, the residual and the Jacobian
+    tables: _Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.I = np.asarray(self.I, dtype=float)
@@ -50,6 +53,14 @@ class EulerConfig:
             raise InvalidArgumentError(f"damping must be non-negative, got {self.nu}")
         if self.a <= 0:
             raise InvalidArgumentError(f"potential stiffness must be positive, got {self.a}")
+        try:
+            bound = 1e-12 * float(self.a) ** 3  # the singular-DtP bound of _inv3
+        except OverflowError:
+            bound = math.inf
+        if not 0 < bound < math.inf:
+            raise InvalidArgumentError(
+                f"potential stiffness a={self.a} puts the singular-DtP bound "
+                f"1e-12 a^3 outside the finite nonzero doubles")
         if not self.T_total > 0:
             raise InvalidArgumentError(f"need T_total > 0, got T_total={self.T_total}")
         if not self.tol > 0:
@@ -58,6 +69,7 @@ class EulerConfig:
             raise InvalidArgumentError(
                 f"need 0 <= N_c < ne_per_stage, got {self.N_c}, {self.ne_per_stage}")
         self.c = np.roll(self.I, 1) - np.roll(self.I, 2)
+        self.tables = _config_tables(self.I, self.c, self.nu)
 
 
 @dataclass
@@ -79,6 +91,24 @@ _OFFDIAG = 1.0 - np.eye(3)
 # 3 (e + b) + j, band row 5 + row - column (LAPACK band storage)
 _A, _B, _I, _J = np.ix_(range(2), range(2), range(3), range(3))
 _ELEM_COL, _ELEM_BAND = (3 * _B + _J)[..., None], (5 + 3 * (_A - _B) + _I - _J)[..., None]
+
+
+_Tables = namedtuple("_Tables", "I_k dtp_cross c_3 nuI_3 negI_3 dval_cross dval_diag")
+
+
+def _config_tables(I: np.ndarray, c: np.ndarray, nu: float) -> _Tables:
+    """Read-only constants of :func:`dtp_euler`, :func:`residual` and
+    :func:`jacobian`, built once per config by ``EulerConfig.__post_init__``
+    (which ``dataclasses.replace`` runs again): I [k, 1], the DtP cross-term
+    factor c_k (i != k) [i, k, 1], c, nu I and -I [i, 1, 1], and the
+    Jacobian's c_i (i != m) and nu I_i delta_im [i, m, 1, 1]."""
+    tables = _Tables(I[:, None].copy(), (c * _OFFDIAG)[..., None], c[:, None, None].copy(),
+                     nu * I[:, None, None], -I[:, None, None],
+                     (c[:, None] * _OFFDIAG)[..., None, None],
+                     np.diag(nu * I)[..., None, None])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _inv3(lam: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
@@ -104,32 +134,39 @@ def _inv3(lam: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
     return adj.take(_SYM, axis=0).reshape((3, 3) + lam.shape[1:])
 
 
-def dtp_euler(lam, lamdot, base, config: EulerConfig):
+def dtp_euler(lam, lamdot, base, config: EulerConfig, *, omega_only: bool = False):
     """DtP map and its derivatives at one or many quadrature points.
 
     lam and lamdot have shape (3, ...), base (3,) or (3, ...); lamdot and
     base are arrays.  Returns
     (omega, domega_dlam, domega_dlamdot), omega shaped like lam and the
-    derivatives (3, 3, ...) indexed [i, k] = d omega_i / d lambda_k.
+    derivatives (3, 3, ...) indexed [i, k] = d omega_i / d lambda_k, the two
+    halves of one (2, 3, 3, ...) array; with ``omega_only``, omega alone.
     """
     lam = np.asarray(lam, dtype=float)
     shape, tail = lam.shape, lam.shape[1:]
     lam, lamdot, base = lam.reshape(3, -1), lamdot.reshape(3, -1), base.reshape(3, -1)
-    I, c, nu = config.I[:, None], config.c, config.nu
+    tables, nu = config.tables, config.nu
 
-    Kinv = _inv3(lam, c, config.a)
-    w = np.einsum("ikm,km->im", Kinv, I * (lamdot - nu * lam))   # omega - base
+    Kinv = _inv3(lam, config.c, config.a)
+    w = np.einsum("ikm,km->im", Kinv, tables.I_k * (lamdot - nu * lam))   # omega - base
+    if omega_only:
+        w += base
+        return w.reshape(shape)
 
     # d omega / d lambda_k = Kinv f_k, f[i, k] = -nu I_k delta_ik - c_k w_{3-i-k}:
     # the dK/dlambda_k cross terms acting on (omega - base)
-    dwld = Kinv * I
+    trial = np.empty((2,) + Kinv.shape)
+    dwl, dwld = trial[0], trial[1]
+    np.multiply(Kinv, tables.I_k, out=dwld)
     F = w.take(_OTHER, axis=0).reshape(3, 3, -1)
-    F *= (c * _OFFDIAG)[..., None]
-    dwl = np.einsum("ijm,jkm->ikm", Kinv, F)
+    F *= tables.dtp_cross
+    np.einsum("ijm,jkm->ikm", Kinv, F, out=dwl)
     np.negative(dwl, out=dwl)
     dwl -= nu * dwld
     w += base
-    return w.reshape(shape), dwl.reshape((3, 3) + tail), dwld.reshape((3, 3) + tail)
+    trial = trial.reshape((2, 3, 3) + tail)
+    return w.reshape(shape), trial[0], trial[1]
 
 
 @lru_cache(maxsize=8)
@@ -150,18 +187,31 @@ def _mesh_tables(ne: int, h: float):
     return Ndot, W, band
 
 
-def _dtp_at_gauss(mesh: TimeMesh, lam: np.ndarray, base, config: EulerConfig):
+@lru_cache(maxsize=8)
+def _retained_nodes(mesh: TimeMesh, n_keep: int) -> np.ndarray:
+    """The first n_keep + 1 node times of ``mesh``, read-only, built once per
+    (mesh, n_keep) for every stage's :class:`StageResult`."""
+    t = mesh.nodes[:n_keep + 1]
+    t.flags.writeable = False
+    return t
+
+
+def _dtp_at_gauss(mesh: TimeMesh, lam: np.ndarray, base, config: EulerConfig, *,
+                  omega_only: bool = False):
     """:func:`dtp_euler` at the two Gauss points of each element.
 
     Returns the Gauss-point state (omega, domega_dlam, domega_dlamdot, Ndot)
     that :func:`residual` and :func:`jacobian` read, omega of shape
-    (3, 2 q, ne) and the rate table Ndot of shape (2 q, 2 a).
+    (3, 2 q, ne) and the rate table Ndot of shape (2 q, 2 a); with
+    ``omega_only``, omega alone.
     """
     Ndot = _mesh_tables(mesh.ne, mesh.h)[0]
-    # np.stack(axis=1) builds the same array in twice the time
+    # np.stack(axis=1) builds the same array in twice the time, and a strided
+    # view of lam takes the two products off BLAS for no net gain
     lam_e = np.empty((3, 2, mesh.ne))                             # (3, 2a, ne)
     lam_e[:, 0], lam_e[:, 1] = lam[:, :-1], lam[:, 1:]
-    return dtp_euler(_N @ lam_e, Ndot @ lam_e, base, config) + (Ndot,)
+    out = dtp_euler(_N @ lam_e, Ndot @ lam_e, base, config, omega_only=omega_only)
+    return out if omega_only else out + (Ndot,)
 
 
 def residual(gauss: tuple, config: EulerConfig, mesh: TimeMesh,
@@ -170,12 +220,13 @@ def residual(gauss: tuple, config: EulerConfig, mesh: TimeMesh,
 
     ``gauss`` is the Gauss-point state returned by :func:`_dtp_at_gauss`.
     """
-    I, c, nu = config.I[:, None, None], config.c[:, None, None], config.nu
+    tables = config.tables
     omega, _, _, Ndot = gauss
 
     # integrands against Ndot and N; Gauss weights are 1
-    val = c * omega.take(_NEXT, axis=0) * omega.take(_AFTER, axis=0) + nu * I * omega
-    contrib = 0.5 * mesh.h * (Ndot.T @ (-I * omega) + _N.T @ val)   # (3, 2a, ne)
+    val = (tables.c_3 * omega.take(_NEXT, axis=0) * omega.take(_AFTER, axis=0)
+           + tables.nuI_3 * omega)
+    contrib = 0.5 * mesh.h * (Ndot.T @ (tables.negI_3 * omega) + _N.T @ val)   # (3, 2a, ne)
     R = np.zeros((3, mesh.n_nodes))
     R[:, :-1] += contrib[:, 0]
     R[:, 1:] += contrib[:, 1]
@@ -192,21 +243,21 @@ def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> np.ndarray:
     entry (row, col) sits at [5 + row - col, col], offsets 5 .. -5 from the
     top row down.
     """
-    I, c, nu, n, ne = config.I, config.c, config.nu, mesh.n_nodes, mesh.ne
-    omega, dwl, dwld, _ = gauss
+    tables, n, ne = config.tables, mesh.n_nodes, mesh.ne
+    omega, dwl, _, _ = gauss
     _, W, band = _mesh_tables(ne, mesh.h)
 
     # d val_i / d omega_m = nu I_i delta_im + c_i omega_{3-i-m} (i != m) and
     # d dot_i / d omega_m = -I_i delta_im, each applied to the trial
     # derivatives d omega_m / d(lambda_j, lambdadot_j): M[s, t, q, i, j, e]
     dval = omega.take(_OTHER, axis=0).reshape(3, 3, 2, ne)
-    dval *= (c[:, None] * _OFFDIAG)[..., None, None]
-    dval += np.diag(nu * I)[..., None, None]
-    # np.array stacks as np.stack does, in a third of its time
-    trial = np.array([dwl, dwld])                                 # [t, m, j, q, e]
+    dval *= tables.dval_cross
+    dval += tables.dval_diag
+    # dwl and dwld are the two halves of the array dtp_euler wrote them to
+    trial = dwl.base.reshape(2, 3, 3, 2, ne)                      # [t, m, j, q, e]
     M = np.empty((2, 2, 2, 3, 3, ne))
     np.einsum("imqe,tmjqe->tqije", dval, trial, out=M[0])
-    np.multiply(-I[:, None, None], trial.transpose(0, 3, 1, 2, 4), out=M[1])
+    np.multiply(tables.negI_3, trial.transpose(0, 3, 1, 2, 4), out=M[1])
     ke = W @ M.reshape(8, -1)                                     # [a b, i j e]
     ke *= 0.5 * mesh.h
 
@@ -214,19 +265,20 @@ def jacobian(gauss: tuple, config: EulerConfig, mesh: TimeMesh) -> np.ndarray:
 
 
 def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Newton step of shape (3, n_nodes), zero at lambda(T), checked against J.
+    """Newton step on the free dofs, shape (3, n_nodes - 1), checked against J.
 
     J is the node-major (dof 3 A + i) band of :func:`jacobian`.  Its first
     m = 3 (n - 1) rows and columns, the free block, go to one LAPACK
-    ``dgbsv``: the first m band columns, placed in rows 5 .. 15 of a zeroed
-    (16, m) array (the five extra rows hold the LU fill-in).  One BLAS
-    ``dgbmv`` on the same m band columns checks the step; they are the first
-    11 m entries of the Fortran-ordered band, so no copy is made.  Band
-    entries of the lambda(T) rows fall below the m x m block, where LAPACK
-    never reads.
+    ``dgbsv``: the first m band columns, placed in rows 5 .. 15 of a (16, m)
+    array whose rows 0 .. 4 hold the LU fill-in and are not read on entry.
+    One BLAS ``dgbmv`` on the same m band columns checks the step; they are
+    the first 11 m entries of the Fortran-ordered band, so no copy is made.
+    Band entries of the lambda(T) rows fall below the m x m block, where
+    LAPACK never reads.  lambda(T) = 0 is fixed, so the step leaves out the
+    last node.
     """
     m = R.size - 3
-    ab = np.zeros((16, m), order="F")
+    ab = np.empty((16, m), order="F")
     ab[5:] = J[:, :m]
     rhs = R.T.ravel()[:m]
     _, _, step, info = dgbsv(5, 5, ab, -rhs, overwrite_ab=True, overwrite_b=True)
@@ -239,9 +291,7 @@ def _newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     if not lin_res <= bound:                    # a non-finite step fails too
         raise SolverError(
             f"Newton step residual {lin_res:.3e} exceeds 1e-8 |R| = {bound:.3e}")
-    out = np.zeros(R.size)
-    out[:m] = step
-    return out.reshape(-1, 3).T
+    return step.reshape(-1, 3).T
 
 
 def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
@@ -251,6 +301,7 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
     omega0_stage = np.asarray(omega0_stage, dtype=float)
     base = omega0_stage                         # piecewise-constant base state
 
+    # lambda(T) = 0 stays: each step goes into the free columns in place
     lam = np.zeros((3, mesh.n_nodes))
     increments = []
     grow = 0
@@ -258,7 +309,7 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
         gauss = _dtp_at_gauss(mesh, lam, base, config)
         R = residual(gauss, config, mesh, omega0_stage)
         dlam = _newton_step(jacobian(gauss, config, mesh), R)
-        lam += dlam
+        lam[:, :-1] += dlam
         d = float(np.abs(dlam).max())
         increments.append(d)
         if d < config.tol:
@@ -274,10 +325,12 @@ def newton_stage(config: EulerConfig, omega0_stage: np.ndarray,
         raise NonconvergenceError(
             f"Newton did not converge in {config.max_iter} iterations", increments)
 
-    samples = _dtp_at_gauss(mesh, lam, base, config)[0].transpose(0, 2, 1)   # (3, ne, 2q)
+    # only omega feeds the projection, so the converged DtP skips its derivatives
+    omega = _dtp_at_gauss(mesh, lam, base, config, omega_only=True)
+    samples = omega.transpose(0, 2, 1)                            # (3, ne, 2q)
     omega_nodes = l2_project_time(mesh, samples, nodes={0: omega0_stage})
     n_keep = mesh.ne - config.N_c
-    return StageResult(t_nodes=mesh.nodes[:n_keep + 1],
+    return StageResult(t_nodes=_retained_nodes(mesh, n_keep),
                        omega_nodes=omega_nodes[:, :n_keep + 1],
                        newton_iters=len(increments),
                        increments=increments)

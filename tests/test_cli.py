@@ -250,6 +250,9 @@ HEAT_JUMP = {**FAST_HEAT, "k": 0.1, "T": 0.1, "initial": {"type": "jump"},
     (NEUMANN_HEAT, {"theta_right": 4.0}, "'theta_right'"),
     (FAST_TRANSPORT, {"L": 1}, "'L' and 'nx'"),
     (FAST_TRANSPORT, {"nx": 5}, "'L' and 'nx'"),
+    (FAST_EULER, {"a": 1e110}, "a=1e+110"),
+    (FAST_EULER, {"a": 1e-110}, "a=1e-110"),
+    (FAST_EULER, {"refinements": [10, 1]}, "'refinements' is not valid: entry 1"),
 ], ids=["negative-k", "T_keep-past-T_stage", "no-elements", "omega0-of-2",
         "unknown-right-mode", "text-k", "text-ne_per_stage", "fractional-nx",
         "fractional-N_c", "fractional-refinement", "bool-k", "bool-nx",
@@ -265,7 +268,8 @@ HEAT_JUMP = {**FAST_HEAT, "k": 0.1, "T": 0.1, "initial": {"type": "jump"},
         "infinite-nu", "negative-nx", "zero-demo-rows", "zero-demo-cols",
         "negative-demo-n_cases", "zero-demo-n_cases", "negative-demo-seed",
         "damped-elliptic-reference", "pi_right-in-dirichlet_theta",
-        "theta_right-in-neumann_pi", "short-transport-L", "coarse-transport-nx"])
+        "theta_right-in-neumann_pi", "short-transport-L", "coarse-transport-nx",
+        "huge-euler-a", "tiny-euler-a", "refinement-within-N_c"])
 def test_bad_values_exit_config(tmp_path, capsys, monkeypatch, base, override, named):
     # out-of-range and non-numeric values are configuration errors, found
     # before any solve, with a message instead of a traceback

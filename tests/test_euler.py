@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg.lapack
 
 from conftest import dense_band
-from dualfem import euler
+from dualfem import _lapack, euler
 from dualfem.cli import run_euler_cfg
 from dualfem.errors import (InvalidArgumentError, NonconvergenceError,
                             SingularDtPError, SolverError)
@@ -168,12 +168,13 @@ def test_banded_newton_step_matches_dense_solve(rng):
     dense = np.linalg.solve(dense_band(J)[np.ix_(p, p)][np.ix_(free, free)],
                             -R.ravel()[free])
     step = euler._newton_step(J, R)
-    assert np.all(step[:, -1] == 0.0)
-    assert np.abs(step.ravel()[free] - dense).max() <= 1e-12 * np.abs(dense).max()
+    # the step leaves out lambda(T), which stays 0
+    assert step.shape == (3, n - 1)
+    assert np.abs(step.ravel() - dense).max() <= 1e-12 * np.abs(dense).max()
     # the direct dgbsv call is the LU of solve_banded on the same band, bitwise
     m = 3 * (n - 1)
     ref = scipy.linalg.solve_banded((5, 5), J[:, :m], -R.T.ravel()[:m])
-    assert np.array_equal(step.T.ravel()[:m], ref)
+    assert np.array_equal(step.T.ravel(), ref)
 
 
 def test_newton_step_ignores_the_final_node_band(rng):
@@ -196,8 +197,8 @@ def test_newton_step_ignores_the_final_node_band(rng):
     filled = dense_band(J)
     assert np.abs(filled[m:]).max() == 1e6 and np.abs(filled[:, m:]).max() == 1e6
     step = euler._newton_step(J, R)
-    assert np.all(step[:, -1] == 0.0)
-    assert np.abs(step.T.ravel()[:m] - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert step.shape == (3, n - 1)
+    assert np.abs(step.T.ravel() - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("ne", [1, 2, 3])
@@ -215,7 +216,7 @@ def test_newton_step_on_stages_narrower_than_the_band(rng, ne):
     J = jacobian(gauss, cfg, mesh)
     dense = np.linalg.solve(dense_band(J)[:m, :m], -R.T.ravel()[:m])
     step = euler._newton_step(J, R)
-    assert np.abs(step.T.ravel()[:m] - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(step.T.ravel() - dense).max() <= 1e-12 * np.abs(dense).max()
     res = newton_stage(cfg, cfg.omega0, mesh)
     assert res.increments[-1] < cfg.tol
 
@@ -352,3 +353,123 @@ def test_invariant_helpers():
     # trailing axes broadcast
     grid = np.tile(omega[:, None], (1, 5))
     assert kinetic_energy(I, grid).shape == (5,)
+
+
+# The Newton kernels and stage loop as they stood before the per-run constant
+# tables, the in-place Newton state and the omega-only converged DtP: the
+# reference that newton_stage must match bitwise.  Each builds its constants
+# on every call, copies the element values of lambda, stacks the two DtP
+# derivatives, solves in a zeroed 16-row LU array, returns the step on every
+# node and evaluates the full DtP at the converged lambda.
+
+def _ref_dtp(lam, lamdot, base, config):
+    shape, tail = lam.shape, lam.shape[1:]
+    lam, lamdot, base = lam.reshape(3, -1), lamdot.reshape(3, -1), base.reshape(3, -1)
+    I, c, nu = config.I[:, None], config.c, config.nu
+    Kinv = euler._inv3(lam, c, config.a)
+    w = np.einsum("ikm,km->im", Kinv, I * (lamdot - nu * lam))
+    dwld = Kinv * I
+    F = w.take(euler._OTHER, axis=0).reshape(3, 3, -1)
+    F *= (c * euler._OFFDIAG)[..., None]
+    dwl = np.einsum("ijm,jkm->ikm", Kinv, F)
+    np.negative(dwl, out=dwl)
+    dwl -= nu * dwld
+    w += base
+    return w.reshape(shape), dwl.reshape((3, 3) + tail), dwld.reshape((3, 3) + tail)
+
+
+def _ref_gauss(mesh, lam, base, config):
+    Ndot = euler._mesh_tables(mesh.ne, mesh.h)[0]
+    lam_e = np.empty((3, 2, mesh.ne))
+    lam_e[:, 0], lam_e[:, 1] = lam[:, :-1], lam[:, 1:]
+    return _ref_dtp(euler._N @ lam_e, Ndot @ lam_e, base, config) + (Ndot,)
+
+
+def _ref_residual(gauss, config, mesh, omega0):
+    I, c, nu = config.I[:, None, None], config.c[:, None, None], config.nu
+    omega, _, _, Ndot = gauss
+    val = (c * omega.take(euler._NEXT, axis=0) * omega.take(euler._AFTER, axis=0)
+           + nu * I * omega)
+    contrib = 0.5 * mesh.h * (Ndot.T @ (-I * omega) + euler._N.T @ val)
+    R = np.zeros((3, mesh.n_nodes))
+    R[:, :-1] += contrib[:, 0]
+    R[:, 1:] += contrib[:, 1]
+    R[:, 0] -= config.I * omega0
+    return R
+
+
+def _ref_jacobian(gauss, config, mesh):
+    I, c, nu, n, ne = config.I, config.c, config.nu, mesh.n_nodes, mesh.ne
+    omega, dwl, dwld, _ = gauss
+    _, W, band = euler._mesh_tables(ne, mesh.h)
+    dval = omega.take(euler._OTHER, axis=0).reshape(3, 3, 2, ne)
+    dval *= (c[:, None] * euler._OFFDIAG)[..., None, None]
+    dval += np.diag(nu * I)[..., None, None]
+    trial = np.array([dwl, dwld])
+    M = np.empty((2, 2, 2, 3, 3, ne))
+    np.einsum("imqe,tmjqe->tqije", dval, trial, out=M[0])
+    np.multiply(-I[:, None, None], trial.transpose(0, 3, 1, 2, 4), out=M[1])
+    ke = W @ M.reshape(8, -1)
+    ke *= 0.5 * mesh.h
+    return np.bincount(band, ke.ravel(), minlength=11 * 3 * n).reshape(3 * n, 11).T
+
+
+def _ref_newton_step(J, R):
+    m = R.size - 3
+    ab = np.zeros((16, m), order="F")
+    ab[5:] = J[:, :m]
+    rhs = R.T.ravel()[:m]
+    _, _, step, info = _lapack.dgbsv(5, 5, ab, -rhs, overwrite_ab=True, overwrite_b=True)
+    assert info == 0
+    out = np.zeros(R.size)
+    out[:m] = step
+    return out.reshape(-1, 3).T
+
+
+def _ref_stage(config, omega0_stage, mesh):
+    lam = np.zeros((3, mesh.n_nodes))
+    increments = []
+    for _ in range(config.max_iter):
+        gauss = _ref_gauss(mesh, lam, omega0_stage, config)
+        R = _ref_residual(gauss, config, mesh, omega0_stage)
+        dlam = _ref_newton_step(_ref_jacobian(gauss, config, mesh), R)
+        lam += dlam
+        increments.append(float(np.abs(dlam).max()))
+        if increments[-1] < config.tol:
+            break
+    samples = _ref_gauss(mesh, lam, omega0_stage, config)[0].transpose(0, 2, 1)
+    omega_nodes = euler.l2_project_time(mesh, samples, nodes={0: omega0_stage})
+    return omega_nodes[:, :mesh.ne - config.N_c + 1], increments
+
+
+@pytest.mark.parametrize("config", [
+    # repetition 1 of the benchmark's euler-newton workload under seed 1
+    dict(I=(1.0, 2.0, 5.0), omega0=(5.019191, 2.942795, -0.049294), nu=0.416273,
+         T_total=15.0, T_stage=0.3, ne_per_stage=80, N_c=20),
+    *({k: v for k, v in get_preset(name).items()
+       if k not in ("problem", "preset", "reference")}
+      for name in ("euler-damped", "euler-free")),
+    dict(I=(2.0, 2.0, 2.0), omega0=(0.3, -0.5, 0.7), T_total=1.0, T_stage=0.5,
+         ne_per_stage=10, N_c=2),
+], ids=["euler-newton-seed1-rep1", "euler-damped", "euler-free", "sphere"])
+def test_newton_stages_match_the_reference_loop_bitwise(monkeypatch, config):
+    cfg = EulerConfig(**config)
+    # rows 0..4 of the LU array are LU fill-in that dgbsv does not read on
+    # entry: NaN there must leave every step as it is
+    real_dgbsv = euler.dgbsv
+
+    def nan_fill_in(kl, ku, ab, b, **kw):
+        ab[:kl] = np.nan
+        return real_dgbsv(kl, ku, ab, b, **kw)
+
+    monkeypatch.setattr(euler, "dgbsv", nan_fill_in)
+    run = run_euler(cfg)
+    mesh = stage_mesh(cfg)
+    omega = np.asarray(cfg.omega0, dtype=float)
+    for stage in run.stages:
+        ref_omega, ref_increments = _ref_stage(cfg, omega, mesh)
+        assert stage.omega_nodes.tobytes() == ref_omega.tobytes()
+        assert stage.increments == ref_increments
+        assert stage.newton_iters == len(ref_increments)
+        omega = ref_omega[:, -1]
+    assert len(run.stages) > 1
